@@ -6,8 +6,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,22 +136,6 @@ class ExperimentConfig:
         }
 
 
-def _n_workers() -> int:
-    env = os.environ.get("QLAN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order; worker count from QLAN_THREADS."""
-    workers = min(_n_workers(), max(1, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # converge
 
@@ -189,7 +171,7 @@ def fitted_rate(ns, totals) -> float:
 
 
 def run_converge(config: ExperimentConfig) -> dict:
-    rows = _parallel_map(lambda n: _converge_point(config, n), list(config.n_list))
+    rows = [_converge_point(config, n) for n in config.n_list]
     rate = (
         fitted_rate([r["n"] for r in rows], [r["total"] for r in rows])
         if len(rows) >= 2

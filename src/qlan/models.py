@@ -161,7 +161,8 @@ def rho_theta(
 def weight_prefactor(lam: tb.Diagram, n: int, d: int) -> int:
     """Combinatorial prefactor of the block weight: multinomial(n; lambda)
     times prod_l lambda_l! prod_{k>l}(lambda_l - lambda_k + k - l) /
-    (lambda_l + d - l)!; equals the multiplicity of the block."""
+    (lambda_l + d - l)!; equals the multiplicity of the block.  Exact; the
+    weights use log_weight_prefactor."""
     from fractions import Fraction
 
     rows = [tb.row(lam, i) for i in range(1, d + 1)]
@@ -178,19 +179,47 @@ def weight_prefactor(lam: tb.Diagram, n: int, d: int) -> int:
     return out.numerator
 
 
-def schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
-    """Schur polynomial s_lambda(vals) via the ratio of alternants; equals
-    the sum over fitting m-vectors of prod_i vals_i^(total multiplicity i)."""
+def log_weight_prefactor(lam: tb.Diagram, n: int, d: int) -> float:
+    """Natural log of weight_prefactor, in which the lambda_l! cancel:
+    log n! + sum_l [sum_{k>l} log(lambda_l - lambda_k + k - l)
+    - log (lambda_l + d - l)!]."""
+    rows = [tb.row(lam, i) for i in range(1, d + 1)]
+    out = math.lgamma(n + 1)
+    for l in range(1, d + 1):
+        ll = rows[l - 1]
+        for k in range(l + 1, d + 1):
+            out += math.log(ll - rows[k - 1] + k - l)
+        out -= math.lgamma(ll + d - l + 1)
+    return out
+
+
+def log_schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
+    """Natural log of the Schur polynomial s_lambda(vals) for distinct
+    positive vals, by the ratio of alternants
+    det[vals_i^e_j] / prod_{i<j}(vals_i - vals_j), e_j = lambda_j + d - j,
+    with vals sorted decreasing (s_lambda is symmetric).  The determinant's
+    Leibniz terms are taken relative to the diagonal one, prod_i vals_i^e_i:
+    each ratio prod_i (vals_sigma(i) / vals_i)^e_i is at most 1, so no power
+    of vals over- or underflows for any n."""
     d = len(vals)
     lam = tb.check_diagram(lam, d)
+    vals = sorted(vals, reverse=True)
     exps = [tb.row(lam, j) + d - j for j in range(1, d + 1)]
-    A = np.array([[v ** e for e in exps] for v in vals], dtype=float)
-    num = float(np.linalg.det(A))
-    den = 1.0
+    logs = [math.log(v) for v in vals]
+    rel = 0.0
+    for sign, p in sw.signed_permutations(d):
+        rel += sign * math.exp(sum(e * (logs[p[i]] - logs[i]) for i, e in enumerate(exps)))
+    out = sum(e * lv for e, lv in zip(exps, logs)) + math.log(rel)
     for i in range(d):
         for j in range(i + 1, d):
-            den *= vals[i] - vals[j]
-    return num / den
+            out -= math.log(vals[i] - vals[j])
+    return out
+
+
+def schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
+    """Schur polynomial s_lambda(vals); equals the sum over fitting
+    m-vectors of prod_i vals_i^(total multiplicity i)."""
+    return math.exp(log_schur_poly(lam, vals))
 
 
 def schur_poly_enumerated(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
@@ -204,16 +233,13 @@ def schur_poly_enumerated(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
 
 def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) -> float:
     """Probability of the block at the perturbed spectrum; independent of the
-    off-diagonal parameters by construction."""
+    off-diagonal parameters by construction.  Computed in log space, so it
+    stays finite at any n (far-atypical blocks underflow to 0)."""
     lam = tb.check_diagram(lam, spec.d)
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     vals = perturbed_spectrum(spec, u, n)
-    pref = weight_prefactor(lam, n, spec.d)
-    s = schur_poly(lam, vals)
-    if pref < 2**1000:
-        return float(pref) * s
-    return math.exp(math.log(pref) + math.log(s))
+    return math.exp(log_weight_prefactor(lam, n, spec.d) + log_schur_poly(lam, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +277,16 @@ def block_state(
     that class; the off-diagonal parameters enter by conjugation with the
     block rotation."""
     vals = perturbed_spectrum(spec, theta.u, n)
+    logs = [math.log(v) for v in vals]
+    log_full = log_schur_poly(lam, vals)
     rho = np.zeros((basis.size, basis.size), dtype=complex)
     covered = 0.0
     for w, idxs in weight_classes(basis).items():
-        ev = math.prod(v**k for v, k in zip(vals, w))
+        # eigenvalue relative to the block trace s_lambda, at most 1
+        ev = math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full)
         rho += ev * class_projector(basis, idxs)
         covered += ev * len(idxs)
-    full = schur_poly(lam, vals)
-    loss = max(0.0, 1.0 - covered / full)
+    loss = max(0.0, 1.0 - covered)
     rho = rho / covered
     if any(abs(z) > 0 for z in theta.zeta) or any(abs(x) > 0 for x in theta.xi):
         U = rotation_unitary(spec, theta.zeta, theta.xi, n)

@@ -12,13 +12,25 @@ with <f_a| q U^(x n) f_b> = prod over columns c of det U[a-entries, b-entries]
 
     <m| pi(U) |l> = W(m, l; U) / sqrt(W(m, m; I) W(l, l; I)),
 
-all symmetrizer scale factors cancelling in the ratio.  The orbit sums are
-evaluated exactly by a transfer over column-length classes: within the class
-of columns of length L (there are lambda_L - lambda_{L+1} of them) a tableau
-pair is described by the multiset of (a-modifier, b-modifier) pairs placed on
-distinct columns, so the class contributes a small polynomial in the per-pair
-determinant values with multinomial placement coefficients.  This avoids
-enumerating orbits, whose size explodes combinatorially.
+all symmetrizer scale factors cancelling in the ratio.
+
+The orbit sums are evaluated without enumerating orbits, whose size explodes
+combinatorially.  A column of length L is either the identity column 1..L,
+or one of its modifiers (bricks (i, j) replacing entry i by j > i), on the
+a side and on the b side independently.  Record the bricks of a tableau pair
+as monomials x^va y^vb, va and vb counting bricks per pair (i, j) as
+m-vectors do.  An identity pair contributes v0_L = det U[1..L, 1..L]; a pair
+of types (va, vb) contributes val = det U[a-entries, b-entries] x^va y^vb.
+The ncols = lambda_L - lambda_{L+1} columns of length L are independent, so
+their generating function is (v0_L + P_L(x, y))^ncols with P_L the sum over
+the non-trivial pair types, and
+
+    W(m, l; U) = [x^m y^l] prod over L of (v0_L + P_L)^ncols.
+
+`pairing_matrix` evaluates this product on one complex array S[a, b], with a
+running over the exponent vectors at most the largest requested m (per pair
+and in total weight) and b likewise, applying each class as the binomial sum
+of C(ncols, K) v0^(ncols-K) P^K S over K.
 """
 
 from __future__ import annotations
@@ -40,7 +52,8 @@ DEFAULT_PAIR_BUDGET = 10**7
 
 
 @cache
-def _signed_perms(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def signed_permutations(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, permutation) for every permutation of range(k)."""
     out = []
     for p in permutations(range(k)):
         inv = sum(1 for i in range(k) for j in range(i + 1, k) if p[i] > p[j])
@@ -53,7 +66,7 @@ def small_det(M) -> complex:
     k = len(M)
     return sum(
         sign * math.prod(M[i][p[i]] for i in range(k))
-        for sign, p in _signed_perms(k)
+        for sign, p in signed_permutations(k)
     )
 
 
@@ -109,12 +122,28 @@ def _brick_vector(bricks, d: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _simplex(ms: list[tb.MVector], npairs: int) -> dict[tuple[int, ...], int]:
+    """Positions of the exponent vectors that partial products can carry on
+    their way to the m in ms (bricks are only ever added): componentwise at
+    most the largest m[k], in total at most the largest |m|.  Lexicographic,
+    so the zero vector comes first."""
+    wcap = max((sum(m) for m in ms), default=0)
+    pts: list[tuple[int, ...]] = [()]
+    for k in range(npairs):
+        cap = max((m[k] for m in ms), default=0)
+        pts = [p + (c,) for p in pts for c in range(min(cap, wcap - sum(p)) + 1)]
+    return {a: i for i, a in enumerate(pts)}
 
 
-def _vec_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _shift_map(index: dict[tuple[int, ...], int], v: tuple[int, ...]):
+    """Positions a and a + v for every a with both in the simplex."""
+    src, dst = [], []
+    for a, i in index.items():
+        j = index.get(tuple(x + y for x, y in zip(a, v)))
+        if j is not None:
+            src.append(i)
+            dst.append(j)
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
 
 
 def pairing_matrix(
@@ -124,95 +153,66 @@ def pairing_matrix(
     ms_a: list[tb.MVector],
     ms_b: list[tb.MVector],
 ) -> np.ndarray:
-    """Matrix of orbit sums W(m, l; U) for m in ms_a, l in ms_b, computed by
-    the per-column-class transfer described in the module docstring."""
+    """Matrix of orbit sums W(m, l; U) for m in ms_a, l in ms_b: the
+    coefficients of prod over L of (v0_L + P_L)^ncols described in the module
+    docstring, truncated to the exponents that ms_a and ms_b can reach."""
     lam = tb.check_diagram(lam, d)
     npairs = len(tb.pairs(d))
-    cap_a = tuple(max((m[k] for m in ms_a), default=0) for k in range(npairs))
-    cap_b = tuple(max((m[k] for m in ms_b), default=0) for k in range(npairs))
-    wcap_a = max((sum(m) for m in ms_a), default=0)
-    wcap_b = max((sum(m) for m in ms_b), default=0)
-    zero = tuple([0] * npairs)
+    index_a = _simplex(ms_a, npairs)
+    index_b = _simplex(ms_b, npairs)
+    # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for larger K
+    max_power = max(map(sum, index_a)) + max(map(sum, index_b))
+    shifts_a: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    shifts_b: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    # accumulated generating function over classes: (used_a, used_b) -> value
-    acc: dict[tuple, complex] = {(zero, zero): 1.0 + 0.0j}
-
+    S = np.zeros((len(index_a), len(index_b)), dtype=complex)
+    S[0, 0] = 1.0
     for length in range(1, d + 1):
         ncols = tb.row(lam, length) - tb.row(lam, length + 1)
         if ncols <= 0:
             continue
-        v0 = small_det([[U[i, j] for j in range(length)] for i in range(length)])
-        mods = [
+        v0 = complex(small_det([[U[i, j] for j in range(length)] for i in range(length)]))
+        idcol = tuple(range(1, length + 1))
+        sides = [(tuple([0] * npairs), idcol)] + [
             (_brick_vector(bricks, d), entries)
             for bricks, entries in column_modifiers(length, d)
         ]
-        idcol = tuple(range(1, length + 1))
-        pair_types = []
-        for va, ea in [(zero, idcol)] + mods:
-            if not _vec_le(va, cap_a) or sum(va) > wcap_a:
+        # P as a list of (source, destination, value): P S adds
+        # val * S[a, b] at [a + va, b + vb]
+        terms = []
+        for va, ea in sides:
+            if va not in shifts_a:
+                shifts_a[va] = _shift_map(index_a, va)
+            src_a, dst_a = shifts_a[va]
+            if not src_a.size:
                 continue
-            for vb, eb in [(zero, idcol)] + mods:
-                if va == zero and vb == zero:
+            for vb, eb in sides:
+                if not (any(va) or any(vb)):
                     continue
-                if not _vec_le(vb, cap_b) or sum(vb) > wcap_b:
+                if vb not in shifts_b:
+                    shifts_b[vb] = _shift_map(index_b, vb)
+                src_b, dst_b = shifts_b[vb]
+                if not src_b.size:
                     continue
-                val = small_det([[U[i - 1, j - 1] for j in eb] for i in ea])
-                if val == 0:
-                    continue
-                pair_types.append((va, vb, val))
+                val = complex(small_det([[U[i - 1, j - 1] for j in eb] for i in ea]))
+                if val != 0:
+                    terms.append((np.ix_(src_a, src_b), np.ix_(dst_a, dst_b), val))
 
-        # inner transfer over this class: state (da, db, K) -> sum of
-        # products of val^k / k! over chosen pair-type counts
-        inner: dict[tuple, complex] = {(zero, zero, 0): 1.0 + 0.0j}
-        for va, vb, val in pair_types:
-            nxt = dict(inner)
-            for (da, db, K), amp in inner.items():
-                cda, cdb, cK = da, db, K
-                term = amp
-                k = 1
-                while True:
-                    cda = _vec_add(cda, va)
-                    cdb = _vec_add(cdb, vb)
-                    cK += 1
-                    if (
-                        cK > ncols
-                        or not _vec_le(cda, cap_a)
-                        or not _vec_le(cdb, cap_b)
-                        or sum(cda) > wcap_a
-                        or sum(cdb) > wcap_b
-                    ):
-                        break
-                    term = term * val / k
-                    key = (cda, cdb, cK)
-                    nxt[key] = nxt.get(key, 0.0) + term
-                    k += 1
-            inner = nxt
+        out = v0**ncols * S
+        PKS = S
+        for K in range(1, min(ncols, max_power) + 1):
+            nxt = np.zeros_like(S)
+            for src, dst, val in terms:
+                nxt[dst] += val * PKS[src]
+            PKS = nxt
+            if not PKS.any():
+                break
+            out += math.comb(ncols, K) * v0 ** (ncols - K) * PKS
+        S = out
 
-        # attach placement counts and the unmodified-column factor
-        class_poly: dict[tuple, complex] = {}
-        for (da, db, K), amp in inner.items():
-            weight = amp * math.perm(ncols, K) * v0 ** (ncols - K)
-            key = (da, db)
-            class_poly[key] = class_poly.get(key, 0.0) + weight
-
-        # convolve with the classes already processed
-        nxt_acc: dict[tuple, complex] = {}
-        for (da, db), av in acc.items():
-            for (ea, eb), bv in class_poly.items():
-                fa, fb = _vec_add(da, ea), _vec_add(db, eb)
-                if not (_vec_le(fa, cap_a) and _vec_le(fb, cap_b)):
-                    continue
-                if sum(fa) > wcap_a or sum(fb) > wcap_b:
-                    continue
-                key = (fa, fb)
-                nxt_acc[key] = nxt_acc.get(key, 0.0) + av * bv
-        acc = nxt_acc
-
-    W = np.zeros((len(ms_a), len(ms_b)), dtype=complex)
-    for r, ma in enumerate(ms_a):
-        for c, mb in enumerate(ms_b):
-            W[r, c] = acc.get((ma, mb), 0.0)
-    return W
+    rows = [index_a[m] for m in ms_a]
+    cols = [index_b[l] for l in ms_b]
+    return S[np.ix_(rows, cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +262,37 @@ def symmetrizer_pairing(
 def gram_matrix(lam: tb.Diagram, d: int, basis: list[tb.MVector]) -> np.ndarray:
     """Overlap matrix of the normalized symmetrizer-image vectors; entries
     across different total-multiplicity classes are exactly zero."""
-    ident = np.eye(d)
-    W = pairing_matrix(lam, d, ident, list(basis), list(basis)).real
-    diag = np.sqrt(np.diag(W))
-    G = W / np.outer(diag, diag)
-    weights = [tb.total_multiplicities(lam, m, d) for m in basis]
-    for r in range(len(basis)):
-        for c in range(len(basis)):
+    return _gram_and_norms(lam, d, list(basis))[0]
+
+
+def _gram_and_norms(
+    lam: tb.Diagram, d: int, ms: list[tb.MVector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix and the norms sqrt(W(m, m; I)) of the unnormalized
+    vectors that it divides out, from one identity pairing."""
+    W = pairing_matrix(lam, d, np.eye(d), ms, ms).real
+    norms = np.sqrt(np.diag(W))
+    G = W / np.outer(norms, norms)
+    weights = [tb.total_multiplicities(lam, m, d) for m in ms]
+    for r in range(len(ms)):
+        for c in range(len(ms)):
             if weights[r] != weights[c]:
                 G[r, c] = 0.0
     np.fill_diagonal(G, 1.0)
-    return (G + G.T) / 2
+    return (G + G.T) / 2, norms
 
 
-def orthonormalize(G: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite Gram matrix."""
+def orthonormalize(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square root and inverse square root of a positive definite
+    Gram matrix, from one eigendecomposition."""
     vals, vecs = np.linalg.eigh(G)
     if vals.min() <= 1e-12:
         raise NearSingularGramError(
             f"smallest Gram eigenvalue {vals.min():.3e}; "
             "reduce the basis cutoff or increase n"
         )
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
+    roots = np.sqrt(vals)
+    return (vecs * roots) @ vecs.T, (vecs * (1.0 / roots)) @ vecs.T
 
 
 @dataclass(frozen=True)
@@ -292,7 +301,8 @@ class BlockBasis:
 
     Coordinates used everywhere downstream are the symmetrically
     orthonormalized ones: the vector labelled m has coordinates
-    sqrt_gram[:, index[m]].
+    sqrt_gram[:, index[m]].  `norms` holds sqrt(W(m, m; I)), which turns
+    orbit sums into overlaps of the normalized vectors.
     """
 
     lam: tb.Diagram
@@ -301,6 +311,7 @@ class BlockBasis:
     gram: np.ndarray
     inv_sqrt_gram: np.ndarray
     sqrt_gram: np.ndarray
+    norms: np.ndarray
 
     @property
     def size(self) -> int:
@@ -324,11 +335,9 @@ def block_basis(
     ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
     if per_mode_cap is not None:
         ms = [m for m in ms if max(m, default=0) <= per_mode_cap]
-    G = gram_matrix(lam, d, ms)
-    inv_sqrt = orthonormalize(G)
-    vals, vecs = np.linalg.eigh(G)
-    sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-    return BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt)
+    G, norms = _gram_and_norms(lam, d, ms)
+    sqrt, inv_sqrt = orthonormalize(G)
+    return BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms)
 
 
 @dataclass(frozen=True)
@@ -347,9 +356,7 @@ def mixed_overlap_matrix(
     """Overlaps <m| pi(U) |l> of the normalized non-orthogonal vectors."""
     ms = list(basis.mvectors)
     W = pairing_matrix(lam, d, U, ms, ms)
-    Wd = pairing_matrix(lam, d, np.eye(d), ms, ms).real
-    diag = np.sqrt(np.diag(Wd))
-    return W / np.outer(diag, diag)
+    return W / np.outer(basis.norms, basis.norms)
 
 
 def block_unitary(lam: tb.Diagram, U: np.ndarray, basis: BlockBasis) -> BlockOperator:
@@ -363,14 +370,13 @@ def block_unitary(lam: tb.Diagram, U: np.ndarray, basis: BlockBasis) -> BlockOpe
     return BlockOperator(tb.check_diagram(lam, basis.d), mat, defect)
 
 
-def coherent_overlap(
-    lam: tb.Diagram, d: int, m: tb.MVector, U: np.ndarray
-) -> complex:
-    """Overlap <m| pi(U) |0> with the rotated highest-weight vector."""
-    zero = tuple([0] * len(tb.pairs(d)))
-    W = pairing_matrix(lam, d, U, [m], [zero])[0, 0]
-    Wmm = pairing_matrix(lam, d, np.eye(d), [m], [m])[0, 0].real
-    return W / math.sqrt(Wmm)
+def coherent_overlap(basis: BlockBasis, m: tb.MVector, U: np.ndarray) -> complex:
+    """Overlap <m| pi(U) |0> with the rotated highest-weight vector; m must
+    be in the basis.  The highest-weight filling is alone in its orbit, so
+    W(0, 0; I) = 1."""
+    zero = tuple([0] * len(tb.pairs(basis.d)))
+    W = pairing_matrix(basis.lam, basis.d, U, [m], [zero])[0, 0]
+    return W / basis.norms[basis.index(m)]
 
 
 # ---------------------------------------------------------------------------

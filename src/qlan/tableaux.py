@@ -199,6 +199,27 @@ def fits(lam: Diagram, m: MVector, d: int) -> bool:
     return is_semistandard(canonical_tableau(lam, m, d))
 
 
+def _columns_strict(lam: Diagram, m: MVector, d: int) -> bool:
+    """True iff the columns of the canonical filling of m strictly increase
+    (its rows are sorted by construction).  For sorted rows that holds iff,
+    for each row i and value v, row i+1 has no more entries <= v than row i
+    has entries < v; m must respect the row capacities."""
+    # counts[i][v]: copies of entry v + 1 in row i + 1
+    counts = [[0] * d for _ in range(d)]
+    for (i, j), cnt in zip(pairs(d), m):
+        counts[i - 1][j - 1] = cnt
+    for i, load in enumerate(row_loads(m, d)):
+        counts[i][i] = row(lam, i + 1) - load
+    for i in range(d - 1):
+        upper = lower = 0
+        for v in range(i + 1, d):
+            upper += counts[i][v - 1]
+            lower += counts[i + 1][v]
+            if lower > upper:
+                return False
+    return True
+
+
 def enumerate_m_vectors(
     lam: Diagram, d: int, max_weight: int | None = None
 ) -> list[MVector]:
@@ -212,7 +233,7 @@ def enumerate_m_vectors(
     def rec(k: int, partial: list[int], loads: list[int], weight: int) -> None:
         if k == len(ps):
             m = tuple(partial)
-            if is_semistandard(canonical_tableau(lam, m, d)):
+            if _columns_strict(lam, m, d):
                 out.append(m)
             return
         i, _j = ps[k]

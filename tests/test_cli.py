@@ -92,6 +92,18 @@ class TestSerialization:
         b = ex.to_csv(ex.run_converge(cfg))
         assert a == b
 
+    def test_sweep_matches_single_n_runs(self):
+        # each n of a sweep is computed on its own: the sweep's CSV is the
+        # single-n CSVs joined, byte for byte
+        cfg = ex.ExperimentConfig(n_list=(8, 12), fock_cutoff=15)
+        sweep = ex.to_csv(ex.run_converge(cfg)).splitlines()
+        single = [
+            ex.to_csv(ex.run_converge(ex.ExperimentConfig(n_list=(n,), fock_cutoff=15)))
+            .splitlines()
+            for n in cfg.n_list
+        ]
+        assert sweep == [single[0][0]] + [lines[1] for lines in single]
+
     def test_json_roundtrip(self):
         cfg = ex.ExperimentConfig(n_list=(8,), fock_cutoff=15)
         text = ex.to_json(ex.run_converge(cfg))
@@ -138,9 +150,3 @@ class TestCli:
         monkeypatch.setitem(ex._VERIFIERS, "dims", fake)
         rc = cli.main(["verify", "dims"])
         assert rc == 1
-
-    def test_threads_env_respected(self, monkeypatch):
-        monkeypatch.setenv("QLAN_THREADS", "1")
-        assert ex._n_workers() == 1
-        monkeypatch.setenv("QLAN_THREADS", "4")
-        assert ex._n_workers() == 4

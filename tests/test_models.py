@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlan import channels as ch
 from qlan import models as md
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
@@ -85,6 +86,37 @@ class TestWeights:
             md.block_weight(lam, spec, u, n) for lam in tb.enumerate_diagrams(n, d)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (4, 4), (2, 200), (3, 60)])
+    def test_log_prefactor_matches_exact(self, d, n):
+        for lam in tb.enumerate_diagrams(n, d):
+            exact = math.log(md.weight_prefactor(lam, n, d))
+            assert md.log_weight_prefactor(lam, n, d) == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "d,n,mu,u",
+        [(2, 2048, (0.7, 0.3), (0.5,)), (3, 1024, (0.5, 0.3, 0.2), (0.5, 0.0))],
+    )
+    def test_large_n_matches_exact_rationals(self, d, n, mu, u):
+        # here the alternant underflows in floating point; the weights of the
+        # typical diagrams must stay finite, sum to nearly 1, and agree with
+        # multiplicity x ratio of alternants in exact rational arithmetic
+        spec = md.Spectrum(mu)
+        typical = ch.typical_diagrams(n, spec, 0.6)
+        total = sum(md.block_weight(lam, spec, u, n) for lam in typical)
+        assert 0.99 < total <= 1.0
+        xs = [Fraction(v) for v in md.perturbed_spectrum(spec, u, n)]
+        for lam in typical[:: len(typical) // 4]:
+            exps = [tb.row(lam, j) + d - j for j in range(1, d + 1)]
+            alt = sum(
+                sign * math.prod(xs[i] ** exps[p[i]] for i in range(d))
+                for sign, p in sw.signed_permutations(d)
+            )
+            vdm = math.prod(xs[i] - xs[j] for i in range(d) for j in range(i + 1, d))
+            exact = md.weight_prefactor(lam, n, d) * alt / vdm
+            log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+            got = math.log(md.block_weight(lam, spec, u, n))
+            assert got == pytest.approx(log_exact, abs=1e-10)
 
     def test_two_sample_example(self):
         spec = md.Spectrum((0.75, 0.25))

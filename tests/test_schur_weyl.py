@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlan import experiments as ex
+from qlan import models as md
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
 from qlan.errors import NearSingularGramError
@@ -27,7 +29,43 @@ SMALL_BLOCKS = [
     (3, (3, 2, 1)),
     (3, (4, 2)),
     (3, (2, 1)),
+    (4, (2, 1, 1)),
+    (4, (3, 2, 1)),
 ]
+
+
+def spin_representation(lam, U):
+    """pi(U) on the d=2 block lam, in the orthonormal basis k = 0..lam1-lam2
+    (k copies of 2 in row 1): exp(i dpi(H)) for U = exp(iH), with dpi the
+    spin-(lam1-lam2)/2 representation of the generators times det^lam2.
+    Its low-weight corner is a Wigner D-matrix block, built by one
+    eigendecomposition and so free of the cancellation in pairing_matrix."""
+    N, lam2 = lam[0] - lam[1], lam[1]
+    vals, vecs = np.linalg.eig(U)
+    H = (vecs * np.angle(vals)) @ np.linalg.inv(vecs)
+    k = np.arange(N + 1)
+    dH = np.diag(H[0, 0] * (N - k) + H[1, 1] * k + lam2 * np.trace(H))
+    # E_12 |k> = sqrt(k (N - k + 1)) |k - 1>, and E_21 is its adjoint
+    lower = np.sqrt(k[1:] * (N - k[1:] + 1.0))
+    dH[k[:-1], k[1:]] += H[0, 1] * lower
+    dH[k[1:], k[:-1]] += H[1, 0] * lower
+    w, V = np.linalg.eigh((dH + dH.conj().T) / 2)
+    return (V * np.exp(1j * w)) @ V.conj().T
+
+
+def spin_oracle_error(n, U, cutoff=30):
+    """Largest entry of block_unitary minus the spin-j corner, at the
+    diagram with rows proportional to (0.7, 0.3)."""
+    lam = ex.proportional_diagram(n, (0.7, 0.3))
+    basis = sw.block_basis(lam, 2, max_weight=cutoff, per_mode_cap=cutoff)
+    B = sw.block_unitary(lam, U, basis).matrix
+    D = spin_representation(lam, U)[: basis.size, : basis.size]
+    return float(np.abs(B - D).max())
+
+
+def haar_special_unitary(rng):
+    U = haar_unitary(2, rng)
+    return U / np.sqrt(np.linalg.det(U))
 
 
 class TestPairingEngine:
@@ -50,6 +88,22 @@ class TestPairingEngine:
             for j, l in enumerate(ms):
                 direct = sw.symmetrizer_pairing(lam, d, m, l, U)
                 assert W[i, j] == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("d,lam", [(2, (5, 2)), (3, (4, 2, 1)), (4, (3, 2, 1))])
+    def test_rectangular_matches_direct_orbit_enumeration(self, d, lam):
+        # rows and columns from different m-vector lists, as in
+        # coherent_overlap's [m] against [zero]
+        rng = np.random.default_rng(sum(lam) + d)
+        U = haar_unitary(d, rng)
+        ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
+        zero = ms[0]
+        for ms_a, ms_b in [(ms[1:], [zero]), ([zero], ms[-3:]), (ms[-2:], ms[:3])]:
+            W = sw.pairing_matrix(lam, d, U, ms_a, ms_b)
+            assert W.shape == (len(ms_a), len(ms_b))
+            for i, m in enumerate(ms_a):
+                for j, l in enumerate(ms_b):
+                    direct = sw.symmetrizer_pairing(lam, d, m, l, U)
+                    assert W[i, j] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_scales_to_large_n(self):
         # the class-convolution evaluation must not enumerate orbits
@@ -152,9 +206,36 @@ class TestBlockOperators:
         assert np.allclose(M.real[mask], basis.gram[mask], atol=1e-12)
 
     def test_coherent_overlap_vacuum(self):
-        lam = (6, 2)
-        val = sw.coherent_overlap(lam, 2, (0,), np.eye(2))
+        basis = sw.block_basis((6, 2), 2, max_weight=0)
+        val = sw.coherent_overlap(basis, (0,), np.eye(2))
         assert val == pytest.approx(1.0)
+
+
+class TestSpinOracle:
+    """d=2 blocks against the spin-j representation, far past the reach of
+    orbit enumeration and of the tensor-space oracle."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
+    def test_local_rotation(self, n):
+        # the rotation of the default converge sweep
+        U = md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j,), n=n)
+        assert spin_oracle_error(n, U) < 1e-12
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_haar(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            assert spin_oracle_error(n, haar_special_unitary(rng)) < 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="cancellation in the expanded power (v0 + P)^ncols: at Haar U "
+        "the error grows to about 1e-6 at n=256",
+    )
+    def test_haar_n256(self):
+        rng = np.random.default_rng(1)
+        errs = [spin_oracle_error(256, haar_special_unitary(rng)) for _ in range(5)]
+        assert max(errs) < 1e-10
 
 
 class TestTensorOracle:

@@ -137,6 +137,24 @@ class TestMVectors:
         t = tb.canonical_tableau((3, 2), (0, 0, 0), 3)
         assert t == ((1, 1, 1), (2, 2))
 
+    def test_matches_tableau_filter(self):
+        # the direct column test agrees with building each canonical
+        # tableau, over every m-vector within the row capacities
+        for d in (2, 3, 4):
+            for n in range(1, 11):
+                for lam in tb.enumerate_diagrams(n, d):
+                    cands = [()]
+                    for k, (i, _j) in enumerate(tb.pairs(d)):
+                        rest = (0,) * (len(tb.pairs(d)) - k)
+                        cands = [
+                            m + (c,)
+                            for m in cands
+                            for c in range(tb.row(lam, i) - tb.row_loads(m + rest, d)[i - 1] + 1)
+                        ]
+                    ms = tb.enumerate_m_vectors(lam, d)
+                    assert ms == sorted(m for m in cands if tb.fits(lam, m, d))
+                    assert len(ms) == tb.dim_irrep(lam, d)
+
     def test_max_weight_filter(self):
         full = tb.enumerate_m_vectors((6, 2), 2)
         cut = tb.enumerate_m_vectors((6, 2), 2, max_weight=2)
