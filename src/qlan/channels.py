@@ -35,10 +35,6 @@ def box_height(n: int, d: int) -> float:
     return float(n) ** ((d - 1) / 2)
 
 
-def tau_kernel(lam: tb.Diagram, n: int, spec: md.Spectrum):
-    return box_of(lam, n, spec), box_height(n, spec.d)
-
-
 def sigma_kernel(x: np.ndarray, n: int, spec: md.Spectrum) -> tb.Diagram:
     """The diagram whose box contains x, else the single-row fallback."""
     d = spec.d
@@ -228,25 +224,13 @@ def gaussian_box_mass(
     """Gaussian mass of an axis-aligned box: error-function difference in one
     dimension, tensor Gauss-Legendre quadrature of the density otherwise
     (boxes have side n^{-1/2}, so low order is already exact to ~1e-12)."""
-    dim = len(lo)
-    if dim == 1:
+    if len(lo) == 1:
         sd = math.sqrt(cov[0, 0])
         a = (lo[0] - mean[0]) / (sd * math.sqrt(2))
         b = (hi[0] - mean[0]) / (sd * math.sqrt(2))
         return 0.5 * (math.erf(b) - math.erf(a))
-    xs, ws = np.polynomial.legendre.leggauss(12)
-    nodes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
-    scale = math.prod((hi[i] - lo[i]) / 2 for i in range(dim))
-    grids = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) - mean
-    inv = np.linalg.inv(cov)
-    dens = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, inv, pts))
-    dens /= math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
-    wgrid = np.ones(len(pts))
-    wmesh = np.meshgrid(*([ws] * dim), indexing="ij")
-    for wm in wmesh:
-        wgrid = wgrid * wm.ravel()
-    return float(scale * (dens * wgrid).sum())
+    pts, wgrid = gs.box_nodes(lo, hi, 12)
+    return float((gs.gaussian_density(pts, mean, cov) * wgrid).sum())
 
 
 def reverse_block_map(
@@ -283,10 +267,7 @@ def reverse_channel(
             fallback_idx = len(out) - 1
     leftover = max(0.0, 1.0 - total)
     if fallback_idx is None:
-        lam_fb = (n,)
-        basis = sw.block_basis(lam_fb, spec.d, max_weight=0)
-        rho_fb = np.ones((1, 1), dtype=complex)
-        out.append((lam_fb, leftover, rho_fb))
+        out.append(((n,), leftover, np.ones((1, 1), dtype=complex)))
     else:
         lam, w, rho = out[fallback_idx]
         out[fallback_idx] = (lam, w + leftover, rho)

@@ -37,9 +37,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fock-cutoff", type=int, default=30)
     p.add_argument("--basis-cutoff", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.24)
-    p.add_argument("--eta", type=float, default=0.2)
     p.add_argument("--disp-const", choices=sorted(ex.gs.DISPLACEMENT_CONSTANTS),
                    default="sqrt2")
     p.add_argument("--override-exponents", action="store_true",
@@ -57,9 +54,6 @@ def _config(args: argparse.Namespace, default_format: str) -> ex.ExperimentConfi
         zeta=args.zeta,
         n_list=args.n_list,
         alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        eta=args.eta,
         fock_cutoff=args.fock_cutoff,
         basis_cutoff=args.basis_cutoff,
         disp_const=args.disp_const,

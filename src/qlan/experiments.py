@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import models as md
 from . import schur_weyl as sw
 from . import tableaux as tb
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = (
     "n",
@@ -29,13 +29,9 @@ CSV_COLUMNS = (
     "trunc_budget",
 )
 
-# Exponent ranges under which the convergence theorem applies.
-EXPONENT_RANGES = {
-    "alpha": (0.5, 1.0),
-    "beta": (0.0, 1.0 / 9.0),
-    "gamma": (0.0, 0.25),
-    "eta": (0.0, 2.0 / 9.0),
-}
+# Range of the typical-window exponent alpha under which the convergence
+# theorem applies.
+ALPHA_RANGE = (0.5, 1.0)
 
 VERIFY_LEMMAS = (
     "dims",
@@ -67,12 +63,8 @@ class ExperimentConfig:
     zeta: tuple[complex, ...] = (0.5 + 0.3j,)
     n_list: tuple[int, ...] = (8, 16, 32, 64)
     alpha: float = 0.6
-    beta: float = 0.1
-    gamma: float = 0.24
-    eta: float = 0.2
     fock_cutoff: int = 30
     basis_cutoff: int | None = None
-    orbit_budget: int = tb.DEFAULT_ORBIT_BUDGET
     disp_const: str = "sqrt2"
     out: str | None = None
     format: str = "csv"
@@ -95,14 +87,12 @@ class ExperimentConfig:
             raise ValueError("n_list entries must be positive")
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be >= 1")
-        if not self.override_exponents:
-            for name, (lo, hi) in EXPONENT_RANGES.items():
-                val = getattr(self, name)
-                if not (lo < val < hi):
-                    raise ValueError(
-                        f"exponent {name}={val} outside convergence range "
-                        f"({lo}, {hi}); pass override to proceed anyway"
-                    )
+        lo, hi = ALPHA_RANGE
+        if not self.override_exponents and not lo < self.alpha < hi:
+            raise ValueError(
+                f"exponent alpha={self.alpha} outside convergence range "
+                f"({lo}, {hi}); pass override to proceed anyway"
+            )
 
     def spectrum(self) -> md.Spectrum:
         return md.Spectrum(self.mu)
@@ -126,9 +116,6 @@ class ExperimentConfig:
             "u": list(self.u),
             "zeta": [[z.real, z.imag] for z in self.zeta],
             "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "eta": self.eta,
             "fock_cutoff": self.fock_cutoff,
             "basis_cutoff": self.basis_cutoff,
             "disp_const": self.disp_const,

@@ -1,5 +1,6 @@
 """Truncated Fock-space limit model: thermal and displaced thermal states,
-Weyl operators, and the classical-quantum Gaussian product state.
+Weyl operators, and the classical-quantum Gaussian product state, with the
+classical Gaussian density and the box quadrature grid it is integrated on.
 
 One oscillator mode per eigenvalue pair (j, k), j < k, ordered like
 tableaux.pairs(d), so mode occupation numbers and block basis labels share
@@ -68,11 +69,6 @@ def thermal(beta: float, N: int) -> np.ndarray:
     return np.diag(p / p.sum()).astype(complex)
 
 
-def thermal_tail(beta: float, N: int) -> float:
-    """Raw mass of the untruncated thermal state beyond level N."""
-    return math.exp(-beta * (N + 1))
-
-
 def weyl(z: complex, N: int) -> np.ndarray:
     """Displacement operator exp(z a^dag - conj(z) a) on the truncation."""
     a = annihilation(N)
@@ -102,12 +98,6 @@ def char_fn(rho: np.ndarray, z: complex) -> complex:
     """Characteristic function Tr[rho W(z)] on the truncation of rho."""
     N = rho.shape[0] - 1
     return complex(np.trace(rho @ weyl(z, N)))
-
-
-def multimode_number_state(spec: FockSpec, occupation: tuple[int, ...]) -> np.ndarray:
-    v = np.zeros(spec.dim, dtype=complex)
-    v[spec.index(occupation)] = 1.0
-    return v
 
 
 def tensor_modes(mats: list[np.ndarray]) -> np.ndarray:
@@ -173,6 +163,31 @@ def limit_state(
         quantum=quantum,
         fock=fock,
     )
+
+
+def gaussian_density(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Density of N(mean, cov) at each row of pts."""
+    dim = len(mean)
+    inv = np.linalg.inv(cov)
+    diff = pts - mean
+    expo = -0.5 * np.einsum("ni,ij,nj->n", diff, inv, diff)
+    return np.exp(expo) / math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
+
+
+def box_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre nodes of the given order per axis on the box
+    [lo, hi], with weights that sum to the box volume."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    dim = len(lo)
+    axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wmesh = np.meshgrid(*([ws] * dim), indexing="ij")
+    wgrid = np.ones(len(pts))
+    for wm in wmesh:
+        wgrid = wgrid * wm.ravel()
+    wgrid *= math.prod((hi[i] - lo[i]) / 2 for i in range(dim))
+    return pts, wgrid
 
 
 def partial_trace_to_mode(rho: np.ndarray, fock: FockSpec, mode_idx: int) -> np.ndarray:

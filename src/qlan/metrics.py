@@ -19,32 +19,10 @@ def trace_distance(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(A - B)).sum())
 
 
-def _gaussian_density(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    dim = len(mean)
-    inv = np.linalg.inv(cov)
-    diff = pts - mean
-    expo = -0.5 * np.einsum("ni,ij,nj->n", diff, inv, diff)
-    return np.exp(expo) / math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
-
-
-def _box_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    dim = len(lo)
-    axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wmesh = np.meshgrid(*([ws] * dim), indexing="ij")
-    wgrid = np.ones(len(pts))
-    for wm in wmesh:
-        wgrid = wgrid * wm.ravel()
-    wgrid *= math.prod((hi[i] - lo[i]) / 2 for i in range(dim))
-    return pts, wgrid
-
-
 def _adaptive_box_integral(fn, lo, hi, tol=1e-6, orders=(8, 16, 32)) -> float:
     prev = None
     for order in orders:
-        pts, wgrid = _box_nodes(lo, hi, order)
+        pts, wgrid = gs.box_nodes(lo, hi, order)
         val = float((fn(pts) * wgrid).sum())
         if prev is not None and abs(val - prev) <= tol:
             return val
@@ -65,6 +43,20 @@ def _check_disjoint(cells) -> None:
                 raise ValueError(f"overlapping boxes {boxes[a]} and {boxes[b]}")
 
 
+def _cell_classical(c, mean: np.ndarray, cov: np.ndarray, tol: float) -> tuple[float, float]:
+    """Quadrature of |height - density| over one cell's box, and the
+    Gaussian mass of that box."""
+    volume = math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
+    height = c.weight / volume
+    l1 = _adaptive_box_integral(
+        lambda pts: np.abs(height - gs.gaussian_density(pts, mean, cov)),
+        c.lo,
+        c.hi,
+        tol=tol,
+    )
+    return l1, ch.gaussian_box_mass(c.lo, c.hi, mean, cov)
+
+
 def classical_l1(
     cells, mean: np.ndarray, cov: np.ndarray, tol: float = 1e-6
 ) -> float:
@@ -75,15 +67,9 @@ def classical_l1(
     total = 0.0
     inside = 0.0
     for c in cells:
-        volume = math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
-        height = c.weight / volume
-        total += _adaptive_box_integral(
-            lambda pts: np.abs(height - _gaussian_density(pts, mean, cov)),
-            c.lo,
-            c.hi,
-            tol=tol,
-        )
-        inside += ch.gaussian_box_mass(c.lo, c.hi, mean, cov)
+        l1, mass = _cell_classical(c, mean, cov, tol)
+        total += l1
+        inside += mass
     return total + max(0.0, 1.0 - inside)
 
 
@@ -120,19 +106,15 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState,
         B = height * c.quantum
 
         def integrand(pts):
-            dens = _gaussian_density(pts, limit.mean, limit.cov)
+            dens = gs.gaussian_density(pts, limit.mean, limit.cov)
             return np.array(
                 [np.abs(np.linalg.eigvalsh(dv * Phi - B)).sum() for dv in dens]
             )
 
         total += _adaptive_box_integral(integrand, c.lo, c.hi, tol=tol)
-        classical += _adaptive_box_integral(
-            lambda pts: np.abs(height - _gaussian_density(pts, limit.mean, limit.cov)),
-            c.lo,
-            c.hi,
-            tol=tol,
-        )
-        inside += ch.gaussian_box_mass(c.lo, c.hi, limit.mean, limit.cov)
+        l1, mass = _cell_classical(c, limit.mean, limit.cov, tol)
+        classical += l1
+        inside += mass
         qsup = max(qsup, trace_distance(Phi, c.quantum / float(np.trace(c.quantum).real)))
     outside = max(0.0, 1.0 - inside)
     total += outside + out.neglected_mass

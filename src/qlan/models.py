@@ -5,7 +5,7 @@ decomposition, and the classical reference quantities."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class LocalParams:
         object.__setattr__(self, "zeta", tuple(complex(z) for z in self.zeta))
         xi = self.xi if self.xi else tuple([0.0] * len(self.u))
         object.__setattr__(self, "xi", tuple(float(x) for x in xi))
-
-    @classmethod
-    def zero(cls, d: int) -> "LocalParams":
-        return cls((0.0,) * (d - 1), (0.0 + 0.0j,) * len(tb.pairs(d)))
-
-    def zeta_of(self, j: int, k: int, d: int) -> complex:
-        return self.zeta[tb.pairs(d).index((j, k))]
 
 
 def perturbed_spectrum(spec: Spectrum, u: tuple[float, ...], n: int) -> tuple[float, ...]:
@@ -300,15 +293,6 @@ def block_state(
 
 # ---------------------------------------------------------------------------
 # classical reference quantities
-
-
-def fisher_info(spec: Spectrum) -> np.ndarray:
-    """Fisher information of the diagonal submodel: delta_ij/mu_i + 1/mu_d."""
-    d = spec.d
-    I = np.full((d - 1, d - 1), 1.0 / spec.mu[-1])
-    for i in range(d - 1):
-        I[i, i] += 1.0 / spec.mu[i]
-    return I
 
 
 def covariance(spec: Spectrum) -> np.ndarray:

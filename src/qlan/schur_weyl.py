@@ -370,15 +370,6 @@ def block_unitary(lam: tb.Diagram, U: np.ndarray, basis: BlockBasis) -> BlockOpe
     return BlockOperator(tb.check_diagram(lam, basis.d), mat, defect)
 
 
-def coherent_overlap(basis: BlockBasis, m: tb.MVector, U: np.ndarray) -> complex:
-    """Overlap <m| pi(U) |0> with the rotated highest-weight vector; m must
-    be in the basis.  The highest-weight filling is alone in its orbit, so
-    W(0, 0; I) = 1."""
-    zero = tuple([0] * len(tb.pairs(basis.d)))
-    W = pairing_matrix(basis.lam, basis.d, U, [m], [zero])[0, 0]
-    return W / basis.norms[basis.index(m)]
-
-
 # ---------------------------------------------------------------------------
 # full tensor-space oracle
 

@@ -14,8 +14,6 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from sympy.utilities.iterables import multiset_permutations
-
 from .errors import ResourceLimitError
 
 DEFAULT_ORBIT_BUDGET = 10**7
@@ -263,6 +261,24 @@ def orbit_size(lam: Diagram, m: MVector, d: int) -> int:
     return size
 
 
+def multiset_permutations(items) -> Iterator[tuple]:
+    """Distinct orderings of items in lexicographic order (next-permutation
+    steps from the sorted sequence)."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
 def orbit(
     lam: Diagram,
     m: MVector,
@@ -276,9 +292,7 @@ def orbit(
     size = orbit_size(lam, m, d)
     if budget is not None and size > budget:
         raise ResourceLimitError(f"orbit size {size} exceeds budget {budget}")
-    row_choices = [
-        [tuple(p) for p in multiset_permutations(list(trow))] for trow in t
-    ]
+    row_choices = [list(multiset_permutations(trow)) for trow in t]
     for rows in product(*row_choices):
         if admissible_only and not is_admissible(rows):
             continue

@@ -126,6 +126,27 @@ class TestReverseChannel:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(rho).min() > -1e-8
 
+    def test_fallback_builds_no_basis(self, monkeypatch):
+        # (n,) is not typical here: the fallback block gets the leftover mass
+        # as a 1x1 state, with no block basis built for it
+        theta = md.LocalParams((0.5,), (0j,))
+        n = 50
+        fock = gs.FockSpec(2, 20)
+        blocks = ch.prepare_blocks(SPEC2, theta, n, fock, alpha=0.6)
+        assert (n,) not in [bd.lam for bd in blocks]
+        limit = gs.limit_state(SPEC2, theta, fock)
+        calls = []
+        real = sw.block_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sw, "block_basis", counting)
+        recon = ch.reverse_channel(limit, SPEC2, n, blocks)
+        assert calls == []
+        assert recon[-1][0] == (n,)
+
     def test_gaussian_box_mass_1d_matches_erf(self):
         lo, hi = np.array([0.1]), np.array([0.7])
         mean, cov = np.array([0.3]), np.array([[0.21]])

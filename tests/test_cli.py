@@ -2,6 +2,10 @@
 command-line interface (exit codes, output formats, determinism)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +28,6 @@ class TestConfig:
             {"zeta": (0.1j, 0.2j)},
             {"disp_const": "three"},
             {"format": "yaml"},
-            {"beta": 0.2},
-            {"gamma": 0.3},
-            {"eta": 0.25},
             {"alpha": 0.4},
             {"fock_cutoff": 0},
             {"n_list": (0, 8)},
@@ -37,8 +38,8 @@ class TestConfig:
             ex.ExperimentConfig(**kwargs)
 
     def test_exponent_override(self):
-        cfg = ex.ExperimentConfig(beta=0.2, override_exponents=True)
-        assert cfg.beta == 0.2
+        cfg = ex.ExperimentConfig(alpha=0.4, override_exponents=True)
+        assert cfg.alpha == 0.4
 
 
 class TestRunners:
@@ -51,7 +52,7 @@ class TestRunners:
         assert weights[(2,)] == pytest.approx(0.8125)
         assert weights[(1, 1)] == pytest.approx(0.1875)
         assert result["total_weight"] == pytest.approx(1.0)
-        assert result["schema_version"] == 1
+        assert result["schema_version"] == 2
 
     def test_decompose_needs_single_n(self):
         with pytest.raises(ValueError):
@@ -108,7 +109,7 @@ class TestSerialization:
         cfg = ex.ExperimentConfig(n_list=(8,), fock_cutoff=15)
         text = ex.to_json(ex.run_converge(cfg))
         data = json.loads(text)
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["kind"] == "converge"
 
 
@@ -139,7 +140,7 @@ class TestCli:
     def test_failing_verifier_exit_1(self, monkeypatch, capsys):
         def fake(config):
             return {
-                "schema_version": 1,
+                "schema_version": 2,
                 "kind": "verify",
                 "lemma": "dims",
                 "passed": False,
@@ -150,3 +151,10 @@ class TestCli:
         monkeypatch.setitem(ex._VERIFIERS, "dims", fake)
         rc = cli.main(["verify", "dims"])
         assert rc == 1
+
+    def test_import_leaves_sympy_unloaded(self):
+        # numpy is the only runtime dependency
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, qlan.cli; assert 'sympy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

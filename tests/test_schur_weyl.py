@@ -91,8 +91,8 @@ class TestPairingEngine:
 
     @pytest.mark.parametrize("d,lam", [(2, (5, 2)), (3, (4, 2, 1)), (4, (3, 2, 1))])
     def test_rectangular_matches_direct_orbit_enumeration(self, d, lam):
-        # rows and columns from different m-vector lists, as in
-        # coherent_overlap's [m] against [zero]
+        # rows and columns from different m-vector lists, including a
+        # single m against the zero m-vector
         rng = np.random.default_rng(sum(lam) + d)
         U = haar_unitary(d, rng)
         ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
@@ -204,11 +204,6 @@ class TestBlockOperators:
         # identity overlaps reproduce the Gram matrix off the zero pattern
         mask = basis.gram != 0
         assert np.allclose(M.real[mask], basis.gram[mask], atol=1e-12)
-
-    def test_coherent_overlap_vacuum(self):
-        basis = sw.block_basis((6, 2), 2, max_weight=0)
-        val = sw.coherent_overlap(basis, (0,), np.eye(2))
-        assert val == pytest.approx(1.0)
 
 
 class TestSpinOracle:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -204,6 +205,14 @@ class TestOrbit:
             for m in tb.enumerate_m_vectors(lam, d):
                 got = len(list(tb.orbit(lam, m, d)))
                 assert got == tb.orbit_size(lam, m, d)
+
+    @pytest.mark.parametrize(
+        "row", [(), (1,), (1, 1, 1), (2, 1), (1, 2, 2, 3), (3, 1, 2, 1, 3)]
+    )
+    def test_row_orderings_lexicographic(self, row):
+        # orbit lists each row's distinct orderings in lexicographic order
+        got = list(tb.multiset_permutations(row))
+        assert got == sorted(set(itertools.permutations(row)))
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
