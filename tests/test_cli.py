@@ -28,6 +28,9 @@ class TestConfig:
             {"zeta": (0.1j, 0.2j)},
             {"disp_const": "three"},
             {"format": "yaml"},
+            {"alpha": 0.5},
+            {"alpha": 1.0},
+            {"u": ()},
             {"alpha": 0.4},
             {"fock_cutoff": 0},
             {"n_list": (0, 8)},
