@@ -30,26 +30,6 @@ def box_of(lam: tb.Diagram, n: int, spec: md.Spectrum) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def box_height(n: int, d: int) -> float:
-    """Constant density height on a lattice box (total mass one)."""
-    return float(n) ** ((d - 1) / 2)
-
-
-def sigma_kernel(x: np.ndarray, n: int, spec: md.Spectrum) -> tb.Diagram:
-    """The diagram whose box contains x, else the single-row fallback."""
-    d = spec.d
-    root = math.sqrt(n)
-    rows = [round(root * float(x[i - 1]) + n * spec.mu[i - 1]) for i in range(1, d)]
-    rows.append(n - sum(rows))
-    ok = all(rows[i] >= rows[i + 1] for i in range(d - 1)) and rows[-1] >= 0
-    if ok:
-        try:
-            return tb.check_diagram(tuple(rows), d)
-        except ValueError:
-            ok = False
-    return (n,)
-
-
 def typical_diagrams(n: int, spec: md.Spectrum, alpha: float) -> list[tb.Diagram]:
     """All diagrams of n with every row within n^alpha of n mu_i, descending
     lexicographic."""
@@ -172,9 +152,7 @@ def prepare_blocks(
         max_weight = fock.cutoff
     out = []
     for lam in typical_diagrams(n, spec, alpha):
-        basis = sw.block_basis(
-            lam, spec.d, max_weight=min(max_weight, fock.cutoff), per_mode_cap=fock.cutoff
-        )
+        basis = sw.block_basis(lam, spec.d, max_weight=min(max_weight, fock.cutoff))
         iso = build_isometry(basis, fock)
         state = md.block_state(lam, spec, theta, n, basis)
         weight = md.block_weight(lam, spec, theta.u, n)
@@ -183,19 +161,11 @@ def prepare_blocks(
 
 
 def forward_channel(
-    spec: md.Spectrum,
-    theta: md.LocalParams,
-    n: int,
-    fock: gs.FockSpec,
-    alpha: float,
-    max_weight: int | None = None,
-    coverage_bound: float = 0.5,
-    blocks: list[BlockData] | None = None,
+    spec: md.Spectrum, n: int, blocks: list[BlockData], coverage_bound: float = 0.5
 ) -> ClassicalQuantumState:
     """Map the n-sample state to (lattice box density) x (Fock state per box)
-    over the typical diagrams, reporting the neglected atypical mass."""
-    if blocks is None:
-        blocks = prepare_blocks(spec, theta, n, fock, alpha, max_weight)
+    over the prepared blocks (see prepare_blocks), reporting the neglected
+    atypical mass."""
     cells = []
     covered = 0.0
     budget = 0.0

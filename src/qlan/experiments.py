@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("n_list entries must be positive")
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be >= 1")
+        if self.basis_cutoff is not None and self.basis_cutoff < 0:
+            raise ValueError("basis_cutoff must be >= 0")
         lo, hi = ALPHA_RANGE
         if not self.override_exponents and not lo < self.alpha < hi:
             raise ValueError(
@@ -134,7 +136,7 @@ def _converge_point(config: ExperimentConfig, n: int) -> dict:
     blocks = ch.prepare_blocks(
         spec, theta, n, fock, config.alpha, max_weight=config.max_weight()
     )
-    out = ch.forward_channel(spec, theta, n, fock, config.alpha, blocks=blocks)
+    out = ch.forward_channel(spec, n, blocks)
     limit = gs.limit_state(spec, theta, fock, config.disp_value())
     rep = mt.cq_distance(out, limit)
     recon = ch.reverse_channel(limit, spec, n, blocks)
@@ -187,7 +189,7 @@ def run_decompose(config: ExperimentConfig) -> dict:
     total = 0.0
     for lam in tb.enumerate_diagrams(n, config.d):
         weight = md.block_weight(lam, spec, theta.u, n)
-        basis = sw.block_basis(lam, config.d, max_weight=n, per_mode_cap=n)
+        basis = sw.block_basis(lam, config.d, max_weight=n)
         state = md.block_state(lam, spec, theta, n, basis)
         spectrum = np.linalg.eigvalsh(state.matrix)[::-1]
         total += weight
@@ -362,7 +364,7 @@ def _verify_len0(config: ExperimentConfig) -> dict:
     dists = {}
     for n in (25, 200):
         lam = _most_probable_diagram(spec, n, config.alpha)
-        basis = sw.block_basis(lam, 2, max_weight=fock.cutoff, per_mode_cap=fock.cutoff)
+        basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         state = md.block_state(lam, spec, theta, n, basis)
         phi = iso.matrix @ state.matrix @ iso.matrix.conj().T
@@ -381,7 +383,7 @@ def _verify_ldisplacement(config: ExperimentConfig) -> dict:
     vals = []
     for n in (25, 100, 400):
         lam = _most_probable_diagram(spec, n, config.alpha)
-        basis = sw.block_basis(lam, 2, max_weight=fock.cutoff, per_mode_cap=fock.cutoff)
+        basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         U = md.rotation_unitary(spec, zeta, n=n)
         B = sw.block_unitary(lam, U, basis)
@@ -397,7 +399,7 @@ def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int,
     """|| [rotate(zeta+z) - rotate(zeta) rotate(z)] applied to the lowest
     weight vector ||_1 on the most probable block."""
     lam = _most_probable_diagram(spec, n, alpha)
-    basis = sw.block_basis(lam, 2, max_weight=cutoff, per_mode_cap=cutoff)
+    basis = sw.block_basis(lam, 2, max_weight=cutoff)
     e0 = basis.coords((0,)).astype(complex)
 
     def rotate(w):

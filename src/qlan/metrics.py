@@ -5,7 +5,7 @@ distance for the reverse channel."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class DistanceReport:
     quantum_sup: float
     atypical: float
     truncation_budget: float
-    config: dict = field(default_factory=dict)
 
     def components_sum(self) -> float:
         return self.classical + self.quantum_sup + self.atypical
@@ -125,7 +124,6 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState,
         quantum_sup=qsup,
         atypical=out.neglected_mass,
         truncation_budget=out.truncation_budget,
-        config={"n": out.n, "d": out.d},
     )
 
 

@@ -43,19 +43,15 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LocalParams:
-    """Local parameters theta = (u, zeta, xi): diagonal deviations u (length
-    d-1), off-diagonal deviations zeta indexed by pairs(d), and optional
-    diagonal rotation phases xi (length d-1)."""
+    """Local parameters theta = (u, zeta): diagonal deviations u (length
+    d-1) and off-diagonal deviations zeta indexed by pairs(d)."""
 
     u: tuple[float, ...]
     zeta: tuple[complex, ...]
-    xi: tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
         object.__setattr__(self, "zeta", tuple(complex(z) for z in self.zeta))
-        xi = self.xi if self.xi else tuple([0.0] * len(self.u))
-        object.__setattr__(self, "xi", tuple(float(x) for x in xi))
 
 
 def perturbed_spectrum(spec: Spectrum, u: tuple[float, ...], n: int) -> tuple[float, ...]:
@@ -95,20 +91,13 @@ def _hermitian_exp_i(H: np.ndarray) -> np.ndarray:
 
 
 def rotation_unitary(
-    spec: Spectrum,
-    zeta: tuple[complex, ...],
-    xi: tuple[float, ...] | None = None,
-    n: int | None = None,
+    spec: Spectrum, zeta: tuple[complex, ...], n: int | None = None
 ) -> np.ndarray:
-    """exp(i [sum xi_i H_i + sum (Re zeta_jk T_jk + Im zeta_jk T_kj) /
-    sqrt(mu_j - mu_k)]), arguments divided by sqrt(n) when n is given."""
+    """exp(i sum (Re zeta_jk T_jk + Im zeta_jk T_kj) / sqrt(mu_j - mu_k)),
+    the argument divided by sqrt(n) when n is given."""
     d = spec.d
-    if xi is None:
-        xi = (0.0,) * (d - 1)
     gens = su_generators(d)
     H = np.zeros((d, d), dtype=complex)
-    for j in range(d - 1):
-        H += xi[j] * gens[j]
     for idx, (j, k) in enumerate(tb.pairs(d)):
         gap = spec.mu[j - 1] - spec.mu[k - 1]
         if gap <= 0:
@@ -132,7 +121,7 @@ def rho_theta(
     vals = perturbed_spectrum(spec, theta.u, n)
     D = np.diag(np.array(vals, dtype=complex))
     if variant == "unitary":
-        U = rotation_unitary(spec, theta.zeta, theta.xi, n)
+        U = rotation_unitary(spec, theta.zeta, n)
         return U @ D @ U.conj().T
     if variant == "tilde":
         root = math.sqrt(n)
@@ -209,12 +198,6 @@ def log_schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
     return out
 
 
-def schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
-    """Schur polynomial s_lambda(vals); equals the sum over fitting
-    m-vectors of prod_i vals_i^(total multiplicity i)."""
-    return math.exp(log_schur_poly(lam, vals))
-
-
 def schur_poly_enumerated(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
     d = len(vals)
     total = 0.0
@@ -239,23 +222,6 @@ def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) 
 # block states
 
 
-def weight_classes(basis: sw.BlockBasis) -> dict[tuple[int, ...], list[int]]:
-    """Basis indices grouped by total entry multiplicities."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, m in enumerate(basis.mvectors):
-        w = tb.total_multiplicities(basis.lam, m, basis.d)
-        groups.setdefault(w, []).append(idx)
-    return groups
-
-
-def class_projector(basis: sw.BlockBasis, indices: list[int]) -> np.ndarray:
-    """Orthogonal projector onto the span of the (non-orthogonal) basis
-    vectors with the given indices, in orthonormal coordinates."""
-    C = basis.sqrt_gram[:, indices]
-    G_sub = basis.gram[np.ix_(indices, indices)]
-    return C @ np.linalg.solve(G_sub, C.T)
-
-
 def block_state(
     lam: tb.Diagram,
     spec: Spectrum,
@@ -265,24 +231,24 @@ def block_state(
 ) -> sw.BlockOperator:
     """Normalized block of the tensor-power state in orthonormal coordinates.
 
-    The diagonal-parameter part has one eigenvalue per total-multiplicity
-    class, prod_i (mu_i^{u,n})^{m_i}, on the orthogonal projector spanned by
-    that class; the off-diagonal parameters enter by conjugation with the
-    block rotation."""
+    The diagonal-parameter part takes the value prod_i (mu_i^{u,n})^{w_i} on
+    each vector of weight w (total multiplicities); the weight classes span
+    their own orthonormal coordinates (see BlockBasis), so it is diagonal.
+    The off-diagonal parameters enter by conjugation with the block
+    rotation."""
     vals = perturbed_spectrum(spec, theta.u, n)
     logs = [math.log(v) for v in vals]
     log_full = log_schur_poly(lam, vals)
-    rho = np.zeros((basis.size, basis.size), dtype=complex)
-    covered = 0.0
-    for w, idxs in weight_classes(basis).items():
-        # eigenvalue relative to the block trace s_lambda, at most 1
-        ev = math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full)
-        rho += ev * class_projector(basis, idxs)
-        covered += ev * len(idxs)
+    weights = [tb.total_multiplicities(basis.lam, m, basis.d) for m in basis.mvectors]
+    # eigenvalues relative to the block trace s_lambda, each at most 1
+    evs = np.array(
+        [math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full) for w in weights]
+    )
+    covered = float(evs.sum())
     loss = max(0.0, 1.0 - covered)
-    rho = rho / covered
-    if any(abs(z) > 0 for z in theta.zeta) or any(abs(x) > 0 for x in theta.xi):
-        U = rotation_unitary(spec, theta.zeta, theta.xi, n)
+    rho = np.diag(evs / covered).astype(complex)
+    if any(theta.zeta):
+        U = rotation_unitary(spec, theta.zeta, n)
         bu = sw.block_unitary(lam, U, basis)
         rho = bu.matrix @ rho @ bu.matrix.conj().T
         tr = float(np.trace(rho).real)

@@ -260,8 +260,9 @@ def symmetrizer_pairing(
 
 
 def gram_matrix(lam: tb.Diagram, d: int, basis: list[tb.MVector]) -> np.ndarray:
-    """Overlap matrix of the normalized symmetrizer-image vectors; entries
-    across different total-multiplicity classes are exactly zero."""
+    """Overlap matrix of the normalized symmetrizer-image vectors; the
+    identity pairing makes entries across different total-multiplicity
+    classes exactly zero (the selection rule)."""
     return _gram_and_norms(lam, d, list(basis))[0]
 
 
@@ -273,11 +274,6 @@ def _gram_and_norms(
     W = pairing_matrix(lam, d, np.eye(d), ms, ms).real
     norms = np.sqrt(np.diag(W))
     G = W / np.outer(norms, norms)
-    weights = [tb.total_multiplicities(lam, m, d) for m in ms]
-    for r in range(len(ms)):
-        for c in range(len(ms)):
-            if weights[r] != weights[c]:
-                G[r, c] = 0.0
     np.fill_diagonal(G, 1.0)
     return (G + G.T) / 2, norms
 
@@ -303,6 +299,11 @@ class BlockBasis:
     orthonormalized ones: the vector labelled m has coordinates
     sqrt_gram[:, index[m]].  `norms` holds sqrt(W(m, m; I)), which turns
     orbit sums into overlaps of the normalized vectors.
+
+    Vectors of different total multiplicities (weights) are orthogonal, so
+    gram, and with it sqrt_gram and inv_sqrt_gram, are block-diagonal over
+    the weight classes: each class spans exactly the coordinates of its own
+    m-vectors, on which a function of the weight is diagonal.
     """
 
     lam: tb.Diagram
@@ -325,16 +326,9 @@ class BlockBasis:
         return self.sqrt_gram[:, self.index(m)].copy()
 
 
-def block_basis(
-    lam: tb.Diagram,
-    d: int,
-    max_weight: int | None = None,
-    per_mode_cap: int | None = None,
-) -> BlockBasis:
+def block_basis(lam: tb.Diagram, d: int, max_weight: int | None = None) -> BlockBasis:
     lam = tb.check_diagram(lam, d)
     ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
-    if per_mode_cap is not None:
-        ms = [m for m in ms if max(m, default=0) <= per_mode_cap]
     G, norms = _gram_and_norms(lam, d, ms)
     sqrt, inv_sqrt = orthonormalize(G)
     return BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms)

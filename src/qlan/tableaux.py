@@ -141,19 +141,6 @@ def canonical_tableau(lam: Diagram, m: MVector, d: int) -> Tableau:
     return tuple(rows)
 
 
-def m_of(t: Tableau, d: int) -> MVector:
-    """Occupation counts of entries j in rows i < j; inverse of
-    canonical_tableau on row-sorted fillings."""
-    counts = {p: 0 for p in pairs(d)}
-    for i, trow in enumerate(t, start=1):
-        for e in trow:
-            if e < i:
-                raise ValueError(f"entry {e} above its row {i}")
-            if e > i:
-                counts[(i, e)] += 1
-    return tuple(counts[p] for p in pairs(d))
-
-
 def total_multiplicities(lam: Diagram, m: MVector, d: int) -> tuple[int, ...]:
     """Total count of each entry value 1..d in the canonical filling."""
     loads = row_loads(m, d)
@@ -313,21 +300,6 @@ def gamma(t: Tableau) -> int:
         if any(col[i] != i + 1 for i in range(len(col)))
     )
     return bricks - modified
-
-
-def modifiers_of(t: Tableau) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Per modified column (0-based index), the bricks (row, entry) moving it
-    away from the identity column."""
-    if not is_admissible(t):
-        raise ValueError("modifiers are defined for admissible tableaux only")
-    out: dict[int, tuple[tuple[int, int], ...]] = {}
-    for c, col in enumerate(columns_of(t)):
-        bricks = tuple(
-            (i + 1, col[i]) for i in range(len(col)) if col[i] != i + 1
-        )
-        if bricks:
-            out[c] = bricks
-    return out
 
 
 def count_gamma0(

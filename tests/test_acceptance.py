@@ -73,7 +73,7 @@ def test_criterion_02_oracle_equivalence():
             for lam, w_oracle, spec_oracle in oracle:
                 w = md.block_weight(lam, spec, u, n)
                 worst = max(worst, abs(w - w_oracle))
-                basis = sw.block_basis(lam, d, max_weight=n, per_mode_cap=n)
+                basis = sw.block_basis(lam, d, max_weight=n)
                 state = md.block_state(lam, spec, theta, n, basis)
                 evs = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
                 worst = max(worst, np.abs(evs - spec_oracle).max())
@@ -103,7 +103,7 @@ def test_criterion_04_isometry_and_channel_contracts():
         ).max()
         for bd in blocks
     )
-    out = ch.forward_channel(spec, theta, n, fock, alpha=0.6, blocks=blocks)
+    out = ch.forward_channel(spec, n, blocks)
     mass_err = abs(sum(c.weight for c in out.cells) + out.neglected_mass - 1.0)
     limit = gs.limit_state(spec, theta, fock)
     recon = ch.reverse_channel(limit, spec, n, blocks)

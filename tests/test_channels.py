@@ -18,16 +18,16 @@ SPEC3 = md.Spectrum((0.5, 0.3, 0.2))
 
 
 class TestKernels:
-    def test_box_height(self):
-        assert ch.box_height(100, 2) == pytest.approx(10.0)
-        assert ch.box_height(100, 3) == pytest.approx(100.0)
-
     def test_sigma_inverts_tau(self):
+        # the rows round(sqrt(n) x + n mu) of a box centre x give back lambda
         for n, spec in ((50, SPEC2), (60, SPEC3)):
+            root = math.sqrt(n)
             for lam in ch.typical_diagrams(n, spec, 0.6):
                 lo, hi = ch.box_of(lam, n, spec)
                 center = (lo + hi) / 2
-                assert ch.sigma_kernel(center, n, spec) == lam
+                rows = [round(root * x + n * m) for x, m in zip(center, spec.mu)]
+                rows.append(n - sum(rows))
+                assert tuple(r for r in rows if r > 0) == lam
 
     def test_boxes_partition(self):
         # adjacent typical boxes tile the axis without overlap
@@ -37,11 +37,6 @@ class TestKernels:
         )
         widths = np.diff(edges)
         assert np.allclose(widths, 1.0 / math.sqrt(n))
-
-    def test_sigma_fallback(self):
-        # a point far outside every box maps to the single-row diagram
-        x = np.array([100.0])
-        assert ch.sigma_kernel(x, 30, SPEC2) == (30,)
 
     def test_typical_diagrams_flags(self):
         n = 100
@@ -61,7 +56,7 @@ class TestIsometry:
         [(2, (70, 30), 20), (2, (15, 5), 10), (3, (30, 18, 12), 6)],
     )
     def test_exact_isometry(self, d, lam, cutoff):
-        basis = sw.block_basis(lam, d, max_weight=cutoff, per_mode_cap=cutoff)
+        basis = sw.block_basis(lam, d, max_weight=cutoff)
         fock = gs.FockSpec(d, cutoff)
         iso = ch.build_isometry(basis, fock)
         V = iso.matrix
@@ -71,7 +66,7 @@ class TestIsometry:
         # for two rows the Gram is the identity, so the isometry sends the
         # basis vector m to the Fock number state |m>
         lam = (40, 20)
-        basis = sw.block_basis(lam, 2, max_weight=10, per_mode_cap=10)
+        basis = sw.block_basis(lam, 2, max_weight=10)
         fock = gs.FockSpec(2, 10)
         iso = ch.build_isometry(basis, fock)
         for m in basis.mvectors:
@@ -84,13 +79,15 @@ class TestIsometry:
 class TestForwardChannel:
     def test_mass_accounting(self):
         theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
-        out = ch.forward_channel(SPEC2, theta, 50, gs.FockSpec(2, 25), alpha=0.6)
+        blocks = ch.prepare_blocks(SPEC2, theta, 50, gs.FockSpec(2, 25), alpha=0.6)
+        out = ch.forward_channel(SPEC2, 50, blocks)
         covered = sum(c.weight for c in out.cells)
         assert covered + out.neglected_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_quantum_parts_positive(self):
         theta = md.LocalParams((0.2,), (0.1j,))
-        out = ch.forward_channel(SPEC2, theta, 30, gs.FockSpec(2, 20), alpha=0.6)
+        blocks = ch.prepare_blocks(SPEC2, theta, 30, gs.FockSpec(2, 20), alpha=0.6)
+        out = ch.forward_channel(SPEC2, 30, blocks)
         for c in out.cells:
             evs = np.linalg.eigvalsh(c.quantum)
             assert evs.min() > -1e-10
@@ -98,10 +95,9 @@ class TestForwardChannel:
 
     def test_low_coverage_raises(self):
         theta = md.LocalParams((0.0,), (0j,))
+        blocks = ch.prepare_blocks(SPEC2, theta, 400, gs.FockSpec(2, 20), alpha=0.1)
         with pytest.raises(TruncationError):
-            ch.forward_channel(
-                SPEC2, theta, 400, gs.FockSpec(2, 20), alpha=0.1, coverage_bound=0.5
-            )
+            ch.forward_channel(SPEC2, 400, blocks, coverage_bound=0.5)
 
 
 class TestReverseChannel:

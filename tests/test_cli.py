@@ -34,6 +34,7 @@ class TestConfig:
             {"alpha": 0.4},
             {"fock_cutoff": 0},
             {"n_list": (0, 8)},
+            {"basis_cutoff": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -139,6 +140,11 @@ class TestCli:
         rc = cli.main(["converge", "--mu", "0.3,0.7", "--n-list", "8"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_basis_cutoff_exit_2(self, capsys):
+        rc = cli.main(["converge", "--basis-cutoff", "-1", "--n-list", "8"])
+        assert rc == 2
+        assert "error: basis_cutoff must be >= 0" in capsys.readouterr().err
 
     def test_failing_verifier_exit_1(self, monkeypatch, capsys):
         def fake(config):

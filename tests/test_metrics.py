@@ -97,7 +97,8 @@ class TestClassicalL1:
 def small_run():
     theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
     fock = gs.FockSpec(2, 20)
-    out = ch.forward_channel(SPEC2, theta, 16, fock, alpha=0.6)
+    blocks = ch.prepare_blocks(SPEC2, theta, 16, fock, alpha=0.6)
+    out = ch.forward_channel(SPEC2, 16, blocks)
     limit = gs.limit_state(SPEC2, theta, fock)
     return mt.cq_distance(out, limit)
 

@@ -57,7 +57,7 @@ def spin_oracle_error(n, U, cutoff=30):
     """Largest entry of block_unitary minus the spin-j corner, at the
     diagram with rows proportional to (0.7, 0.3)."""
     lam = ex.proportional_diagram(n, (0.7, 0.3))
-    basis = sw.block_basis(lam, 2, max_weight=cutoff, per_mode_cap=cutoff)
+    basis = sw.block_basis(lam, 2, max_weight=cutoff)
     B = sw.block_unitary(lam, U, basis).matrix
     D = spin_representation(lam, U)[: basis.size, : basis.size]
     return float(np.abs(B - D).max())
@@ -189,7 +189,7 @@ class TestBlockOperators:
         # the whole 11-dimensional irrep fits under the weight cutoff, so the
         # representation matrix is exactly unitary with zero defect
         lam = (40, 30)
-        basis = sw.block_basis(lam, 2, max_weight=12, per_mode_cap=12)
+        basis = sw.block_basis(lam, 2, max_weight=12)
         assert basis.size == 11
         rng = np.random.default_rng(5)
         U = haar_unitary(2, rng)
