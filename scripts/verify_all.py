@@ -14,7 +14,7 @@ from qlan import experiments as ex
 def main() -> int:
     config = ex.ExperimentConfig()
     failures = 0
-    for lemma in sorted(set(ex.VERIFY_LEMMAS) - {"gqo"}):  # gqo aliases nonorth
+    for lemma in sorted(ex.VERIFIERS):
         result = ex.run_verify(lemma, config)
         status = "PASS" if result["passed"] else "FAIL"
         print(f"{lemma:16s} {status}")

@@ -106,6 +106,10 @@ def build_isometry(basis: sw.BlockBasis, fock: gs.FockSpec) -> BlockIsometry:
 # forward channel
 
 
+# Largest atypical diagram mass the forward channel may leave out.
+COVERAGE_BOUND = 0.5
+
+
 @dataclass(frozen=True)
 class Cell:
     """One output cell: lattice box, classical weight, Fock-space state."""
@@ -141,27 +145,22 @@ class BlockData:
 
 
 def prepare_blocks(
-    spec: md.Spectrum,
-    theta: md.LocalParams,
-    n: int,
-    fock: gs.FockSpec,
-    alpha: float,
-    max_weight: int | None = None,
+    spec: md.Spectrum, theta: md.LocalParams, n: int, fock: gs.FockSpec, alpha: float
 ) -> list[BlockData]:
-    if max_weight is None:
-        max_weight = fock.cutoff
+    """Block data for every typical diagram, each basis truncated at the Fock
+    cutoff (its m-vectors are the number states the isometry maps onto)."""
     out = []
     for lam in typical_diagrams(n, spec, alpha):
-        basis = sw.block_basis(lam, spec.d, max_weight=min(max_weight, fock.cutoff))
+        basis = sw.block_basis(lam, spec.d, max_weight=fock.cutoff)
         iso = build_isometry(basis, fock)
-        state = md.block_state(lam, spec, theta, n, basis)
+        state = md.block_state(basis, spec, theta, n)
         weight = md.block_weight(lam, spec, theta.u, n)
         out.append(BlockData(lam, weight, basis, iso, state))
     return out
 
 
 def forward_channel(
-    spec: md.Spectrum, n: int, blocks: list[BlockData], coverage_bound: float = 0.5
+    spec: md.Spectrum, n: int, blocks: list[BlockData]
 ) -> ClassicalQuantumState:
     """Map the n-sample state to (lattice box density) x (Fock state per box)
     over the prepared blocks (see prepare_blocks), reporting the neglected
@@ -176,9 +175,9 @@ def forward_channel(
         covered += bd.weight
         budget = max(budget, bd.state.truncation_defect)
     neglected = max(0.0, 1.0 - covered)
-    if neglected > coverage_bound:
+    if neglected > COVERAGE_BOUND:
         raise TruncationError(
-            f"neglected diagram mass {neglected:.3f} exceeds {coverage_bound}; "
+            f"neglected diagram mass {neglected:.3f} exceeds {COVERAGE_BOUND}; "
             "increase alpha"
         )
     return ClassicalQuantumState(n, spec.d, tuple(cells), neglected, budget)

@@ -35,18 +35,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-list", type=_parse_ints, default=(8, 16, 32, 64),
                    metavar="n1,n2,...")
     p.add_argument("--fock-cutoff", type=int, default=30)
-    p.add_argument("--basis-cutoff", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--disp-const", choices=sorted(ex.gs.DISPLACEMENT_CONSTANTS),
-                   default="sqrt2")
     p.add_argument("--override-exponents", action="store_true",
                    help="allow exponents outside the convergence ranges")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="csv for converge sweeps (default), json otherwise")
 
 
-def _config(args: argparse.Namespace, default_format: str) -> ex.ExperimentConfig:
+def _config(args: argparse.Namespace) -> ex.ExperimentConfig:
     return ex.ExperimentConfig(
         d=args.d,
         mu=args.mu,
@@ -55,10 +50,6 @@ def _config(args: argparse.Namespace, default_format: str) -> ex.ExperimentConfi
         n_list=args.n_list,
         alpha=args.alpha,
         fock_cutoff=args.fock_cutoff,
-        basis_cutoff=args.basis_cutoff,
-        disp_const=args.disp_const,
-        out=args.out,
-        format=args.format or default_format,
         override_exponents=args.override_exponents,
     )
 
@@ -78,29 +69,35 @@ def main(argv: list[str] | None = None) -> int:
         "and lemma verifiers for collective quantum state models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("decompose", "converge"):
-        _add_common(sub.add_parser(name))
+    pd = sub.add_parser("decompose")
+    pc = sub.add_parser("converge")
     pv = sub.add_parser("verify")
-    pv.add_argument("lemma", choices=sorted(set(ex.VERIFY_LEMMAS)))
-    _add_common(pv)
+    pv.add_argument("lemma", choices=sorted(ex.VERIFIERS))
+    for p in (pd, pc, pv):
+        _add_common(p)
+    # converge is the one command with a CSV form; the others write JSON
+    pc.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
 
     try:
+        config = _config(args)
         if args.command == "converge":
-            config = _config(args, "csv")
             result = ex.run_converge(config)
         elif args.command == "decompose":
-            config = _config(args, "json")
             result = ex.run_decompose(config)
         else:
-            config = _config(args, "json")
             result = ex.run_verify(args.lemma, config)
     except (ValueError, DimensionError, ResourceLimitError, TruncationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
 
-    text = ex.to_csv(result) if config.format == "csv" else ex.to_json(result)
-    _emit(text, config.out)
+    csv = args.command == "converge" and args.format == "csv"
+    text = ex.to_csv(result) if csv else ex.to_json(result)
+    try:
+        _emit(text, args.out)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
 
     if result.get("kind") == "verify" and not result["passed"]:
         return EXIT_CONTRACT

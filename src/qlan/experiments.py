@@ -17,7 +17,7 @@ from . import models as md
 from . import schur_weyl as sw
 from . import tableaux as tb
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = (
     "n",
@@ -32,19 +32,6 @@ CSV_COLUMNS = (
 # Range of the typical-window exponent alpha under which the convergence
 # theorem applies.
 ALPHA_RANGE = (0.5, 1.0)
-
-VERIFY_LEMMAS = (
-    "dims",
-    "formdet",
-    "nonorth",
-    "gqo",
-    "len0",
-    "ldisplacement",
-    "lgrouplimit",
-    "lclassical",
-    "lconcentration",
-)
-
 
 def _fmt(x) -> str:
     """Fixed, locale-independent scalar formatting for byte-stable output."""
@@ -64,10 +51,6 @@ class ExperimentConfig:
     n_list: tuple[int, ...] = (8, 16, 32, 64)
     alpha: float = 0.6
     fock_cutoff: int = 30
-    basis_cutoff: int | None = None
-    disp_const: str = "sqrt2"
-    out: str | None = None
-    format: str = "csv"
     override_exponents: bool = False
 
     def __post_init__(self):
@@ -79,16 +62,12 @@ class ExperimentConfig:
             raise ValueError(f"u needs {self.d - 1} components, got {len(self.u)}")
         if len(self.zeta) != npairs:
             raise ValueError(f"zeta needs {npairs} components, got {len(self.zeta)}")
-        if self.disp_const not in gs.DISPLACEMENT_CONSTANTS:
-            raise ValueError(f"unknown disp_const {self.disp_const!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
+        if not self.n_list:
+            raise ValueError("n_list must not be empty")
         if not all(n > 0 for n in self.n_list):
             raise ValueError("n_list entries must be positive")
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be >= 1")
-        if self.basis_cutoff is not None and self.basis_cutoff < 0:
-            raise ValueError("basis_cutoff must be >= 0")
         lo, hi = ALPHA_RANGE
         if not self.override_exponents and not lo < self.alpha < hi:
             raise ValueError(
@@ -105,12 +84,6 @@ class ExperimentConfig:
     def fock(self) -> gs.FockSpec:
         return gs.FockSpec(self.d, self.fock_cutoff)
 
-    def disp_value(self) -> float:
-        return gs.DISPLACEMENT_CONSTANTS[self.disp_const]
-
-    def max_weight(self) -> int:
-        return self.fock_cutoff if self.basis_cutoff is None else self.basis_cutoff
-
     def metadata(self) -> dict:
         return {
             "d": self.d,
@@ -119,8 +92,6 @@ class ExperimentConfig:
             "zeta": [[z.real, z.imag] for z in self.zeta],
             "alpha": self.alpha,
             "fock_cutoff": self.fock_cutoff,
-            "basis_cutoff": self.basis_cutoff,
-            "disp_const": self.disp_const,
             "override_exponents": self.override_exponents,
         }
 
@@ -133,11 +104,9 @@ def _converge_point(config: ExperimentConfig, n: int) -> dict:
     spec = config.spectrum()
     theta = config.theta()
     fock = config.fock()
-    blocks = ch.prepare_blocks(
-        spec, theta, n, fock, config.alpha, max_weight=config.max_weight()
-    )
+    blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
     out = ch.forward_channel(spec, n, blocks)
-    limit = gs.limit_state(spec, theta, fock, config.disp_value())
+    limit = gs.limit_state(spec, theta, fock)
     rep = mt.cq_distance(out, limit)
     recon = ch.reverse_channel(limit, spec, n, blocks)
     sn_total = mt.sn_distance(recon, blocks)
@@ -160,11 +129,13 @@ def fitted_rate(ns, totals) -> float:
 
 
 def run_converge(config: ExperimentConfig) -> dict:
+    """Distance rows per n, and the fitted rate (None for a single n, where
+    no slope exists)."""
     rows = [_converge_point(config, n) for n in config.n_list]
     rate = (
         fitted_rate([r["n"] for r in rows], [r["total"] for r in rows])
         if len(rows) >= 2
-        else float("nan")
+        else None
     )
     return {
         "schema_version": SCHEMA_VERSION,
@@ -190,7 +161,7 @@ def run_decompose(config: ExperimentConfig) -> dict:
     for lam in tb.enumerate_diagrams(n, config.d):
         weight = md.block_weight(lam, spec, theta.u, n)
         basis = sw.block_basis(lam, config.d, max_weight=n)
-        state = md.block_state(lam, spec, theta, n, basis)
+        state = md.block_state(basis, spec, theta, n)
         spectrum = np.linalg.eigvalsh(state.matrix)[::-1]
         total += weight
         blocks.append(
@@ -366,7 +337,7 @@ def _verify_len0(config: ExperimentConfig) -> dict:
         lam = _most_probable_diagram(spec, n, config.alpha)
         basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
-        state = md.block_state(lam, spec, theta, n, basis)
+        state = md.block_state(basis, spec, theta, n)
         phi = iso.matrix @ state.matrix @ iso.matrix.conj().T
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
@@ -385,8 +356,8 @@ def _verify_ldisplacement(config: ExperimentConfig) -> dict:
         lam = _most_probable_diagram(spec, n, config.alpha)
         basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
-        U = md.rotation_unitary(spec, zeta, n=n)
-        B = sw.block_unitary(lam, U, basis)
+        U = md.rotation_unitary(spec, zeta, n)
+        B = sw.block_unitary(basis, U)
         zero = (0,)
         psi = iso.matrix @ (B.matrix @ basis.coords(zero).astype(complex))
         vals.append(1.0 - abs(target.conj() @ psi) ** 2)
@@ -403,8 +374,8 @@ def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int,
     e0 = basis.coords((0,)).astype(complex)
 
     def rotate(w):
-        U = md.rotation_unitary(spec, (w,), n=n)
-        return sw.block_unitary(lam, U, basis).matrix
+        U = md.rotation_unitary(spec, (w,), n)
+        return sw.block_unitary(basis, U).matrix
 
     psi_sum = rotate(zeta + z) @ e0
     psi_seq = rotate(zeta) @ (rotate(z) @ e0)
@@ -488,11 +459,10 @@ def _verify_lconcentration(config: ExperimentConfig) -> dict:
     )
 
 
-_VERIFIERS = {
+VERIFIERS = {
     "dims": _verify_dims,
     "formdet": _verify_formdet,
     "nonorth": _verify_nonorth,
-    "gqo": _verify_nonorth,
     "len0": _verify_len0,
     "ldisplacement": _verify_ldisplacement,
     "lgrouplimit": _verify_lgrouplimit,
@@ -502,9 +472,9 @@ _VERIFIERS = {
 
 
 def run_verify(lemma: str, config: ExperimentConfig) -> dict:
-    if lemma not in _VERIFIERS:
-        raise ValueError(f"unknown lemma {lemma!r}; choose from {sorted(_VERIFIERS)}")
-    return _VERIFIERS[lemma](config)
+    if lemma not in VERIFIERS:
+        raise ValueError(f"unknown lemma {lemma!r}; choose from {sorted(VERIFIERS)}")
+    return VERIFIERS[lemma](config)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ import numpy as np
 from . import tableaux as tb
 from .models import Spectrum, LocalParams, covariance
 
-DISPLACEMENT_CONSTANTS = {"sqrt2": 1.0 / math.sqrt(2.0), "two": 0.5}
+# Limit displacement per unit zeta_jk / sqrt(mu_j - mu_k): fixed by the
+# theorem, the amplitude the finite-n block rotations converge to.
+DISPLACEMENT = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,10 @@ def mode_betas(spec_mu: Spectrum) -> tuple[float, ...]:
 
 
 def limit_quantum_state(
-    spec_mu: Spectrum,
-    zeta: tuple[complex, ...],
-    fock: FockSpec,
-    disp_const: float = DISPLACEMENT_CONSTANTS["sqrt2"],
+    spec_mu: Spectrum, zeta: tuple[complex, ...], fock: FockSpec
 ) -> np.ndarray:
     """Product over modes of displaced thermal states with amplitude
-    disp_const * zeta_jk / sqrt(mu_j - mu_k)."""
+    DISPLACEMENT * zeta_jk / sqrt(mu_j - mu_k)."""
     if spec_mu.d != fock.d:
         raise ValueError("spectrum and Fock space dimension mismatch")
     mats = []
@@ -131,7 +130,7 @@ def limit_quantum_state(
         gap = spec_mu.mu[j - 1] - spec_mu.mu[k - 1]
         # displaced_thermal(beta, z) has first moment -z, so negate to put
         # the mean along +zeta, the direction the finite-n blocks rotate to
-        z = -disp_const * zeta[idx] / math.sqrt(gap)
+        z = -DISPLACEMENT * zeta[idx] / math.sqrt(gap)
         if z == 0:
             mats.append(thermal(beta, fock.cutoff))
         else:
@@ -150,13 +149,8 @@ class LimitState:
     fock: FockSpec
 
 
-def limit_state(
-    spec_mu: Spectrum,
-    theta: LocalParams,
-    fock: FockSpec,
-    disp_const: float = DISPLACEMENT_CONSTANTS["sqrt2"],
-) -> LimitState:
-    quantum = limit_quantum_state(spec_mu, theta.zeta, fock, disp_const)
+def limit_state(spec_mu: Spectrum, theta: LocalParams, fock: FockSpec) -> LimitState:
+    quantum = limit_quantum_state(spec_mu, theta.zeta, fock)
     return LimitState(
         mean=np.array(theta.u, dtype=float),
         cov=covariance(spec_mu),

@@ -43,23 +43,18 @@ def _check_disjoint(cells) -> None:
                 raise ValueError(f"overlapping boxes {boxes[a]} and {boxes[b]}")
 
 
-def _cell_classical(c, mean: np.ndarray, cov: np.ndarray, tol: float) -> tuple[float, float]:
+def _cell_classical(c, mean: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     """Quadrature of |height - density| over one cell's box, and the
     Gaussian mass of that box."""
     volume = math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
     height = c.weight / volume
     l1 = _adaptive_box_integral(
-        lambda pts: np.abs(height - gs.gaussian_density(pts, mean, cov)),
-        c.lo,
-        c.hi,
-        tol=tol,
+        lambda pts: np.abs(height - gs.gaussian_density(pts, mean, cov)), c.lo, c.hi
     )
     return l1, ch.gaussian_box_mass(c.lo, c.hi, mean, cov)
 
 
-def classical_l1(
-    cells, mean: np.ndarray, cov: np.ndarray, tol: float = 1e-6
-) -> float:
+def classical_l1(cells, mean: np.ndarray, cov: np.ndarray) -> float:
     """L1 distance between the piecewise-constant box mixture and the
     Gaussian: per-box quadrature of |height - density| plus the Gaussian mass
     outside all boxes."""
@@ -67,7 +62,7 @@ def classical_l1(
     total = 0.0
     inside = 0.0
     for c in cells:
-        l1, mass = _cell_classical(c, mean, cov, tol)
+        l1, mass = _cell_classical(c, mean, cov)
         total += l1
         inside += mass
     return total + max(0.0, 1.0 - inside)
@@ -88,8 +83,7 @@ class DistanceReport:
         return self.classical + self.quantum_sup + self.atypical
 
 
-def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState,
-                tol: float = 1e-6) -> DistanceReport:
+def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> DistanceReport:
     """Exact trace-norm distance between the channel output and the Gaussian
     limit.  On each box only the scalar Gaussian density varies, so the
     integrand needs one Hermitian eigensolve per quadrature node."""
@@ -110,8 +104,8 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState,
                 [np.abs(np.linalg.eigvalsh(dv * Phi - B)).sum() for dv in dens]
             )
 
-        total += _adaptive_box_integral(integrand, c.lo, c.hi, tol=tol)
-        l1, mass = _cell_classical(c, limit.mean, limit.cov, tol)
+        total += _adaptive_box_integral(integrand, c.lo, c.hi)
+        l1, mass = _cell_classical(c, limit.mean, limit.cov)
         classical += l1
         inside += mass
         qsup = max(qsup, trace_distance(Phi, c.quantum / float(np.trace(c.quantum).real)))

@@ -90,11 +90,8 @@ def _hermitian_exp_i(H: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
-def rotation_unitary(
-    spec: Spectrum, zeta: tuple[complex, ...], n: int | None = None
-) -> np.ndarray:
-    """exp(i sum (Re zeta_jk T_jk + Im zeta_jk T_kj) / sqrt(mu_j - mu_k)),
-    the argument divided by sqrt(n) when n is given."""
+def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.ndarray:
+    """exp(i sum (Re zeta_jk T_jk + Im zeta_jk T_kj) / sqrt(n (mu_j - mu_k)))."""
     d = spec.d
     gens = su_generators(d)
     H = np.zeros((d, d), dtype=complex)
@@ -105,9 +102,7 @@ def rotation_unitary(
         z = zeta[idx]
         T1, T2 = gens[d - 1 + 2 * idx], gens[d + 2 * idx]
         H += (z.real * T1 + z.imag * T2) / math.sqrt(gap)
-    if n is not None:
-        H = H / math.sqrt(n)
-    return _hermitian_exp_i(H)
+    return _hermitian_exp_i(H / math.sqrt(n))
 
 
 def rho_theta(
@@ -223,11 +218,7 @@ def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) 
 
 
 def block_state(
-    lam: tb.Diagram,
-    spec: Spectrum,
-    theta: LocalParams,
-    n: int,
-    basis: sw.BlockBasis,
+    basis: sw.BlockBasis, spec: Spectrum, theta: LocalParams, n: int
 ) -> sw.BlockOperator:
     """Normalized block of the tensor-power state in orthonormal coordinates.
 
@@ -238,7 +229,7 @@ def block_state(
     rotation."""
     vals = perturbed_spectrum(spec, theta.u, n)
     logs = [math.log(v) for v in vals]
-    log_full = log_schur_poly(lam, vals)
+    log_full = log_schur_poly(basis.lam, vals)
     weights = [tb.total_multiplicities(basis.lam, m, basis.d) for m in basis.mvectors]
     # eigenvalues relative to the block trace s_lambda, each at most 1
     evs = np.array(
@@ -249,12 +240,12 @@ def block_state(
     rho = np.diag(evs / covered).astype(complex)
     if any(theta.zeta):
         U = rotation_unitary(spec, theta.zeta, n)
-        bu = sw.block_unitary(lam, U, basis)
+        bu = sw.block_unitary(basis, U)
         rho = bu.matrix @ rho @ bu.matrix.conj().T
         tr = float(np.trace(rho).real)
         loss = max(loss, 1.0 - tr)
         rho = rho / tr
-    return sw.BlockOperator(tb.check_diagram(lam, spec.d), rho, float(loss))
+    return sw.BlockOperator(basis.lam, rho, float(loss))
 
 
 # ---------------------------------------------------------------------------

@@ -344,24 +344,22 @@ class BlockOperator:
     truncation_defect: float
 
 
-def mixed_overlap_matrix(
-    lam: tb.Diagram, d: int, U: np.ndarray, basis: BlockBasis
-) -> np.ndarray:
+def mixed_overlap_matrix(basis: BlockBasis, U: np.ndarray) -> np.ndarray:
     """Overlaps <m| pi(U) |l> of the normalized non-orthogonal vectors."""
     ms = list(basis.mvectors)
-    W = pairing_matrix(lam, d, U, ms, ms)
+    W = pairing_matrix(basis.lam, basis.d, U, ms, ms)
     return W / np.outer(basis.norms, basis.norms)
 
 
-def block_unitary(lam: tb.Diagram, U: np.ndarray, basis: BlockBasis) -> BlockOperator:
+def block_unitary(basis: BlockBasis, U: np.ndarray) -> BlockOperator:
     """Representation matrix of the d x d unitary U on the truncated block, in
     orthonormal coordinates; columns lose norm where the true image leaks
     outside the truncated basis."""
-    M = mixed_overlap_matrix(lam, basis.d, U, basis)
+    M = mixed_overlap_matrix(basis, U)
     mat = basis.inv_sqrt_gram @ M @ basis.inv_sqrt_gram
     colnorms = np.linalg.norm(mat, axis=0) ** 2
     defect = float(max(0.0, 1.0 - colnorms.min()))
-    return BlockOperator(tb.check_diagram(lam, basis.d), mat, defect)
+    return BlockOperator(basis.lam, mat, defect)
 
 
 # ---------------------------------------------------------------------------

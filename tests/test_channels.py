@@ -69,11 +69,13 @@ class TestIsometry:
         basis = sw.block_basis(lam, 2, max_weight=10)
         fock = gs.FockSpec(2, 10)
         iso = ch.build_isometry(basis, fock)
+        assert iso.contraction_scale == 1.0
+        assert iso.completion_rank == 0
         for m in basis.mvectors:
             col = iso.matrix @ basis.coords(m)
             expect = np.zeros(fock.dim)
             expect[fock.index(m)] = 1.0
-            assert np.abs(col * iso.contraction_scale**0.0 - expect).max() < 1e-10
+            assert np.abs(col - expect).max() < 1e-10
 
 
 class TestForwardChannel:
@@ -97,7 +99,7 @@ class TestForwardChannel:
         theta = md.LocalParams((0.0,), (0j,))
         blocks = ch.prepare_blocks(SPEC2, theta, 400, gs.FockSpec(2, 20), alpha=0.1)
         with pytest.raises(TruncationError):
-            ch.forward_channel(SPEC2, 400, blocks, coverage_bound=0.5)
+            ch.forward_channel(SPEC2, 400, blocks)
 
 
 class TestReverseChannel:

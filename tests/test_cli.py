@@ -17,7 +17,6 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = ex.ExperimentConfig()
         assert cfg.spectrum().d == 2
-        assert cfg.disp_value() == pytest.approx(2**-0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -26,15 +25,13 @@ class TestConfig:
             {"d": 3},
             {"u": (0.1, 0.2)},
             {"zeta": (0.1j, 0.2j)},
-            {"disp_const": "three"},
-            {"format": "yaml"},
             {"alpha": 0.5},
             {"alpha": 1.0},
             {"u": ()},
             {"alpha": 0.4},
             {"fock_cutoff": 0},
             {"n_list": (0, 8)},
-            {"basis_cutoff": -1},
+            {"n_list": ()},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -56,7 +53,7 @@ class TestRunners:
         assert weights[(2,)] == pytest.approx(0.8125)
         assert weights[(1, 1)] == pytest.approx(0.1875)
         assert result["total_weight"] == pytest.approx(1.0)
-        assert result["schema_version"] == 2
+        assert result["schema_version"] == 3
 
     def test_decompose_needs_single_n(self):
         with pytest.raises(ValueError):
@@ -112,9 +109,14 @@ class TestSerialization:
     def test_json_roundtrip(self):
         cfg = ex.ExperimentConfig(n_list=(8,), fock_cutoff=15)
         text = ex.to_json(ex.run_converge(cfg))
-        data = json.loads(text)
-        assert data["schema_version"] == 2
+
+        def reject(name):  # NaN and Infinity are not JSON
+            raise ValueError(f"non-JSON constant {name}")
+
+        data = json.loads(text, parse_constant=reject)
+        assert data["schema_version"] == 3
         assert data["kind"] == "converge"
+        assert data["fitted_rate"] is None  # no slope through a single n
 
 
 class TestCli:
@@ -141,15 +143,40 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_negative_basis_cutoff_exit_2(self, capsys):
-        rc = cli.main(["converge", "--basis-cutoff", "-1", "--n-list", "8"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        rc = cli.main(["converge", "--n-list", "8", "--fock-cutoff", "15",
+                       "--out", str(out)])
         assert rc == 2
-        assert "error: basis_cutoff must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_format_is_converge_only(self, monkeypatch, capsys):
+        # argparse rejects the flag before any lemma runs
+        def never(config):
+            raise AssertionError("the lemma ran")
+
+        monkeypatch.setitem(ex.VERIFIERS, "dims", never)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "dims", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_converge_json(self, capsys):
+        rc = cli.main(["converge", "--n-list", "8,12", "--fock-cutoff", "15",
+                       "--format", "json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in data["rows"]] == [8, 12]
+        assert data["fitted_rate"] < 0
+        assert sorted(data["config"]) == [
+            "alpha", "d", "fock_cutoff", "mu", "override_exponents", "u", "zeta"
+        ]
 
     def test_failing_verifier_exit_1(self, monkeypatch, capsys):
         def fake(config):
             return {
-                "schema_version": 2,
+                "schema_version": 3,
                 "kind": "verify",
                 "lemma": "dims",
                 "passed": False,
@@ -157,7 +184,7 @@ class TestCli:
                 "config": config.metadata(),
             }
 
-        monkeypatch.setitem(ex._VERIFIERS, "dims", fake)
+        monkeypatch.setitem(ex.VERIFIERS, "dims", fake)
         rc = cli.main(["verify", "dims"])
         assert rc == 1
 

@@ -103,12 +103,12 @@ class TestLimitState:
 
     def test_mean_points_along_zeta(self):
         # the limit displacement must match the direction the finite-n blocks
-        # rotate toward: first moment = +c zeta / sqrt(gap)
+        # rotate toward: first moment = +zeta / sqrt(2 gap)
         spec = md.Spectrum((0.7, 0.3))
         zeta = 0.5 + 0.3j
         fock = gs.FockSpec(2, 40)
-        c = gs.DISPLACEMENT_CONSTANTS["sqrt2"]
-        rho = gs.limit_quantum_state(spec, (zeta,), fock, c)
+        c = 1.0 / math.sqrt(2.0)
+        rho = gs.limit_quantum_state(spec, (zeta,), fock)
         a = gs.annihilation(40)
         assert np.trace(rho @ a) == pytest.approx(
             c * zeta / math.sqrt(0.4), abs=1e-8
@@ -119,7 +119,7 @@ class TestLimitState:
         fock = gs.FockSpec(3, 5)
         zeta = (0.2 + 0.1j, 0.0j, 0.15)
         rho = gs.limit_quantum_state(spec, zeta, fock)
-        c = gs.DISPLACEMENT_CONSTANTS["sqrt2"]
+        c = gs.DISPLACEMENT
         for idx, (j, k) in enumerate(fock.modes):
             beta = math.log(spec.mu[j - 1] / spec.mu[k - 1])
             gap = spec.mu[j - 1] - spec.mu[k - 1]

@@ -33,12 +33,12 @@ class TestSpectrum:
 class TestRotation:
     def test_unitary(self):
         spec = md.Spectrum((0.5, 0.3, 0.2))
-        U = md.rotation_unitary(spec, (0.3 + 0.1j, 0.2j, 0.5), n=50)
+        U = md.rotation_unitary(spec, (0.3 + 0.1j, 0.2j, 0.5), 50)
         assert np.allclose(U @ U.conj().T, np.eye(3), atol=1e-12)
 
     def test_zero_is_identity(self):
         spec = md.Spectrum((0.7, 0.3))
-        U = md.rotation_unitary(spec, (0j,), n=10)
+        U = md.rotation_unitary(spec, (0j,), 10)
         assert np.allclose(U, np.eye(2))
 
     def test_rho_theta_variants(self):
@@ -130,7 +130,7 @@ class TestBlockState:
         theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
         lam = (60, 40)
         basis = sw.block_basis(lam, 2, max_weight=15)
-        state = md.block_state(lam, spec, theta, 100, basis)
+        state = md.block_state(basis, spec, theta, 100)
         assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(state.matrix).min() > -1e-12
 
@@ -140,7 +140,7 @@ class TestBlockState:
         theta = md.LocalParams((0.0,), (0j,))
         lam = (5, 1)
         basis = sw.block_basis(lam, 2, max_weight=6)
-        state = md.block_state(lam, spec, theta, 6, basis)
+        state = md.block_state(basis, spec, theta, 6)
         expect = np.array([0.7 ** (6 - k) * 0.3**k for k in range(5)])
         expect = np.sort(expect / expect.sum())
         got = np.sort(np.linalg.eigvalsh(state.matrix))
