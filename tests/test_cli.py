@@ -25,6 +25,8 @@ class TestConfig:
             {"d": 3},
             {"u": (0.1, 0.2)},
             {"zeta": (0.1j, 0.2j)},
+            {"mu": (0.8, 0.3)},
+            {"n_list": (8, -4)},
             {"alpha": 0.5},
             {"alpha": 1.0},
             {"u": ()},
