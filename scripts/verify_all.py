@@ -12,10 +12,9 @@ from qlan import experiments as ex
 
 
 def main() -> int:
-    config = ex.ExperimentConfig()
     failures = 0
     for lemma in sorted(ex.VERIFIERS):
-        result = ex.run_verify(lemma, config)
+        result = ex.run_verify(lemma)
         status = "PASS" if result["passed"] else "FAIL"
         print(f"{lemma:16s} {status}")
         if not result["passed"]:

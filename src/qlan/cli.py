@@ -24,7 +24,8 @@ def _parse_complexes(s: str) -> tuple[complex, ...]:
     return tuple(complex(x.replace("i", "j")) for x in s.split(",") if x != "")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_model(p: argparse.ArgumentParser) -> None:
+    """The model and run options that decompose and converge share."""
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--mu", type=_parse_floats, default=(0.7, 0.3),
                    metavar="a,b,...", help="spectrum, strictly decreasing, sums to 1")
@@ -34,14 +35,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    metavar="re+imi,...", help="off-diagonal local parameter per mode")
     p.add_argument("--n-list", type=_parse_ints, default=(8, 16, 32, 64),
                    metavar="n1,n2,...")
-    p.add_argument("--fock-cutoff", type=int, default=30)
-    p.add_argument("--alpha", type=float, default=0.6)
+    p.add_argument("--alpha", type=float, default=ex.ALPHA)
     p.add_argument("--override-exponents", action="store_true",
                    help="allow exponents outside the convergence ranges")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _config(args: argparse.Namespace) -> ex.ExperimentConfig:
+def _config(args: argparse.Namespace, **extra) -> ex.ExperimentConfig:
     return ex.ExperimentConfig(
         d=args.d,
         mu=args.mu,
@@ -49,8 +48,8 @@ def _config(args: argparse.Namespace) -> ex.ExperimentConfig:
         zeta=args.zeta,
         n_list=args.n_list,
         alpha=args.alpha,
-        fock_cutoff=args.fock_cutoff,
         override_exponents=args.override_exponents,
+        **extra,
     )
 
 
@@ -72,21 +71,25 @@ def main(argv: list[str] | None = None) -> int:
     pd = sub.add_parser("decompose")
     pc = sub.add_parser("converge")
     pv = sub.add_parser("verify")
+    # each lemma verifier fixes its own model, so verify takes no model options
     pv.add_argument("lemma", choices=sorted(ex.VERIFIERS))
-    for p in (pd, pc, pv):
-        _add_common(p)
+    for p in (pd, pc):
+        _add_model(p)
+    pc.add_argument("--fock-cutoff", type=int, default=ex.FOCK_CUTOFF)
     # converge is the one command with a CSV form; the others write JSON
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
+    for p in (pd, pc, pv):
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     args = parser.parse_args(argv)
 
     try:
-        config = _config(args)
         if args.command == "converge":
-            result = ex.run_converge(config)
+            result = ex.run_converge(_config(args, fock_cutoff=args.fock_cutoff))
         elif args.command == "decompose":
-            result = ex.run_decompose(config)
+            # decompose builds untruncated bases: no Fock cutoff to set
+            result = ex.run_decompose(_config(args))
         else:
-            result = ex.run_verify(args.lemma, config)
+            result = ex.run_verify(args.lemma)
     except (ValueError, DimensionError, ResourceLimitError, TruncationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -17,7 +17,7 @@ from . import models as md
 from . import schur_weyl as sw
 from . import tableaux as tb
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CSV_COLUMNS = (
     "n",
@@ -32,6 +32,11 @@ CSV_COLUMNS = (
 # Range of the typical-window exponent alpha under which the convergence
 # theorem applies.
 ALPHA_RANGE = (0.5, 1.0)
+
+# Typical-window exponent and Fock cutoff: the defaults of a run, and the
+# fixed values of the lemma verifiers.
+ALPHA = 0.6
+FOCK_CUTOFF = 30
 
 def _fmt(x) -> str:
     """Fixed, locale-independent scalar formatting for byte-stable output."""
@@ -49,8 +54,8 @@ class ExperimentConfig:
     u: tuple[float, ...] = (0.5,)
     zeta: tuple[complex, ...] = (0.5 + 0.3j,)
     n_list: tuple[int, ...] = (8, 16, 32, 64)
-    alpha: float = 0.6
-    fock_cutoff: int = 30
+    alpha: float = ALPHA
+    fock_cutoff: int = FOCK_CUTOFF
     override_exponents: bool = False
 
     def __post_init__(self):
@@ -177,7 +182,8 @@ def run_decompose(config: ExperimentConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "decompose",
-        "config": config.metadata(),
+        # the bases are untruncated, so the Fock cutoff is not read
+        "config": {k: v for k, v in config.metadata().items() if k != "fock_cutoff"},
         "n": n,
         "blocks": blocks,
         "total_weight": total,
@@ -188,24 +194,24 @@ def run_decompose(config: ExperimentConfig) -> dict:
 # verify
 
 
-def _report(lemma: str, passed: bool, values: dict, config: ExperimentConfig) -> dict:
+def _report(lemma: str, passed: bool, values: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verify",
         "lemma": lemma,
         "passed": bool(passed),
         "values": values,
-        "config": config.metadata(),
     }
 
 
-def _verify_dims(config: ExperimentConfig) -> dict:
+def _verify_dims() -> dict:
     """Completeness of the block decomposition: Sum_lam dim * multiplicity
-    = d^n as exact integers, and dim counts semistandard fillings."""
+    = d^n as exact integers for d <= 4 and n <= 25, and dim counts
+    semistandard fillings."""
     checks = []
     ok = True
-    for d in range(2, max(2, config.d) + 1):
-        for n in range(1, min(25, max(config.n_list)) + 1):
+    for d in (2, 3, 4):
+        for n in range(1, 26):
             s = sum(
                 tb.dim_irrep(lam, d) * tb.multiplicity(lam, n, d)
                 for lam in tb.enumerate_diagrams(n, d)
@@ -224,11 +230,10 @@ def _verify_dims(config: ExperimentConfig) -> dict:
         "dims",
         ok and ssyt_ok,
         {"identity_failures": checks, "semistandard_count_ok": ssyt_ok},
-        config,
     )
 
 
-def _verify_formdet(config: ExperimentConfig) -> dict:
+def _verify_formdet() -> dict:
     """Determinant-product overlap against direct column antisymmetrization."""
     rng = np.random.default_rng(20240601)
     worst = 0.0
@@ -252,7 +257,7 @@ def _verify_formdet(config: ExperimentConfig) -> dict:
                             lhs = sw.minor_det_product(U, ta, tc)
                             rhs = (Q @ va).conj() @ Umat @ vb
                             worst = max(worst, abs(lhs - rhs))
-    return _report("formdet", worst <= 1e-10, {"max_abs_error": worst}, config)
+    return _report("formdet", worst <= 1e-10, {"max_abs_error": worst})
 
 
 def _haar_unitary(d: int, rng) -> np.ndarray:
@@ -283,7 +288,7 @@ def proportional_diagram(n: int, mu: tuple[float, ...]) -> tb.Diagram:
     return out
 
 
-def _verify_nonorth(config: ExperimentConfig) -> dict:
+def _verify_nonorth() -> dict:
     """Selection rule (exact Gram zeros across weight classes) and decay of
     the surviving same-weight off-diagonal overlaps."""
     rng = np.random.default_rng(7)
@@ -317,24 +322,23 @@ def _verify_nonorth(config: ExperimentConfig) -> dict:
         "nonorth",
         exact_ok and decay_ok,
         {"selection_rule_exact": exact_ok, "off_diagonal": vals},
-        config,
     )
 
 
-def _most_probable_diagram(spec: md.Spectrum, n: int, alpha: float) -> tb.Diagram:
-    cands = ch.typical_diagrams(n, spec, alpha)
+def _most_probable_diagram(spec: md.Spectrum, n: int) -> tb.Diagram:
+    cands = ch.typical_diagrams(n, spec, ALPHA)
     return max(cands, key=lambda lam: md.block_weight(lam, spec, (0.0,) * (spec.d - 1), n))
 
 
-def _verify_len0(config: ExperimentConfig) -> dict:
+def _verify_len0() -> dict:
     """Unperturbed typical blocks approach the thermal equilibrium state."""
     spec = md.Spectrum((0.7, 0.3))
     theta = md.LocalParams((0.5,), (0j,))
-    fock = gs.FockSpec(2, config.fock_cutoff)
+    fock = gs.FockSpec(2, FOCK_CUTOFF)
     th = gs.tensor_modes([gs.thermal(b, fock.cutoff) for b in gs.mode_betas(spec)])
     dists = {}
     for n in (25, 200):
-        lam = _most_probable_diagram(spec, n, config.alpha)
+        lam = _most_probable_diagram(spec, n)
         basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         state = md.block_state(basis, spec, theta, n)
@@ -342,18 +346,18 @@ def _verify_len0(config: ExperimentConfig) -> dict:
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
     passed = dists[200] < dists[25] and dists[200] < 0.15
-    return _report("len0", passed, {"distances": {str(k): v for k, v in dists.items()}}, config)
+    return _report("len0", passed, {"distances": {str(k): v for k, v in dists.items()}})
 
 
-def _verify_ldisplacement(config: ExperimentConfig) -> dict:
+def _verify_ldisplacement() -> dict:
     """Rotated lowest-weight vectors converge to the matching coherent state."""
     spec = md.Spectrum((0.7, 0.3))
     zeta = (0.5 + 0.3j,)
-    fock = gs.FockSpec(2, config.fock_cutoff)
+    fock = gs.FockSpec(2, FOCK_CUTOFF)
     target = gs.coherent_vector(zeta[0], fock.cutoff)
     vals = []
     for n in (25, 100, 400):
-        lam = _most_probable_diagram(spec, n, config.alpha)
+        lam = _most_probable_diagram(spec, n)
         basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         U = md.rotation_unitary(spec, zeta, n)
@@ -362,15 +366,14 @@ def _verify_ldisplacement(config: ExperimentConfig) -> dict:
         psi = iso.matrix @ (B.matrix @ basis.coords(zero).astype(complex))
         vals.append(1.0 - abs(target.conj() @ psi) ** 2)
     passed = vals[0] > vals[1] > vals[2] and vals[2] < 0.1
-    return _report("ldisplacement", passed, {"defects": vals}, config)
+    return _report("ldisplacement", passed, {"defects": vals})
 
 
-def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int,
-                        cutoff: int, alpha: float) -> float:
+def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int) -> float:
     """|| [rotate(zeta+z) - rotate(zeta) rotate(z)] applied to the lowest
     weight vector ||_1 on the most probable block."""
-    lam = _most_probable_diagram(spec, n, alpha)
-    basis = sw.block_basis(lam, 2, max_weight=cutoff)
+    lam = _most_probable_diagram(spec, n)
+    basis = sw.block_basis(lam, 2, max_weight=FOCK_CUTOFF)
     e0 = basis.coords((0,)).astype(complex)
 
     def rotate(w):
@@ -384,16 +387,14 @@ def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int,
     return mt.trace_distance(rho_sum, rho_seq)
 
 
-def _verify_lgrouplimit(config: ExperimentConfig) -> dict:
+def _verify_lgrouplimit() -> dict:
     """Block rotations compose like displacements in the limit.  Two direction
     pairs: collinear real amplitudes (the generators coincide, so the defect
     is exactly zero at every n) and a quadrature pair where the generators do
     not commute and the defect genuinely decays."""
     spec = md.Spectrum((0.7, 0.3))
-    collinear = {n: _group_limit_defect(spec, 0.3, 0.4, n, config.fock_cutoff,
-                                        config.alpha) for n in (25, 100)}
-    quadrature = {n: _group_limit_defect(spec, 0.3, 0.4j, n, config.fock_cutoff,
-                                         config.alpha) for n in (25, 100)}
+    collinear = {n: _group_limit_defect(spec, 0.3, 0.4, n) for n in (25, 100)}
+    quadrature = {n: _group_limit_defect(spec, 0.3, 0.4j, n) for n in (25, 100)}
     collinear_ok = (collinear[100] < collinear[25]
                     or max(collinear.values()) <= 1e-12)
     quadrature_ok = quadrature[100] < quadrature[25]
@@ -404,11 +405,10 @@ def _verify_lgrouplimit(config: ExperimentConfig) -> dict:
             "collinear": {str(k): v for k, v in collinear.items()},
             "quadrature": {str(k): v for k, v in quadrature.items()},
         },
-        config,
     )
 
 
-def _verify_lclassical(config: ExperimentConfig) -> dict:
+def _verify_lclassical() -> dict:
     """Diagram-weight histograms approach the Gaussian location model."""
     results = {}
     passed = True
@@ -420,22 +420,22 @@ def _verify_lclassical(config: ExperimentConfig) -> dict:
         vals = []
         for n in (25, 100, 400):
             cells = []
-            for lam in ch.typical_diagrams(n, spec, config.alpha):
+            for lam in ch.typical_diagrams(n, spec, ALPHA):
                 lo, hi = ch.box_of(lam, n, spec)
                 w = md.block_weight(lam, spec, u, n)
                 cells.append(ch.Cell(lam, lo, hi, w, None))
             vals.append(mt.classical_l1(cells, mean, cov))
         results[f"d{d}"] = vals
         passed = passed and vals[0] > vals[1] > vals[2]
-    return _report("lclassical", passed, results, config)
+    return _report("lclassical", passed, results)
 
 
-def _verify_lconcentration(config: ExperimentConfig) -> dict:
+def _verify_lconcentration() -> dict:
     """Mass outside the typical window is small; exact multinomial tails obey
     the Hoeffding bound."""
     spec = md.Spectrum((0.7, 0.3))
     n = 400
-    typ = set(ch.typical_diagrams(n, spec, 0.6))
+    typ = set(ch.typical_diagrams(n, spec, ALPHA))
     typical_mass = sum(md.block_weight(lam, spec, (0.0,), n) for lam in typ)
     atypical = max(0.0, 1.0 - typical_mass)
     hoeffding_ok = True
@@ -455,7 +455,6 @@ def _verify_lconcentration(config: ExperimentConfig) -> dict:
         "lconcentration",
         passed,
         {"atypical_mass": atypical, "hoeffding": samples},
-        config,
     )
 
 
@@ -471,10 +470,10 @@ VERIFIERS = {
 }
 
 
-def run_verify(lemma: str, config: ExperimentConfig) -> dict:
+def run_verify(lemma: str) -> dict:
     if lemma not in VERIFIERS:
         raise ValueError(f"unknown lemma {lemma!r}; choose from {sorted(VERIFIERS)}")
-    return VERIFIERS[lemma](config)
+    return VERIFIERS[lemma]()
 
 
 # ---------------------------------------------------------------------------

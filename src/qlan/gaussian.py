@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tableaux as tb
-from .models import Spectrum, LocalParams, covariance
+from .models import Spectrum, LocalParams, covariance, hermitian_exp_i
 
 # Limit displacement per unit zeta_jk / sqrt(mu_j - mu_k): fixed by the
 # theorem, the amplitude the finite-n block rotations converge to.
@@ -75,9 +75,7 @@ def weyl(z: complex, N: int) -> np.ndarray:
     """Displacement operator exp(z a^dag - conj(z) a) on the truncation."""
     a = annihilation(N)
     gen = z * a.conj().T - np.conj(z) * a
-    H = -1j * gen
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return hermitian_exp_i(-1j * gen)
 
 
 def coherent_vector(z: complex, N: int) -> np.ndarray:

@@ -85,7 +85,8 @@ def su_generators(d: int) -> list[np.ndarray]:
     return gens
 
 
-def _hermitian_exp_i(H: np.ndarray) -> np.ndarray:
+def hermitian_exp_i(H: np.ndarray) -> np.ndarray:
+    """exp(iH) for Hermitian H, from its eigendecomposition."""
     vals, vecs = np.linalg.eigh(H)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
@@ -102,7 +103,7 @@ def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.nd
         z = zeta[idx]
         T1, T2 = gens[d - 1 + 2 * idx], gens[d + 2 * idx]
         H += (z.real * T1 + z.imag * T2) / math.sqrt(gap)
-    return _hermitian_exp_i(H / math.sqrt(n))
+    return hermitian_exp_i(H / math.sqrt(n))
 
 
 def rho_theta(

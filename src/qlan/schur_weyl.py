@@ -399,22 +399,16 @@ def _standard_tableau_positions(lam: tb.Diagram) -> list[list[int]]:
 
 def _group_elements(blocks: list[list[int]], n: int):
     """All products of per-block permutations, as position maps sigma with
-    sigma[k] = image of position k, plus the permutation sign."""
+    sigma[k] = image of position k, plus the permutation sign (blocks are
+    increasing, so the sign is that of the permuted block order)."""
     out = [(list(range(n)), 1)]
     for block in blocks:
         nxt = []
-        for perm in permutations(block):
-            inv_count = sum(
-                1
-                for i in range(len(block))
-                for j in range(i + 1, len(block))
-                if perm[i] > perm[j]
-            )
-            sign = -1 if inv_count % 2 else 1
+        for sign, perm in signed_permutations(len(block)):
             for base, bsign in out:
                 sigma = list(base)
-                for src, dst in zip(block, perm):
-                    sigma[src] = base[dst]
+                for src, i in zip(block, perm):
+                    sigma[src] = base[block[i]]
                 nxt.append((sigma, bsign * sign))
         out = nxt
     return out

@@ -80,8 +80,8 @@ def test_criterion_02_oracle_equivalence():
     report(2, "oracle equivalence", worst < 1e-9, f"max deviation {worst:.2e}")
 
 
-def test_criterion_03_formdet_identity(default_config):
-    result = ex.run_verify("formdet", default_config)
+def test_criterion_03_formdet_identity():
+    result = ex.run_verify("formdet")
     report(
         3,
         "determinant-product identity",
@@ -134,8 +134,8 @@ def test_criterion_04_isometry_and_channel_contracts():
 
 
 @pytest.fixture(scope="module")
-def nonorth(default_config):
-    return ex.run_verify("nonorth", default_config)["values"]
+def nonorth():
+    return ex.run_verify("nonorth")["values"]
 
 
 def test_criterion_05_selection_rule(nonorth):
@@ -152,22 +152,22 @@ def test_criterion_06_quasi_orthogonality_decay(nonorth):
            f"|G| = {vals[0]:.4f}, {vals[1]:.4f}, {vals[2]:.4f} at n=13,26,52")
 
 
-def test_criterion_07_thermal_limit(default_config):
-    result = ex.run_verify("len0", default_config)
+def test_criterion_07_thermal_limit():
+    result = ex.run_verify("len0")
     d = result["values"]["distances"]
     report(7, "thermal block limit", result["passed"],
            f"distance {d['200']:.4f} at n=200 (<0.15), {d['25']:.4f} at n=25")
 
 
-def test_criterion_08_displacement(default_config):
-    result = ex.run_verify("ldisplacement", default_config)
+def test_criterion_08_displacement():
+    result = ex.run_verify("ldisplacement")
     v = result["values"]["defects"]
     report(8, "coherent displacement limit", result["passed"],
            f"1-|overlap|^2 = {v[0]:.2e}, {v[1]:.2e}, {v[2]:.2e} at n=25,100,400")
 
 
-def test_criterion_09_group_limit(default_config):
-    result = ex.run_verify("lgrouplimit", default_config)
+def test_criterion_09_group_limit():
+    result = ex.run_verify("lgrouplimit")
     q = result["values"]["quadrature"]
     c = result["values"]["collinear"]
     report(
@@ -179,15 +179,15 @@ def test_criterion_09_group_limit(default_config):
     )
 
 
-def test_criterion_10_classical_lan(default_config):
-    result = ex.run_verify("lclassical", default_config)
+def test_criterion_10_classical_lan():
+    result = ex.run_verify("lclassical")
     v = result["values"]
     report(10, "classical Gaussian limit", result["passed"],
            f"L1 d=2 {v['d2']}, d=3 {v['d3']} at n=25,100,400")
 
 
-def test_criterion_11_concentration(default_config):
-    result = ex.run_verify("lconcentration", default_config)
+def test_criterion_11_concentration():
+    result = ex.run_verify("lconcentration")
     v = result["values"]
     report(11, "typical-window concentration", result["passed"],
            f"atypical mass {v['atypical_mass']:.2e} at n=400 (<0.05); "

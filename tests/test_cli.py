@@ -55,7 +55,7 @@ class TestRunners:
         assert weights[(2,)] == pytest.approx(0.8125)
         assert weights[(1, 1)] == pytest.approx(0.1875)
         assert result["total_weight"] == pytest.approx(1.0)
-        assert result["schema_version"] == 3
+        assert result["schema_version"] == 4
 
     def test_decompose_needs_single_n(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestRunners:
 
     def test_unknown_lemma(self):
         with pytest.raises(ValueError):
-            ex.run_verify("nosuchlemma", ex.ExperimentConfig())
+            ex.run_verify("nosuchlemma")
 
     def test_proportional_diagram(self):
         assert ex.proportional_diagram(13, (0.5, 0.3, 0.2)) == (7, 4, 2)
@@ -116,7 +116,7 @@ class TestSerialization:
             raise ValueError(f"non-JSON constant {name}")
 
         data = json.loads(text, parse_constant=reject)
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         assert data["kind"] == "converge"
         assert data["fitted_rate"] is None  # no slope through a single n
 
@@ -130,6 +130,10 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "decompose"
+        # untruncated bases: the Fock cutoff is not part of the run
+        assert sorted(data["config"]) == [
+            "alpha", "d", "mu", "override_exponents", "u", "zeta"
+        ]
 
     def test_converge_csv_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -155,7 +159,7 @@ class TestCli:
 
     def test_format_is_converge_only(self, monkeypatch, capsys):
         # argparse rejects the flag before any lemma runs
-        def never(config):
+        def never():
             raise AssertionError("the lemma ran")
 
         monkeypatch.setitem(ex.VERIFIERS, "dims", never)
@@ -163,6 +167,29 @@ class TestCli:
             cli.main(["verify", "dims", "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "len0", "--mu", "0.6,0.4"], "--mu"),
+            (["verify", "lconcentration", "--alpha", "0.9"], "--alpha"),
+            (["decompose", "--fock-cutoff", "1"], "--fock-cutoff"),
+        ],
+        ids=["verify-mu", "verify-alpha", "decompose-fock-cutoff"],
+    )
+    def test_unread_flag_exit_2(self, argv, flag, monkeypatch, capsys):
+        # verify takes only the lemma and --out, decompose has no Fock
+        # cutoff: argparse rejects the flag before any runner starts
+        def never(*args):
+            raise AssertionError("the runner ran")
+
+        for lemma in ex.VERIFIERS:
+            monkeypatch.setitem(ex.VERIFIERS, lemma, never)
+        monkeypatch.setattr(ex, "run_decompose", never)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_converge_json(self, capsys):
         rc = cli.main(["converge", "--n-list", "8,12", "--fock-cutoff", "15",
@@ -176,14 +203,13 @@ class TestCli:
         ]
 
     def test_failing_verifier_exit_1(self, monkeypatch, capsys):
-        def fake(config):
+        def fake():
             return {
-                "schema_version": 3,
+                "schema_version": 4,
                 "kind": "verify",
                 "lemma": "dims",
                 "passed": False,
                 "values": {},
-                "config": config.metadata(),
             }
 
         monkeypatch.setitem(ex.VERIFIERS, "dims", fake)

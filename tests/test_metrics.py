@@ -1,8 +1,6 @@
 """Tests for the distance computations: trace norm, classical L1 quadrature,
 and the combined classical-quantum distance report."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -2,8 +2,6 @@
 operators, cross-checked against direct orbit enumeration and the full
 tensor-space oracle."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
