@@ -24,18 +24,18 @@ def _parse_complexes(s: str) -> tuple[complex, ...]:
     return tuple(complex(x.replace("i", "j")) for x in s.split(",") if x != "")
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
+def _add_model(p: argparse.ArgumentParser, default: ex.ExperimentConfig) -> None:
     """The model and run options that decompose and converge share."""
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--mu", type=_parse_floats, default=(0.7, 0.3),
+    p.add_argument("--d", type=int, default=default.d)
+    p.add_argument("--mu", type=_parse_floats, default=default.mu,
                    metavar="a,b,...", help="spectrum, strictly decreasing, sums to 1")
-    p.add_argument("--u", type=_parse_floats, default=(0.5,),
+    p.add_argument("--u", type=_parse_floats, default=default.u,
                    metavar="a,...", help="classical local parameter (d-1 entries)")
-    p.add_argument("--zeta", type=_parse_complexes, default=(0.5 + 0.3j,),
+    p.add_argument("--zeta", type=_parse_complexes, default=default.zeta,
                    metavar="re+imi,...", help="off-diagonal local parameter per mode")
-    p.add_argument("--n-list", type=_parse_ints, default=(8, 16, 32, 64),
+    p.add_argument("--n-list", type=_parse_ints, default=default.n_list,
                    metavar="n1,n2,...")
-    p.add_argument("--alpha", type=float, default=ex.ALPHA)
+    p.add_argument("--alpha", type=float, default=default.alpha)
     p.add_argument("--override-exponents", action="store_true",
                    help="allow exponents outside the convergence ranges")
 
@@ -73,9 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     pv = sub.add_parser("verify")
     # each lemma verifier fixes its own model, so verify takes no model options
     pv.add_argument("lemma", choices=sorted(ex.VERIFIERS))
+    # the option defaults are ExperimentConfig's
+    default = ex.ExperimentConfig()
     for p in (pd, pc):
-        _add_model(p)
-    pc.add_argument("--fock-cutoff", type=int, default=ex.FOCK_CUTOFF)
+        _add_model(p, default)
+    pc.add_argument("--fock-cutoff", type=int, default=default.fock_cutoff)
     # converge is the one command with a CSV form; the others write JSON
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
     for p in (pd, pc, pv):

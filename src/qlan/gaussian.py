@@ -9,6 +9,7 @@ the same indexing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,10 +167,20 @@ def gaussian_density(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.n
     return np.exp(expo) / math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
 
 
+@functools.cache
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and read-only, since every caller shares them."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def box_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre nodes of the given order per axis on the box
     [lo, hi], with weights that sum to the box volume."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = _leggauss(order)
     dim = len(lo)
     axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
     grids = np.meshgrid(*axes, indexing="ij")

@@ -12,22 +12,136 @@ import numpy as np
 from . import channels as ch
 from . import gaussian as gs
 from . import tableaux as tb
+from .errors import ResourceLimitError
+
+# The box rule: tensor Gauss-Legendre orders per axis, tried in turn until
+# two successive values differ by at most BOX_TOL.
+BOX_ORDERS = (8, 16, 32)
+BOX_TOL = 1e-6
+
+# Piecewise Chebyshev curves: the nested Chebyshev-Lobatto degrees a piece
+# is sampled at (each level reuses the previous level's points), the size of
+# the last three coefficients, relative to max |f| on the piece, at which it
+# is accepted, and the width, relative to the curve's range, below which a
+# failing piece is not bisected again.
+CURVE_DEGREES = (4, 8, 16, 32)
+CURVE_TOL = 1e-10
+CURVE_MIN_WIDTH = 1e-12
+
+
+def _trace_norm(A: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(A)).sum())
 
 
 def trace_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Sum of absolute eigenvalues of the Hermitian difference."""
-    return float(np.abs(np.linalg.eigvalsh(A - B)).sum())
+    return _trace_norm(A - B)
 
 
-def _adaptive_box_integral(fn, lo, hi, tol=1e-6, orders=(8, 16, 32)) -> float:
+def _adaptive_box_integral(fn, lo, hi) -> float:
     prev = None
-    for order in orders:
+    for order in BOX_ORDERS:
         pts, wgrid = gs.box_nodes(lo, hi, order)
         val = float((fn(pts) * wgrid).sum())
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= BOX_TOL:
             return val
         prev = val
     return prev
+
+
+@dataclass(frozen=True)
+class ChebyshevCurve:
+    """Piecewise Chebyshev interpolant: coeffs[i] is the series of the piece
+    [breaks[i], breaks[i + 1]] in the variable mapped onto [-1, 1]."""
+
+    breaks: np.ndarray
+    coeffs: tuple[np.ndarray, ...]
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        piece = np.searchsorted(self.breaks, t, side="right") - 1
+        piece = np.clip(piece, 0, len(self.coeffs) - 1)
+        out = np.empty(t.shape)
+        for i, c in enumerate(self.coeffs):
+            a, b = self.breaks[i], self.breaks[i + 1]
+            sel = piece == i
+            x = (2.0 * t[sel] - a - b) / (b - a)
+            out[sel] = np.polynomial.chebyshev.chebval(x, c)
+        return out
+
+
+def _chebyshev_piece(f, a: float, b: float) -> np.ndarray | None:
+    """Chebyshev coefficients of f on [a, b] at the first CURVE_DEGREES level
+    whose last three coefficients pass CURVE_TOL, or None if none does."""
+    vals = None
+    for N in CURVE_DEGREES:
+        j = np.arange(N + 1)
+        ts = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / N)
+        if vals is None:
+            vals = np.array([f(t) for t in ts])
+        else:
+            # the previous level's points are the even ones of this level
+            prev, vals = vals, np.empty(N + 1)
+            vals[::2] = prev
+            vals[1::2] = [f(t) for t in ts[1::2]]
+        # DCT-I: the interpolant through the Lobatto values
+        halved = vals.copy()
+        halved[[0, N]] *= 0.5
+        coeffs = (2.0 / N) * (np.cos(np.pi * np.outer(j, j) / N) @ halved)
+        coeffs[[0, N]] *= 0.5
+        if np.abs(coeffs[-3:]).max() <= CURVE_TOL * np.abs(vals).max():
+            return coeffs
+    return None
+
+
+def chebyshev_curve(f, lo: float, hi: float, kinks) -> ChebyshevCurve:
+    """Piecewise Chebyshev interpolant of the scalar function f on [lo, hi],
+    cut at the kinks inside the range; a piece whose coefficients do not
+    decay by the last degree is bisected.  Raises ResourceLimitError when a
+    piece narrower than CURVE_MIN_WIDTH of the range still fails."""
+    min_width = CURVE_MIN_WIDTH * (hi - lo)
+    edges = [lo]
+    for k in np.sort(kinks):
+        # kinks closer together than the narrowest piece count as one
+        if edges[-1] + min_width < k < hi - min_width:
+            edges.append(float(k))
+    edges.append(hi)
+    todo = list(zip(edges[:-1], edges[1:]))[::-1]  # a stack, leftmost on top
+    breaks, coeffs = [lo], []
+    while todo:
+        a, b = todo.pop()
+        c = _chebyshev_piece(f, a, b)
+        if c is None:
+            if b - a <= min_width:
+                raise ResourceLimitError(
+                    f"Chebyshev curve does not converge on [{a:.17g}, {b:.17g}]"
+                )
+            m = 0.5 * (a + b)
+            todo += [(m, b), (a, m)]
+            continue
+        breaks.append(b)
+        coeffs.append(c)
+    return ChebyshevCurve(np.array(breaks), tuple(coeffs))
+
+
+def _inverse_sqrt(Phi: np.ndarray) -> np.ndarray:
+    w, V = np.linalg.eigh(Phi)
+    if w[0] <= 0:
+        raise ResourceLimitError(
+            f"limit state is not positive definite (smallest eigenvalue {w[0]:.3g})"
+        )
+    return (V / np.sqrt(w)) @ V.conj().T
+
+
+def trace_norm_curve(
+    Phi: np.ndarray, Phi_isqrt: np.ndarray, B: np.ndarray, lo: float, hi: float
+) -> ChebyshevCurve:
+    """f(t) = ||t Phi - B||_1 on [lo, hi] for positive definite Phi with
+    inverse square root Phi_isqrt.  f is convex and analytic between its
+    kinks, the generalised eigenvalues of the pencil (B, Phi), where an
+    eigenvalue of t Phi - B crosses zero; one eigensolve finds them."""
+    kinks = np.linalg.eigvalsh(Phi_isqrt @ B @ Phi_isqrt)
+    return chebyshev_curve(lambda t: _trace_norm(t * Phi - B), lo, hi, kinks)
 
 
 def _check_disjoint(cells) -> None:
@@ -85,10 +199,18 @@ class DistanceReport:
 
 def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> DistanceReport:
     """Exact trace-norm distance between the channel output and the Gaussian
-    limit.  On each box only the scalar Gaussian density varies, so the
-    integrand needs one Hermitian eigensolve per quadrature node."""
+    limit: on each box, the integral of ||rho(x) Phi - B||_1 with rho the
+    Gaussian density, Phi the limit's quantum state and B the box's height
+    times its state.  The integrand depends on x only through t = rho(x).
+    On boxes with one axis (d = 2) it is one Hermitian eigensolve per
+    quadrature node, since a 1-D rule already samples t along a line.  On
+    boxes with more axes, the curve f(t) = ||t Phi - B||_1 is built once per
+    box over the density's range on the nodes of every BOX_ORDERS rule
+    (trace_norm_curve), and every node is read from it."""
     _check_disjoint(out.cells)
+    mean, cov = limit.mean, limit.cov
     Phi = limit.quantum
+    Phi_isqrt = _inverse_sqrt(Phi) if len(mean) > 1 else None
     total = 0.0
     inside = 0.0
     classical = 0.0
@@ -97,15 +219,22 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         volume = math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
         height = c.weight / volume
         B = height * c.quantum
+        if Phi_isqrt is None:
+            def integrand(pts):
+                dens = gs.gaussian_density(pts, mean, cov)
+                return np.array([_trace_norm(dv * Phi - B) for dv in dens])
+        else:
+            dens = np.concatenate([
+                gs.gaussian_density(gs.box_nodes(c.lo, c.hi, order)[0], mean, cov)
+                for order in BOX_ORDERS
+            ])
+            curve = trace_norm_curve(Phi, Phi_isqrt, B, dens.min(), dens.max())
 
-        def integrand(pts):
-            dens = gs.gaussian_density(pts, limit.mean, limit.cov)
-            return np.array(
-                [np.abs(np.linalg.eigvalsh(dv * Phi - B)).sum() for dv in dens]
-            )
+            def integrand(pts):
+                return curve(gs.gaussian_density(pts, mean, cov))
 
         total += _adaptive_box_integral(integrand, c.lo, c.hi)
-        l1, mass = _cell_classical(c, limit.mean, limit.cov)
+        l1, mass = _cell_classical(c, mean, cov)
         classical += l1
         inside += mass
         qsup = max(qsup, trace_distance(Phi, c.quantum / float(np.trace(c.quantum).real)))

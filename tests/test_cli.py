@@ -191,6 +191,20 @@ class TestCli:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["converge", "decompose"])
+    def test_defaults_are_config_defaults(self, command, monkeypatch, capsys):
+        # with no model flags the runner gets ExperimentConfig(), the Fock
+        # cutoff included for converge
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(ex, f"run_{command}", capture)
+        assert cli.main([command]) == 2
+        assert seen == [ex.ExperimentConfig()]
+
     def test_converge_json(self, capsys):
         rc = cli.main(["converge", "--n-list", "8,12", "--fock-cutoff", "15",
                        "--format", "json"])

@@ -1,5 +1,8 @@
 """Tests for the distance computations: trace norm, classical L1 quadrature,
-and the combined classical-quantum distance report."""
+the piecewise Chebyshev trace-norm curve, and the combined classical-quantum
+distance report."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from qlan import channels as ch
 from qlan import gaussian as gs
 from qlan import metrics as mt
 from qlan import models as md
+from qlan.errors import ResourceLimitError
 
 SPEC2 = md.Spectrum((0.7, 0.3))
+SPEC3 = md.Spectrum((0.5, 0.3, 0.2))
 
 
 def random_density(dim, rng):
@@ -111,22 +116,116 @@ class TestCqDistance:
         for v in (rep.total, rep.classical, rep.quantum_sup, rep.atypical):
             assert v >= 0.0
 
-    def test_self_distance_small(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_self_distance_small(self, d):
         # the limit state discretized onto the same boxes compares to itself
-        # within the discretization residual
-        theta = md.LocalParams((0.5,), (0j,))
-        fock = gs.FockSpec(2, 20)
-        n = 100
-        limit = gs.limit_state(SPEC2, theta, fock)
+        # within the discretization residual; the box's state is the limit's,
+        # so the quantum integrand is |t - height|, the classical one
+        spec, n, cutoff, bound = {
+            2: (SPEC2, 100, 20, 0.1),
+            3: (SPEC3, 50, 2, 0.2),
+        }[d]
+        theta = md.LocalParams((0.5,) + (0.0,) * (d - 2), (0j,) * (d * (d - 1) // 2))
+        fock = gs.FockSpec(d, cutoff)
+        limit = gs.limit_state(spec, theta, fock)
         cells = []
-        for lam in ch.typical_diagrams(n, SPEC2, 0.6):
-            lo, hi = ch.box_of(lam, n, SPEC2)
+        for lam in ch.typical_diagrams(n, spec, 0.6):
+            lo, hi = ch.box_of(lam, n, spec)
             w = ch.gaussian_box_mass(lo, hi, limit.mean, limit.cov)
             cells.append(ch.Cell(lam, lo, hi, w, limit.quantum))
-        out = ch.ClassicalQuantumState(n, 2, tuple(cells), 0.0, 0.0)
+        out = ch.ClassicalQuantumState(n, d, tuple(cells), 0.0, 0.0)
         rep = mt.cq_distance(out, limit)
         assert rep.quantum_sup < 1e-10
-        assert rep.total < 0.1  # in-box density variation + window tail
+        assert rep.total < bound  # in-box density variation + window tail
+        assert rep.total == pytest.approx(rep.classical, abs=1e-9)
+
+    def test_d3_curve_matches_per_node_oracle(self, monkeypatch):
+        theta = md.LocalParams((0.5, 0.0), (0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j))
+        fock = gs.FockSpec(3, 3)
+        blocks = ch.prepare_blocks(SPEC3, theta, 8, fock, alpha=0.6)
+        out = ch.forward_channel(SPEC3, 8, blocks)
+        limit = gs.limit_state(SPEC3, theta, fock)
+        expected = per_node_cq_distance(out, limit)
+
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rep = mt.cq_distance(out, limit)
+        monkeypatch.undo()
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), getattr(expected, field.name)
+            assert abs(got - want) <= 1e-10, field.name
+        assert len(calls) < 1000  # one solve per node takes about 2,960
+
+
+def per_node_cq_distance(out, limit) -> mt.DistanceReport:
+    """Oracle for cq_distance: one eigensolve of t Phi - B per quadrature node
+    of the box rule, on boxes of any dimension."""
+    Phi = limit.quantum
+    total = 0.0
+    inside = 0.0
+    qsup = 0.0
+    for c in out.cells:
+        B = c.weight / float(np.prod(c.hi - c.lo)) * c.quantum
+
+        def integrand(pts):
+            dens = gs.gaussian_density(pts, limit.mean, limit.cov)
+            return np.array([mt.trace_distance(t * Phi, B) for t in dens])
+
+        total += mt._adaptive_box_integral(integrand, c.lo, c.hi)
+        inside += ch.gaussian_box_mass(c.lo, c.hi, limit.mean, limit.cov)
+        qsup = max(qsup, mt.trace_distance(Phi, c.quantum / np.trace(c.quantum).real))
+    return mt.DistanceReport(
+        total=total + max(0.0, 1.0 - inside) + out.neglected_mass,
+        classical=mt.classical_l1(out.cells, limit.mean, limit.cov),
+        quantum_sup=qsup,
+        atypical=out.neglected_mass,
+        truncation_budget=out.truncation_budget,
+    )
+
+
+def pencil_kinks(Phi, B):
+    w, V = np.linalg.eigh(Phi)
+    isqrt = (V / np.sqrt(w)) @ V.conj().T
+    return isqrt, np.linalg.eigvalsh(isqrt @ B @ isqrt)
+
+
+class TestTraceNormCurve:
+    def test_matches_trace_norm_low_rank(self):
+        rng = np.random.default_rng(7)
+        Phi = random_density(12, rng)
+        G = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+        B = 0.8 * (G @ G.conj().T) / np.trace(G @ G.conj().T).real
+        isqrt, kinks = pencil_kinks(Phi, B)
+        positive = kinks[kinks > 1e-8]
+        assert len(positive) == 3
+        lo, hi = 0.5 * positive.min(), 1.5 * positive.max()
+        curve = mt.trace_norm_curve(Phi, isqrt, B, lo, hi)
+        ts = np.concatenate([np.linspace(lo, hi, 197), positive])
+        exact = np.array([mt.trace_distance(t * Phi, B) for t in ts])
+        assert np.abs(curve(ts) - exact).max() <= 1e-9 * exact.max()
+
+    def test_multiple_of_phi_is_abs(self):
+        rng = np.random.default_rng(3)
+        Phi = random_density(8, rng)
+        h = 0.3
+        isqrt, _kinks = pencil_kinks(Phi, h * Phi)
+        curve = mt.trace_norm_curve(Phi, isqrt, h * Phi, 0.0, 1.0)
+        # the pencil's eigenvalues all sit at h and count as one kink
+        assert len(curve.coeffs) == 2
+        assert curve.breaks[1] == pytest.approx(h, abs=1e-10)
+        ts = np.linspace(0.0, 1.0, 101)
+        assert np.abs(curve(ts) - np.abs(ts - h)).max() <= 1e-12
+
+    def test_nonconvergent_raises(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ResourceLimitError):
+            mt.chebyshev_curve(lambda t: rng.random(), 0.0, 1.0, ())
 
 
 class TestSnDistance:
