@@ -187,21 +187,6 @@ def forward_channel(
 # reverse channel
 
 
-def gaussian_box_mass(
-    lo: np.ndarray, hi: np.ndarray, mean: np.ndarray, cov: np.ndarray
-) -> float:
-    """Gaussian mass of an axis-aligned box: error-function difference in one
-    dimension, tensor Gauss-Legendre quadrature of the density otherwise
-    (boxes have side n^{-1/2}, so low order is already exact to ~1e-12)."""
-    if len(lo) == 1:
-        sd = math.sqrt(cov[0, 0])
-        a = (lo[0] - mean[0]) / (sd * math.sqrt(2))
-        b = (hi[0] - mean[0]) / (sd * math.sqrt(2))
-        return 0.5 * (math.erf(b) - math.erf(a))
-    pts, wgrid = gs.box_nodes(lo, hi, 12)
-    return float((gs.gaussian_density(pts, mean, cov) * wgrid).sum())
-
-
 def reverse_block_map(
     phi: np.ndarray, basis: sw.BlockBasis, iso: BlockIsometry
 ) -> np.ndarray:
@@ -228,7 +213,7 @@ def reverse_channel(
     fallback_idx = None
     for bd in blocks:
         lo, hi = box_of(bd.lam, n, spec)
-        w = gaussian_box_mass(lo, hi, limit.mean, limit.cov)
+        w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
         total += w
         rho = reverse_block_map(limit.quantum, bd.basis, bd.isometry)
         out.append((bd.lam, w, rho))

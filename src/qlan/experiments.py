@@ -67,6 +67,7 @@ class ExperimentConfig:
             raise ValueError(f"u needs {self.d - 1} components, got {len(self.u)}")
         if len(self.zeta) != npairs:
             raise ValueError(f"zeta needs {npairs} components, got {len(self.zeta)}")
+        self.theta()  # validates u and zeta
         if not self.n_list:
             raise ValueError("n_list must not be empty")
         if not all(n > 0 for n in self.n_list):

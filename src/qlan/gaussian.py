@@ -1,6 +1,7 @@
 """Truncated Fock-space limit model: thermal and displaced thermal states,
 Weyl operators, and the classical-quantum Gaussian product state, with the
-classical Gaussian density and the box quadrature grid it is integrated on.
+box rule: the one quadrature by which every integral of a function of the
+classical Gaussian density over a lattice box is taken.
 
 One oscillator mode per eigenvalue pair (j, k), j < k, ordered like
 tableaux.pairs(d), so mode occupation numbers and block basis labels share
@@ -158,13 +159,10 @@ def limit_state(spec_mu: Spectrum, theta: LocalParams, fock: FockSpec) -> LimitS
     )
 
 
-def gaussian_density(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Density of N(mean, cov) at each row of pts."""
-    dim = len(mean)
-    inv = np.linalg.inv(cov)
-    diff = pts - mean
-    expo = -0.5 * np.einsum("ni,ij,nj->n", diff, inv, diff)
-    return np.exp(expo) / math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
+# The box rule: tensor Gauss-Legendre orders per axis, tried in turn until
+# two successive values differ by at most BOX_TOL.
+BOX_ORDERS = (8, 16, 32)
+BOX_TOL = 1e-6
 
 
 @functools.cache
@@ -177,20 +175,40 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-def box_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes of the given order per axis on the box
-    [lo, hi], with weights that sum to the box volume."""
-    xs, ws = _leggauss(order)
+def box_rule(
+    lo: np.ndarray, hi: np.ndarray, mean: np.ndarray, cov: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The box rule on [lo, hi] for N(mean, cov): per BOX_ORDERS order, the
+    density at the tensor Gauss-Legendre nodes and the node weights, which
+    sum to the box volume."""
     dim = len(lo)
-    axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wmesh = np.meshgrid(*([ws] * dim), indexing="ij")
-    wgrid = np.ones(len(pts))
-    for wm in wmesh:
-        wgrid = wgrid * wm.ravel()
-    wgrid *= math.prod((hi[i] - lo[i]) / 2 for i in range(dim))
-    return pts, wgrid
+    inv = np.linalg.inv(cov)
+    norm = math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
+    scale = math.prod((hi[i] - lo[i]) / 2 for i in range(dim))
+    rule = []
+    for order in BOX_ORDERS:
+        xs, ws = _leggauss(order)
+        axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
+        pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        diff = pts - mean
+        dens = np.exp(-0.5 * np.einsum("ni,ij,nj->n", diff, inv, diff)) / norm
+        weights = functools.reduce(np.multiply.outer, [ws] * dim).ravel() * scale
+        rule.append((dens, weights))
+    return tuple(rule)
+
+
+def box_integral(fn, rule) -> float:
+    """Integral over the box of fn(density), at the first order of the rule
+    whose value is within BOX_TOL of the previous order's, else at the last
+    order.  fn maps an array of densities to an array of integrand values and
+    is called on one order at a time."""
+    prev = None
+    for dens, weights in rule:
+        val = float((fn(dens) * weights).sum())
+        if prev is not None and abs(val - prev) <= BOX_TOL:
+            return val
+        prev = val
+    return prev
 
 
 def partial_trace_to_mode(rho: np.ndarray, fock: FockSpec, mode_idx: int) -> np.ndarray:

@@ -14,11 +14,6 @@ from . import gaussian as gs
 from . import tableaux as tb
 from .errors import ResourceLimitError
 
-# The box rule: tensor Gauss-Legendre orders per axis, tried in turn until
-# two successive values differ by at most BOX_TOL.
-BOX_ORDERS = (8, 16, 32)
-BOX_TOL = 1e-6
-
 # Piecewise Chebyshev curves: the nested Chebyshev-Lobatto degrees a piece
 # is sampled at (each level reuses the previous level's points), the size of
 # the last three coefficients, relative to max |f| on the piece, at which it
@@ -36,17 +31,6 @@ def _trace_norm(A: np.ndarray) -> float:
 def trace_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Sum of absolute eigenvalues of the Hermitian difference."""
     return _trace_norm(A - B)
-
-
-def _adaptive_box_integral(fn, lo, hi) -> float:
-    prev = None
-    for order in BOX_ORDERS:
-        pts, wgrid = gs.box_nodes(lo, hi, order)
-        val = float((fn(pts) * wgrid).sum())
-        if prev is not None and abs(val - prev) <= BOX_TOL:
-            return val
-        prev = val
-    return prev
 
 
 @dataclass(frozen=True)
@@ -157,15 +141,16 @@ def _check_disjoint(cells) -> None:
                 raise ValueError(f"overlapping boxes {boxes[a]} and {boxes[b]}")
 
 
-def _cell_classical(c, mean: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
-    """Quadrature of |height - density| over one cell's box, and the
-    Gaussian mass of that box."""
-    volume = math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
-    height = c.weight / volume
-    l1 = _adaptive_box_integral(
-        lambda pts: np.abs(height - gs.gaussian_density(pts, mean, cov)), c.lo, c.hi
-    )
-    return l1, ch.gaussian_box_mass(c.lo, c.hi, mean, cov)
+def _height(c) -> float:
+    return c.weight / math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
+
+
+def _cell_classical(c, rule) -> tuple[float, float]:
+    """|height - density| integrated over one cell's box, and the box's
+    Gaussian mass, both by the box's rule."""
+    height = _height(c)
+    l1 = gs.box_integral(lambda t: np.abs(height - t), rule)
+    return l1, gs.box_integral(lambda t: t, rule)
 
 
 def classical_l1(cells, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -176,7 +161,7 @@ def classical_l1(cells, mean: np.ndarray, cov: np.ndarray) -> float:
     total = 0.0
     inside = 0.0
     for c in cells:
-        l1, mass = _cell_classical(c, mean, cov)
+        l1, mass = _cell_classical(c, gs.box_rule(c.lo, c.hi, mean, cov))
         total += l1
         inside += mass
     return total + max(0.0, 1.0 - inside)
@@ -201,11 +186,12 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     """Exact trace-norm distance between the channel output and the Gaussian
     limit: on each box, the integral of ||rho(x) Phi - B||_1 with rho the
     Gaussian density, Phi the limit's quantum state and B the box's height
-    times its state.  The integrand depends on x only through t = rho(x).
-    On boxes with one axis (d = 2) it is one Hermitian eigensolve per
-    quadrature node, since a 1-D rule already samples t along a line.  On
+    times its state.  The integrand depends on x only through t = rho(x), so
+    every term of a box is read from the densities of its one box rule.  On
+    boxes with one axis (d = 2) the quantum term is one Hermitian eigensolve
+    per quadrature node, since a 1-D rule already samples t along a line.  On
     boxes with more axes, the curve f(t) = ||t Phi - B||_1 is built once per
-    box over the density's range on the nodes of every BOX_ORDERS rule
+    box over the density's range on every order of the rule
     (trace_norm_curve), and every node is read from it."""
     _check_disjoint(out.cells)
     mean, cov = limit.mean, limit.cov
@@ -216,25 +202,17 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     classical = 0.0
     qsup = 0.0
     for c in out.cells:
-        volume = math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
-        height = c.weight / volume
-        B = height * c.quantum
+        rule = gs.box_rule(c.lo, c.hi, mean, cov)
+        B = _height(c) * c.quantum
         if Phi_isqrt is None:
-            def integrand(pts):
-                dens = gs.gaussian_density(pts, mean, cov)
-                return np.array([_trace_norm(dv * Phi - B) for dv in dens])
+            def integrand(dens):
+                return np.array([_trace_norm(t * Phi - B) for t in dens])
         else:
-            dens = np.concatenate([
-                gs.gaussian_density(gs.box_nodes(c.lo, c.hi, order)[0], mean, cov)
-                for order in BOX_ORDERS
-            ])
-            curve = trace_norm_curve(Phi, Phi_isqrt, B, dens.min(), dens.max())
-
-            def integrand(pts):
-                return curve(gs.gaussian_density(pts, mean, cov))
-
-        total += _adaptive_box_integral(integrand, c.lo, c.hi)
-        l1, mass = _cell_classical(c, mean, cov)
+            tmin = min(dens.min() for dens, _ in rule)
+            tmax = max(dens.max() for dens, _ in rule)
+            integrand = trace_norm_curve(Phi, Phi_isqrt, B, tmin, tmax)
+        total += gs.box_integral(integrand, rule)
+        l1, mass = _cell_classical(c, rule)
         classical += l1
         inside += mass
         qsup = max(qsup, trace_distance(Phi, c.quantum / float(np.trace(c.quantum).real)))
@@ -265,7 +243,7 @@ def sn_distance(
         seen.add(lam)
         if lam in model:
             p, sigma = model[lam]
-            total += float(np.abs(np.linalg.eigvalsh(w * rho - p * sigma)).sum())
+            total += trace_distance(w * rho, p * sigma)
         else:
             total += w
     for lam, (p, _sigma) in model.items():

@@ -4,6 +4,7 @@ decomposition, and the classical reference quantities."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ from . import tableaux as tb
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Strictly decreasing probability vector mu with its spectral gap."""
+    """Strictly decreasing probability vector mu."""
 
     mu: tuple[float, ...]
 
@@ -24,6 +25,8 @@ class Spectrum:
         object.__setattr__(self, "mu", mu)
         if len(mu) < 2:
             raise ValueError("need at least two distinct eigenvalues")
+        if not all(math.isfinite(x) for x in mu):
+            raise ValueError(f"mu must be finite: {mu}")
         if any(x <= 0 for x in mu):
             raise ValueError(f"eigenvalues must be positive: {mu}")
         if any(mu[i] <= mu[i + 1] for i in range(len(mu) - 1)):
@@ -34,11 +37,6 @@ class Spectrum:
     @property
     def d(self) -> int:
         return len(self.mu)
-
-    @property
-    def gap(self) -> float:
-        diffs = [self.mu[i] - self.mu[i + 1] for i in range(self.d - 1)]
-        return min(diffs + [self.mu[-1]])
 
 
 @dataclass(frozen=True)
@@ -52,6 +50,10 @@ class LocalParams:
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
         object.__setattr__(self, "zeta", tuple(complex(z) for z in self.zeta))
+        if not all(math.isfinite(x) for x in self.u):
+            raise ValueError(f"u must be finite: {self.u}")
+        if not all(cmath.isfinite(z) for z in self.zeta):
+            raise ValueError(f"zeta must be finite: {self.zeta}")
 
 
 def perturbed_spectrum(spec: Spectrum, u: tuple[float, ...], n: int) -> tuple[float, ...]:

@@ -34,6 +34,10 @@ class TestConfig:
             {"fock_cutoff": 0},
             {"n_list": (0, 8)},
             {"n_list": ()},
+            {"mu": (float("nan"), float("nan"))},
+            {"u": (float("nan"),)},
+            {"u": (float("inf"),)},
+            {"zeta": (complex(float("nan"), 0.0),)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -148,6 +152,11 @@ class TestCli:
         rc = cli.main(["converge", "--mu", "0.3,0.7", "--n-list", "8"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_u_exit_2(self, capsys):
+        rc = cli.main(["converge", "--u", "nan", "--n-list", "8"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: u must be finite")
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

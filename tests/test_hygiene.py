@@ -1,7 +1,9 @@
 """Source hygiene: every module in the package, the scripts and the tests
-uses each name it imports."""
+uses each name it imports, and every module-level function and class of the
+package is read somewhere outside its own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,27 @@ def unused_imports(tree: ast.AST) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def read_names(tree: ast.AST) -> list[str]:
+    """Every name an expression reads, bare or as an attribute."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def unreferenced_definitions(module: ast.Module, trees: list[ast.AST]) -> list[str]:
+    """Module-level functions and classes of `module` that no expression in
+    `trees` reads, not counting reads inside the definition itself."""
+    reads = Counter(name for tree in trees for name in read_names(tree))
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in module.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and reads[node.name] == read_names(node).count(node.name)
+    ]
+
+
 def test_sources_found():
     folders = {p.parent.name for p in SOURCES}
     assert folders == {"qlan", "scripts", "tests"}
@@ -39,6 +62,26 @@ def test_sources_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def test_no_unreferenced_definitions():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    dead = {
+        p.name: unreferenced_definitions(tree, list(trees.values()))
+        for p, tree in trees.items()
+        if p.parent.name == "qlan"
+    }
+    assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_definition_scan_ignores_self_reference():
+    module = ast.parse(
+        "def loop(k):\n    return loop(k - 1) if k else 0\n"
+        "def used():\n    return 1\n"
+        "class Box:\n    pass\n"
+    )
+    caller = ast.parse("import m\nx = m.used()\ny: m.Box\n")
+    assert unreferenced_definitions(module, [module, caller]) == ["line 1: loop"]
 
 
 def test_scan_sees_unused_and_used_names():

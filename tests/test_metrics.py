@@ -75,7 +75,7 @@ class TestClassicalL1:
         cells = []
         for a, b in zip(edges[:-1], edges[1:]):
             lo, hi = np.array([a]), np.array([b])
-            w = ch.gaussian_box_mass(lo, hi, mean, cov)
+            w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, mean, cov))
             cells.append(ch.Cell((1,), lo, hi, w, None))
         assert mt.classical_l1(cells, mean, cov) < 0.02
 
@@ -131,7 +131,7 @@ class TestCqDistance:
         cells = []
         for lam in ch.typical_diagrams(n, spec, 0.6):
             lo, hi = ch.box_of(lam, n, spec)
-            w = ch.gaussian_box_mass(lo, hi, limit.mean, limit.cov)
+            w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
             cells.append(ch.Cell(lam, lo, hi, w, limit.quantum))
         out = ch.ClassicalQuantumState(n, d, tuple(cells), 0.0, 0.0)
         rep = mt.cq_distance(out, limit)
@@ -162,6 +162,29 @@ class TestCqDistance:
             assert abs(got - want) <= 1e-10, field.name
         assert len(calls) < 1000  # one solve per node takes about 2,960
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_box_rule_per_cell(self, d, monkeypatch):
+        # every term of a box (quantum, classical, mass) reads the same rule
+        spec, u, zeta = {
+            2: (SPEC2, (0.5,), (0.5 + 0.3j,)),
+            3: (SPEC3, (0.5, 0.0), (0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j)),
+        }[d]
+        theta = md.LocalParams(u, zeta)
+        fock = gs.FockSpec(d, 3)
+        blocks = ch.prepare_blocks(spec, theta, 8, fock, alpha=0.6)
+        out = ch.forward_channel(spec, 8, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        calls = []
+        box_rule = gs.box_rule
+
+        def counted(*args):
+            calls.append(1)
+            return box_rule(*args)
+
+        monkeypatch.setattr(gs, "box_rule", counted)
+        mt.cq_distance(out, limit)
+        assert len(calls) == len(out.cells)
+
 
 def per_node_cq_distance(out, limit) -> mt.DistanceReport:
     """Oracle for cq_distance: one eigensolve of t Phi - B per quadrature node
@@ -172,13 +195,13 @@ def per_node_cq_distance(out, limit) -> mt.DistanceReport:
     qsup = 0.0
     for c in out.cells:
         B = c.weight / float(np.prod(c.hi - c.lo)) * c.quantum
+        rule = gs.box_rule(c.lo, c.hi, limit.mean, limit.cov)
 
-        def integrand(pts):
-            dens = gs.gaussian_density(pts, limit.mean, limit.cov)
+        def integrand(dens):
             return np.array([mt.trace_distance(t * Phi, B) for t in dens])
 
-        total += mt._adaptive_box_integral(integrand, c.lo, c.hi)
-        inside += ch.gaussian_box_mass(c.lo, c.hi, limit.mean, limit.cov)
+        total += gs.box_integral(integrand, rule)
+        inside += gs.box_integral(lambda t: t, rule)
         qsup = max(qsup, mt.trace_distance(Phi, c.quantum / np.trace(c.quantum).real))
     return mt.DistanceReport(
         total=total + max(0.0, 1.0 - inside) + out.neglected_mass,

@@ -19,11 +19,11 @@ class TestSpectrum:
     def test_valid(self):
         s = md.Spectrum((0.5, 0.3, 0.2))
         assert s.d == 3
-        assert s.gap == pytest.approx(0.1)  # min over consecutive gaps and mu_d
 
     @pytest.mark.parametrize(
         "mu",
-        [(0.3, 0.7), (0.5, 0.5), (0.7, 0.2), (1.0,), (0.8, 0.3, -0.1)],
+        [(0.3, 0.7), (0.5, 0.5), (0.7, 0.2), (1.0,), (0.8, 0.3, -0.1),
+         (float("nan"), float("nan"))],
     )
     def test_invalid(self, mu):
         with pytest.raises(ValueError):
