@@ -16,6 +16,7 @@ from . import metrics as mt
 from . import models as md
 from . import schur_weyl as sw
 from . import tableaux as tb
+from .errors import ResourceLimitError
 
 SCHEMA_VERSION = 4
 
@@ -37,6 +38,10 @@ ALPHA_RANGE = (0.5, 1.0)
 # fixed values of the lemma verifiers.
 ALPHA = 0.6
 FOCK_CUTOFF = 30
+
+# Largest Fock dimension a sweep builds: one dense complex operator on it is
+# 16 MB, and each block's isometry and limit state hold several.
+MAX_FOCK_DIM = 1024
 
 def _fmt(x) -> str:
     """Fixed, locale-independent scalar formatting for byte-stable output."""
@@ -137,6 +142,12 @@ def fitted_rate(ns, totals) -> float:
 def run_converge(config: ExperimentConfig) -> dict:
     """Distance rows per n, and the fitted rate (None for a single n, where
     no slope exists)."""
+    fock = config.fock()
+    if fock.dim > MAX_FOCK_DIM:
+        raise ResourceLimitError(
+            f"Fock dimension {fock.dim} ({fock.nmodes} modes at cutoff "
+            f"{fock.cutoff}) exceeds {MAX_FOCK_DIM}; lower the Fock cutoff"
+        )
     rows = [_converge_point(config, n) for n in config.n_list]
     rate = (
         fitted_rate([r["n"] for r in rows], [r["total"] for r in rows])

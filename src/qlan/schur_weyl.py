@@ -27,10 +27,14 @@ the non-trivial pair types, and
 
     W(m, l; U) = [x^m y^l] prod over L of (v0_L + P_L)^ncols.
 
-`pairing_matrix` evaluates this product on one complex array S[a, b], with a
-running over the exponent vectors at most the largest requested m (per pair
-and in total weight) and b likewise, applying each class as the binomial sum
-of C(ncols, K) v0^(ncols-K) P^K S over K.
+`pairing_matrix` evaluates this product on one flat complex vector S over
+the positions a * |b-simplex| + b, with a running over the exponent vectors
+at most the largest requested m (per pair and in total weight) and b
+likewise, applying each class as the binomial sum of C(ncols, K)
+v0^(ncols-K) P^K S over K.  Each term of P is a gather and scatter between
+flat positions, built from one shift map per side; the simplices and shift
+maps depend only on the caps, so they are cached and shared, read-only, by
+a block's Gram and rotation pairings and by every block with the same caps.
 """
 
 from __future__ import annotations
@@ -122,28 +126,46 @@ def _brick_vector(bricks, d: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _simplex(ms: list[tb.MVector], npairs: int) -> dict[tuple[int, ...], int]:
-    """Positions of the exponent vectors that partial products can carry on
-    their way to the m in ms (bricks are only ever added): componentwise at
-    most the largest m[k], in total at most the largest |m|.  Lexicographic,
-    so the zero vector comes first."""
-    wcap = max((sum(m) for m in ms), default=0)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _simplex(caps: tuple[int, ...], wcap: int) -> np.ndarray:
+    """The exponent vectors that partial products can carry on their way to
+    an m with m[k] <= caps[k] and |m| <= wcap (bricks are only ever added),
+    as the rows of a read-only array.  Lexicographic, so the zero vector
+    comes first."""
     pts: list[tuple[int, ...]] = [()]
-    for k in range(npairs):
-        cap = max((m[k] for m in ms), default=0)
+    for cap in caps:
         pts = [p + (c,) for p in pts for c in range(min(cap, wcap - sum(p)) + 1)]
-    return {a: i for i, a in enumerate(pts)}
+    return _frozen(np.array(pts, dtype=np.intp).reshape(len(pts), len(caps)))
 
 
-def _shift_map(index: dict[tuple[int, ...], int], v: tuple[int, ...]):
-    """Positions a and a + v for every a with both in the simplex."""
-    src, dst = [], []
-    for a, i in index.items():
-        j = index.get(tuple(x + y for x, y in zip(a, v)))
-        if j is not None:
-            src.append(i)
-            dst.append(j)
-    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+def _positions(caps: tuple[int, ...], wcap: int, vectors: np.ndarray) -> np.ndarray:
+    """Row positions in the simplex of the given rows inside it: the
+    mixed-radix key over the caps increases in lexicographic order."""
+    dims = tuple(c + 1 for c in caps)
+    keys = np.ravel_multi_index(_simplex(caps, wcap).T, dims)
+    return np.searchsorted(keys, np.ravel_multi_index(vectors.T, dims))
+
+
+@cache
+def _shift_map(caps: tuple[int, ...], wcap: int, v: tuple[int, ...]):
+    """Positions a and a + v for every a with both in the simplex, as two
+    read-only arrays."""
+    pts = _simplex(caps, wcap)
+    moved = pts + v
+    inside = (moved <= caps).all(axis=1) & (moved.sum(axis=1) <= wcap)
+    return _frozen(np.flatnonzero(inside)), _frozen(_positions(caps, wcap, moved[inside]))
+
+
+def _side(ms: list[tb.MVector], npairs: int):
+    """Per-pair caps, total-weight cap and the m-vectors as rows."""
+    M = np.array(ms, dtype=np.intp).reshape(len(ms), npairs)
+    caps = tuple(int(c) for c in M.max(axis=0, initial=0))
+    return caps, int(M.sum(axis=1).max(initial=0)), M
 
 
 def pairing_matrix(
@@ -158,15 +180,15 @@ def pairing_matrix(
     docstring, truncated to the exponents that ms_a and ms_b can reach."""
     lam = tb.check_diagram(lam, d)
     npairs = len(tb.pairs(d))
-    index_a = _simplex(ms_a, npairs)
-    index_b = _simplex(ms_b, npairs)
-    # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for larger K
-    max_power = max(map(sum, index_a)) + max(map(sum, index_b))
-    shifts_a: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    shifts_b: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    caps_a, wcap_a, M_a = _side(ms_a, npairs)
+    caps_b, wcap_b, M_b = _side(ms_b, npairs)
+    nb = len(_simplex(caps_b, wcap_b))
+    # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for larger K;
+    # the heaviest simplex vector weighs min(wcap, sum of the caps)
+    max_power = min(wcap_a, sum(caps_a)) + min(wcap_b, sum(caps_b))
 
-    S = np.zeros((len(index_a), len(index_b)), dtype=complex)
-    S[0, 0] = 1.0
+    S = np.zeros(len(_simplex(caps_a, wcap_a)) * nb, dtype=complex)
+    S[0] = 1.0
     for length in range(1, d + 1):
         ncols = tb.row(lam, length) - tb.row(lam, length + 1)
         if ncols <= 0:
@@ -177,26 +199,24 @@ def pairing_matrix(
             (_brick_vector(bricks, d), entries)
             for bricks, entries in column_modifiers(length, d)
         ]
-        # P as a list of (source, destination, value): P S adds
-        # val * S[a, b] at [a + va, b + vb]
+        # P as a list of (source, destination, value) over the flat positions
+        # a * nb + b: P S adds val * S[a, b] at [a + va, b + vb]
         terms = []
         for va, ea in sides:
-            if va not in shifts_a:
-                shifts_a[va] = _shift_map(index_a, va)
-            src_a, dst_a = shifts_a[va]
+            src_a, dst_a = _shift_map(caps_a, wcap_a, va)
             if not src_a.size:
                 continue
             for vb, eb in sides:
                 if not (any(va) or any(vb)):
                     continue
-                if vb not in shifts_b:
-                    shifts_b[vb] = _shift_map(index_b, vb)
-                src_b, dst_b = shifts_b[vb]
+                src_b, dst_b = _shift_map(caps_b, wcap_b, vb)
                 if not src_b.size:
                     continue
                 val = complex(small_det([[U[i - 1, j - 1] for j in eb] for i in ea]))
                 if val != 0:
-                    terms.append((np.ix_(src_a, src_b), np.ix_(dst_a, dst_b), val))
+                    src = (src_a[:, None] * nb + src_b).ravel()
+                    dst = (dst_a[:, None] * nb + dst_b).ravel()
+                    terms.append((src, dst, val))
 
         out = v0**ncols * S
         PKS = S
@@ -210,9 +230,9 @@ def pairing_matrix(
             out += math.comb(ncols, K) * v0 ** (ncols - K) * PKS
         S = out
 
-    rows = [index_a[m] for m in ms_a]
-    cols = [index_b[l] for l in ms_b]
-    return S[np.ix_(rows, cols)]
+    rows = _positions(caps_a, wcap_a, M_a)
+    cols = _positions(caps_b, wcap_b, M_b)
+    return S.reshape(-1, nb)[np.ix_(rows, cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qlan import channels as ch
 from qlan import cli
 from qlan import experiments as ex
 
@@ -157,6 +158,20 @@ class TestCli:
         rc = cli.main(["converge", "--u", "nan", "--n-list", "8"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: u must be finite")
+
+    def test_d4_default_cutoff_exit_2(self, monkeypatch, capsys):
+        # 31^6 Fock states at the default cutoff: refused before any block
+        # is prepared, so nothing large is allocated
+        def never(*args):
+            raise AssertionError("a block was prepared")
+
+        monkeypatch.setattr(ch, "prepare_blocks", never)
+        rc = cli.main(["converge", "--d", "4", "--mu", "0.4,0.3,0.2,0.1",
+                       "--u", "0,0,0", "--zeta", "0,0,0,0,0,0", "--n-list", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Fock dimension 887503681 ")
+        assert "cutoff 30" in err
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

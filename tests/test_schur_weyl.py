@@ -110,6 +110,22 @@ class TestPairingEngine:
         G = sw.gram_matrix(lam, 2, ms)
         assert np.allclose(G, np.eye(len(ms)))
 
+    def test_cached_maps_read_only(self):
+        # every pairing with the same caps shares these arrays
+        caps, wcap = (2, 1, 2), 3
+        maps = [sw._simplex(caps, wcap), *sw._shift_map(caps, wcap, (1, 0, 1))]
+        for a in maps:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_rotation_reuses_gram_shift_maps(self):
+        # the Gram pairing of block_basis fetches every shift map that the
+        # rotation pairing of the same block needs
+        basis = sw.block_basis((5, 2, 1), 3, max_weight=3)
+        misses = sw._shift_map.cache_info().misses
+        sw.block_unitary(basis, haar_unitary(3, np.random.default_rng(5)))
+        assert sw._shift_map.cache_info().misses == misses
+
 
 class TestMinorDetProduct:
     def test_identity_zero_vector(self):
