@@ -4,16 +4,25 @@
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
        PYTHONPATH=src python scripts/time_prepare_blocks.py [repeats]
 
-Prints one JSON line per size: d, n, the Fock cutoff, the block count and
-the seconds of each repeat (default 3).  The d=3 sizes use mu=(0.5,0.3,0.2),
+Prints a leading JSON line of provenance (the git SHA of the checkout and
+whether tracked files differ from it, the Python and numpy versions, and the
+BLAS thread variables), then one JSON line
+per size: d, n, the Fock cutoff, the block count and the seconds of each
+repeat (default 3).  The d=3 sizes use mu=(0.5,0.3,0.2),
 u=(0.5,0), zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i); d=2 uses the defaults.  The
 pairing caches are cleared before each repeat, so every repeat pays for
 building its index maps.
 """
 
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 from qlan import channels as ch
 from qlan import experiments as ex
@@ -21,10 +30,34 @@ from qlan import schur_weyl as sw
 
 D3 = dict(d=3, mu=(0.5, 0.3, 0.2), u=(0.5, 0.0), zeta=(0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j))
 SIZES = [(2, 64, 30), (2, 256, 30), (2, 1024, 30), (3, 16, 4), (3, 32, 4), (3, 64, 4)]
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def git(*args: str) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", *args], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def provenance() -> dict:
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": git("rev-parse", "HEAD"),
+        # tracked files changed since that commit
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREADS},
+    }
 
 
 def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    print(json.dumps(provenance()), flush=True)
     for d, n, cutoff in SIZES:
         config = ex.ExperimentConfig(fock_cutoff=cutoff, n_list=(n,), **(D3 if d == 3 else {}))
         seconds = []

@@ -148,12 +148,16 @@ def prepare_blocks(
     spec: md.Spectrum, theta: md.LocalParams, n: int, fock: gs.FockSpec, alpha: float
 ) -> list[BlockData]:
     """Block data for every typical diagram, each basis truncated at the Fock
-    cutoff (its m-vectors are the number states the isometry maps onto)."""
+    cutoff (its m-vectors are the number states the isometry maps onto).
+    All bases come from one identity transfer and, when zeta != 0, all
+    rotations from one transfer at the local unitary, which every block
+    shares."""
+    lams = typical_diagrams(n, spec, alpha)
+    bases = sw.block_bases(lams, spec.d, max_weight=fock.cutoff)
+    states = md.block_states(bases, spec, theta, n)
     out = []
-    for lam in typical_diagrams(n, spec, alpha):
-        basis = sw.block_basis(lam, spec.d, max_weight=fock.cutoff)
+    for lam, basis, state in zip(lams, bases, states):
         iso = build_isometry(basis, fock)
-        state = md.block_state(basis, spec, theta, n)
         weight = md.block_weight(lam, spec, theta.u, n)
         out.append(BlockData(lam, weight, basis, iso, state))
     return out

@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise ValueError("n_list must not be empty")
         if not all(n > 0 for n in self.n_list):
             raise ValueError("n_list entries must be positive")
+        if len(set(self.n_list)) != len(self.n_list):
+            # a rate fitted through repeated n has no meaning
+            raise ValueError("n_list entries must be distinct")
         if self.fock_cutoff < 1:
             raise ValueError("fock_cutoff must be >= 1")
         lo, hi = ALPHA_RANGE

@@ -230,7 +230,30 @@ def block_state(
     their own orthonormal coordinates (see BlockBasis), so it is diagonal.
     The off-diagonal parameters enter by conjugation with the block
     rotation."""
-    vals = perturbed_spectrum(spec, theta.u, n)
+    rotation = None
+    if any(theta.zeta):
+        rotation = sw.block_unitary(basis, rotation_unitary(spec, theta.zeta, n))
+    return _block_state(basis, spec, theta.u, n, rotation)
+
+
+def block_states(
+    bases: list[sw.BlockBasis], spec: Spectrum, theta: LocalParams, n: int
+) -> list[sw.BlockOperator]:
+    """block_state of every basis, with one rotation transfer for all."""
+    rotations = [None] * len(bases)
+    if any(theta.zeta):
+        rotations = sw.block_unitaries(bases, rotation_unitary(spec, theta.zeta, n))
+    return [_block_state(b, spec, theta.u, n, r) for b, r in zip(bases, rotations)]
+
+
+def _block_state(
+    basis: sw.BlockBasis,
+    spec: Spectrum,
+    u: tuple[float, ...],
+    n: int,
+    rotation: sw.BlockOperator | None,
+) -> sw.BlockOperator:
+    vals = perturbed_spectrum(spec, u, n)
     logs = [math.log(v) for v in vals]
     log_full = log_schur_poly(basis.lam, vals)
     weights = [tb.total_multiplicities(basis.lam, m, basis.d) for m in basis.mvectors]
@@ -241,10 +264,8 @@ def block_state(
     covered = float(evs.sum())
     loss = max(0.0, 1.0 - covered)
     rho = np.diag(evs / covered).astype(complex)
-    if any(theta.zeta):
-        U = rotation_unitary(spec, theta.zeta, n)
-        bu = sw.block_unitary(basis, U)
-        rho = bu.matrix @ rho @ bu.matrix.conj().T
+    if rotation is not None:
+        rho = rotation.matrix @ rho @ rotation.matrix.conj().T
         tr = float(np.trace(rho).real)
         loss = max(loss, 1.0 - tr)
         rho = rho / tr

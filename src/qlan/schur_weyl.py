@@ -35,6 +35,26 @@ v0^(ncols-K) P^K S over K.  Each term of P is a gather and scatter between
 flat positions, built from one shift map per side; the simplices and shift
 maps depend only on the caps, so they are cached and shared, read-only, by
 a block's Gram and rotation pairings and by every block with the same caps.
+
+The first non-empty class acts on the unit vector e0 (S before any class),
+so its powers P^K e0 depend on U, the class length and the simplex, and not
+on lambda: only the weights C(ncols, K) v0^(ncols-K) differ between blocks.
+`pairing_matrices` therefore pairs many diagrams at one U (all blocks of a
+sweep point share the local unitary) and runs that sequence once on the
+union simplex, whose caps are the largest of the batch; a block reads the
+powers at its own simplex, which is down-closed in the union (bricks only
+raise exponents, so nothing outside it feeds into it), sums its own
+binomial series, and runs its remaining classes on its own simplex.  Each
+entry sees the operations of a block on its own, in the same order, with
+one caveat: numpy evaluates `val * PKS[src]` as `PKS[src] * val` once the
+gathered temporary holds ELIDED_ENTRIES = 2**14 complex entries (it reuses
+the temporary), and with fused multiply-adds the operand order can change
+the last bit.  A term could cross that size between the union and a
+block's own simplex, so blocks share the union only while it has fewer
+entries (the sweeps' simplex pairs have about 10**3) and pair one at a time
+beyond; the result then matches the per-diagram calls bit for bit.
+`run_decompose`, whose untruncated blocks differ widely in size, pairs one
+diagram at a time.  `pairing_matrix` is the batch of one.
 """
 
 from __future__ import annotations
@@ -50,6 +70,9 @@ from .errors import NearSingularGramError, ResourceLimitError
 from . import tableaux as tb
 
 DEFAULT_PAIR_BUDGET = 10**7
+# complex entries (256 KiB) from which numpy computes `val * PKS[src]` in
+# place on the temporary, operands swapped (see the module docstring)
+ELIDED_ENTRIES = 2**14
 
 # ---------------------------------------------------------------------------
 # determinants of tiny matrices, exact on integer entries
@@ -168,6 +191,141 @@ def _side(ms: list[tb.MVector], npairs: int):
     return caps, int(M.sum(axis=1).max(initial=0)), M
 
 
+def _class_terms(length: int, d: int, U: np.ndarray, side_a, side_b):
+    """v0 = det U[1..L, 1..L] and P for the columns of length L, as a list of
+    (source, destination, value) over the flat positions a * nb + b of the
+    simplex pair: P S adds val * S[a, b] at [a + va, b + vb]."""
+    npairs = len(tb.pairs(d))
+    nb = len(_simplex(*side_b))
+    v0 = complex(small_det([[U[i, j] for j in range(length)] for i in range(length)]))
+    idcol = tuple(range(1, length + 1))
+    sides = [(tuple([0] * npairs), idcol)] + [
+        (_brick_vector(bricks, d), entries) for bricks, entries in column_modifiers(length, d)
+    ]
+    terms = []
+    for va, ea in sides:
+        src_a, dst_a = _shift_map(*side_a, va)
+        if not src_a.size:
+            continue
+        for vb, eb in sides:
+            if not (any(va) or any(vb)):
+                continue
+            src_b, dst_b = _shift_map(*side_b, vb)
+            if not src_b.size:
+                continue
+            val = complex(small_det([[U[i - 1, j - 1] for j in eb] for i in ea]))
+            if val != 0:
+                src = (src_a[:, None] * nb + src_b).ravel()
+                dst = (dst_a[:, None] * nb + dst_b).ravel()
+                terms.append((src, dst, val))
+    return v0, terms
+
+
+def _apply_class(S, length: int, d: int, U: np.ndarray, sides, series) -> list[np.ndarray]:
+    """(v0 + P)^ncols S for the columns of length L on the simplex pair
+    `sides`, as the binomial sum of C(ncols, K) v0^(ncols-K) P^K S over K,
+    for each (ncols, limit, pos) of the series: one sequence of powers
+    P^K S, each sum stopping at K = limit and read at the flat positions
+    pos (None: all of them).  A term's destinations are distinct, so
+    `np.add.at` adds exactly what `nxt[dst] += ...` would, without the
+    gathered copy of nxt[dst]."""
+    v0, terms = _class_terms(length, d, U, *sides)
+    outs = [v0**ncols * (S if pos is None else S[pos]) for ncols, _, pos in series]
+    PKS = S
+    for K in range(1, max(limit for _, limit, _ in series) + 1):
+        nxt = np.zeros_like(S)
+        for src, dst, val in terms:
+            np.add.at(nxt, dst, val * PKS[src])
+        PKS = nxt
+        if not PKS.any():
+            break
+        for out, (ncols, limit, pos) in zip(outs, series):
+            if K > limit:
+                continue
+            own = PKS if pos is None else PKS[pos]
+            # the early stop of a sum on its own positions
+            if pos is None or own.any():
+                out += math.comb(ncols, K) * v0 ** (ncols - K) * own
+    return outs
+
+
+def _union(sides):
+    """The smallest (caps, wcap) whose simplex holds every given simplex."""
+    caps, wcaps = zip(*sides)
+    return tuple(map(max, zip(*caps))), max(wcaps)
+
+
+def _restriction(union, pair):
+    """Flat positions of the simplex pair inside the union pair, or None when
+    they coincide."""
+    if pair == union:
+        return None
+    rows = _positions(*union[0], _simplex(*pair[0]))
+    cols = _positions(*union[1], _simplex(*pair[1]))
+    return (rows[:, None] * len(_simplex(*union[1])) + cols).ravel()
+
+
+def pairing_matrices(
+    lams: list[tb.Diagram],
+    d: int,
+    U: np.ndarray,
+    sides: list[tuple[list[tb.MVector], list[tb.MVector]]],
+) -> list[np.ndarray]:
+    """pairing_matrix(lams[i], d, U, *sides[i]) for every i, at one U.
+
+    A diagram's first non-empty column class acts on the unit vector e0, so
+    its powers P^K e0 depend on U, the class length and the simplex only.
+    The diagrams whose first class has the same length share one sequence of
+    powers on the union of their simplices, if it has fewer than
+    ELIDED_ENTRIES entries; each reads it on its own simplex (down-closed in
+    the union, and bricks only raise exponents, so the rest of the union
+    never feeds into it) and sums its own binomial series.  The remaining
+    classes run per diagram on its own simplex."""
+    npairs = len(tb.pairs(d))
+    pairs, rows, classes, groups = [], [], [], {}
+    for i, (lam, (ms_a, ms_b)) in enumerate(zip(lams, sides)):
+        lam = tb.check_diagram(lam, d)
+        caps_a, wcap_a, M_a = _side(ms_a, npairs)
+        caps_b, wcap_b, M_b = _side(ms_b, npairs)
+        pairs.append(((caps_a, wcap_a), (caps_b, wcap_b)))
+        rows.append((M_a, M_b))
+        # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for
+        # larger K; the heaviest simplex vector weighs min(wcap, sum of caps)
+        max_power = min(wcap_a, sum(caps_a)) + min(wcap_b, sum(caps_b))
+        ncols = [tb.row(lam, L) - tb.row(lam, L + 1) for L in range(1, d + 1)]
+        # (length, ncols, largest K) per class; the empty diagram gets one
+        # class of no columns, which leaves S = e0
+        classes.append(
+            [(L, nc, min(nc, max_power)) for L, nc in enumerate(ncols, 1) if nc > 0]
+            or [(1, 0, 0)]
+        )
+        groups.setdefault(classes[i][0][0], []).append(i)
+
+    batches = []
+    for length, members in groups.items():
+        union = _union([pairs[i][0] for i in members]), _union([pairs[i][1] for i in members])
+        if len(_simplex(*union[0])) * len(_simplex(*union[1])) < ELIDED_ENTRIES:
+            batches.append((length, members, union))
+        else:
+            batches += [(length, [i], pairs[i]) for i in members]
+    S = {}
+    for length, members, union in batches:
+        e0 = np.zeros(len(_simplex(*union[0])) * len(_simplex(*union[1])), dtype=complex)
+        e0[0] = 1.0
+        series = [(*classes[i][0][1:], _restriction(union, pairs[i])) for i in members]
+        S.update(zip(members, _apply_class(e0, length, d, U, union, series)))
+        del e0  # the remaining classes run without it
+
+    out = []
+    for i, ((side_a, side_b), (M_a, M_b)) in enumerate(zip(pairs, rows)):
+        for length, ncols, limit in classes[i][1:]:
+            S[i] = _apply_class(S[i], length, d, U, pairs[i], [(ncols, limit, None)])[0]
+        nb = len(_simplex(*side_b))
+        cells = np.ix_(_positions(*side_a, M_a), _positions(*side_b, M_b))
+        out.append(S[i].reshape(-1, nb)[cells])
+    return out
+
+
 def pairing_matrix(
     lam: tb.Diagram,
     d: int,
@@ -178,61 +336,7 @@ def pairing_matrix(
     """Matrix of orbit sums W(m, l; U) for m in ms_a, l in ms_b: the
     coefficients of prod over L of (v0_L + P_L)^ncols described in the module
     docstring, truncated to the exponents that ms_a and ms_b can reach."""
-    lam = tb.check_diagram(lam, d)
-    npairs = len(tb.pairs(d))
-    caps_a, wcap_a, M_a = _side(ms_a, npairs)
-    caps_b, wcap_b, M_b = _side(ms_b, npairs)
-    nb = len(_simplex(caps_b, wcap_b))
-    # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for larger K;
-    # the heaviest simplex vector weighs min(wcap, sum of the caps)
-    max_power = min(wcap_a, sum(caps_a)) + min(wcap_b, sum(caps_b))
-
-    S = np.zeros(len(_simplex(caps_a, wcap_a)) * nb, dtype=complex)
-    S[0] = 1.0
-    for length in range(1, d + 1):
-        ncols = tb.row(lam, length) - tb.row(lam, length + 1)
-        if ncols <= 0:
-            continue
-        v0 = complex(small_det([[U[i, j] for j in range(length)] for i in range(length)]))
-        idcol = tuple(range(1, length + 1))
-        sides = [(tuple([0] * npairs), idcol)] + [
-            (_brick_vector(bricks, d), entries)
-            for bricks, entries in column_modifiers(length, d)
-        ]
-        # P as a list of (source, destination, value) over the flat positions
-        # a * nb + b: P S adds val * S[a, b] at [a + va, b + vb]
-        terms = []
-        for va, ea in sides:
-            src_a, dst_a = _shift_map(caps_a, wcap_a, va)
-            if not src_a.size:
-                continue
-            for vb, eb in sides:
-                if not (any(va) or any(vb)):
-                    continue
-                src_b, dst_b = _shift_map(caps_b, wcap_b, vb)
-                if not src_b.size:
-                    continue
-                val = complex(small_det([[U[i - 1, j - 1] for j in eb] for i in ea]))
-                if val != 0:
-                    src = (src_a[:, None] * nb + src_b).ravel()
-                    dst = (dst_a[:, None] * nb + dst_b).ravel()
-                    terms.append((src, dst, val))
-
-        out = v0**ncols * S
-        PKS = S
-        for K in range(1, min(ncols, max_power) + 1):
-            nxt = np.zeros_like(S)
-            for src, dst, val in terms:
-                nxt[dst] += val * PKS[src]
-            PKS = nxt
-            if not PKS.any():
-                break
-            out += math.comb(ncols, K) * v0 ** (ncols - K) * PKS
-        S = out
-
-    rows = _positions(caps_a, wcap_a, M_a)
-    cols = _positions(caps_b, wcap_b, M_b)
-    return S.reshape(-1, nb)[np.ix_(rows, cols)]
+    return pairing_matrices([lam], d, U, [(ms_a, ms_b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +387,14 @@ def gram_matrix(lam: tb.Diagram, d: int, basis: list[tb.MVector]) -> np.ndarray:
     """Overlap matrix of the normalized symmetrizer-image vectors; the
     identity pairing makes entries across different total-multiplicity
     classes exactly zero (the selection rule)."""
-    return _gram_and_norms(lam, d, list(basis))[0]
+    ms = list(basis)
+    return _gram_and_norms(pairing_matrix(lam, d, np.eye(d), ms, ms))[0]
 
 
-def _gram_and_norms(
-    lam: tb.Diagram, d: int, ms: list[tb.MVector]
-) -> tuple[np.ndarray, np.ndarray]:
+def _gram_and_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix and the norms sqrt(W(m, m; I)) of the unnormalized
-    vectors that it divides out, from one identity pairing."""
-    W = pairing_matrix(lam, d, np.eye(d), ms, ms).real
+    vectors that it divides out, from the identity pairing W."""
+    W = W.real
     norms = np.sqrt(np.diag(W))
     G = W / np.outer(norms, norms)
     np.fill_diagonal(G, 1.0)
@@ -346,12 +449,26 @@ class BlockBasis:
         return self.sqrt_gram[:, self.index(m)].copy()
 
 
+def _block_basis(lam: tb.Diagram, d: int, ms: list[tb.MVector], W: np.ndarray) -> BlockBasis:
+    G, norms = _gram_and_norms(W)
+    sqrt, inv_sqrt = orthonormalize(G)
+    return BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms)
+
+
 def block_basis(lam: tb.Diagram, d: int, max_weight: int | None = None) -> BlockBasis:
     lam = tb.check_diagram(lam, d)
     ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
-    G, norms = _gram_and_norms(lam, d, ms)
-    sqrt, inv_sqrt = orthonormalize(G)
-    return BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms)
+    return _block_basis(lam, d, ms, pairing_matrix(lam, d, np.eye(d), ms, ms))
+
+
+def block_bases(
+    lams: list[tb.Diagram], d: int, max_weight: int | None = None
+) -> list[BlockBasis]:
+    """block_basis of every diagram, from one identity transfer."""
+    lams = [tb.check_diagram(lam, d) for lam in lams]
+    mss = [tb.enumerate_m_vectors(lam, d, max_weight=max_weight) for lam in lams]
+    Ws = pairing_matrices(lams, d, np.eye(d), [(ms, ms) for ms in mss])
+    return [_block_basis(lam, d, ms, W) for lam, ms, W in zip(lams, mss, Ws)]
 
 
 @dataclass(frozen=True)
@@ -371,15 +488,26 @@ def mixed_overlap_matrix(basis: BlockBasis, U: np.ndarray) -> np.ndarray:
     return W / np.outer(basis.norms, basis.norms)
 
 
-def block_unitary(basis: BlockBasis, U: np.ndarray) -> BlockOperator:
-    """Representation matrix of the d x d unitary U on the truncated block, in
-    orthonormal coordinates; columns lose norm where the true image leaks
-    outside the truncated basis."""
-    M = mixed_overlap_matrix(basis, U)
+def _block_operator(basis: BlockBasis, M: np.ndarray) -> BlockOperator:
+    """The block operator with overlaps M, in orthonormal coordinates."""
     mat = basis.inv_sqrt_gram @ M @ basis.inv_sqrt_gram
     colnorms = np.linalg.norm(mat, axis=0) ** 2
     defect = float(max(0.0, 1.0 - colnorms.min()))
     return BlockOperator(basis.lam, mat, defect)
+
+
+def block_unitary(basis: BlockBasis, U: np.ndarray) -> BlockOperator:
+    """Representation matrix of the d x d unitary U on the truncated block, in
+    orthonormal coordinates; columns lose norm where the true image leaks
+    outside the truncated basis."""
+    return _block_operator(basis, mixed_overlap_matrix(basis, U))
+
+
+def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[BlockOperator]:
+    """block_unitary of every basis, from one transfer at U."""
+    sides = [(list(b.mvectors), list(b.mvectors)) for b in bases]
+    Ws = pairing_matrices([b.lam for b in bases], len(U), U, sides)
+    return [_block_operator(b, W / np.outer(b.norms, b.norms)) for b, W in zip(bases, Ws)]
 
 
 # ---------------------------------------------------------------------------

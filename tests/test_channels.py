@@ -102,6 +102,66 @@ class TestForwardChannel:
             ch.forward_channel(SPEC2, 400, blocks)
 
 
+class TestPrepareBlocks:
+    """Block preparation runs one transfer per unitary for all blocks of a
+    sweep point: the identity for the bases, the local rotation for the
+    states."""
+
+    @staticmethod
+    def count_transfers(monkeypatch):
+        calls = []
+        real = sw.pairing_matrices
+
+        def counting(lams, d, U, sides):
+            calls.append("identity" if np.array_equal(U, np.eye(d)) else "rotation")
+            return real(lams, d, U, sides)
+
+        def single(*args):
+            raise AssertionError("a per-diagram transfer ran")
+
+        monkeypatch.setattr(sw, "pairing_matrices", counting)
+        monkeypatch.setattr(sw, "pairing_matrix", single)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_transfer_per_unitary(self, d, monkeypatch):
+        spec, zeta = (SPEC2, (0.5 + 0.3j,)) if d == 2 else (SPEC3, (0.3j, 0.2, 0.1 + 0.1j))
+        theta = md.LocalParams((0.0,) * (d - 1), zeta)
+        calls = self.count_transfers(monkeypatch)
+        blocks = ch.prepare_blocks(spec, theta, 40, gs.FockSpec(d, 4), alpha=0.6)
+        assert len(blocks) > 1
+        assert calls == ["identity", "rotation"]
+
+    def test_no_rotation_transfer_at_zero_zeta(self, monkeypatch):
+        theta = md.LocalParams((0.5,), (0j,))
+        calls = self.count_transfers(monkeypatch)
+        ch.prepare_blocks(SPEC2, theta, 40, gs.FockSpec(2, 10), alpha=0.6)
+        assert calls == ["identity"]
+
+    def test_successive_calls_each_transfer(self, monkeypatch):
+        # no result outlives a call: the second call transfers again and
+        # gets the same bits
+        theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
+        calls = self.count_transfers(monkeypatch)
+        first = ch.prepare_blocks(SPEC2, theta, 40, gs.FockSpec(2, 10), alpha=0.6)
+        second = ch.prepare_blocks(SPEC2, theta, 40, gs.FockSpec(2, 10), alpha=0.6)
+        assert calls == ["identity", "rotation"] * 2
+        for a, b in zip(first, second):
+            assert np.array_equal(a.state.matrix, b.state.matrix)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_per_block_preparation(self, d):
+        spec, zeta = (SPEC2, (0.5 + 0.3j,)) if d == 2 else (SPEC3, (0.3j, 0.2, 0.1 + 0.1j))
+        theta = md.LocalParams((0.2,) * (d - 1), zeta)
+        n, fock = 40, gs.FockSpec(d, 4)
+        for bd in ch.prepare_blocks(spec, theta, n, fock, alpha=0.6):
+            basis = sw.block_basis(bd.lam, d, max_weight=fock.cutoff)
+            state = md.block_state(basis, spec, theta, n)
+            assert np.array_equal(bd.basis.sqrt_gram, basis.sqrt_gram)
+            assert np.array_equal(bd.state.matrix, state.matrix)
+            assert bd.state.truncation_defect == state.truncation_defect
+
+
 class TestReverseChannel:
     def test_round_trip_block_identity(self):
         # the reverse block map is an exact left inverse of the forward one

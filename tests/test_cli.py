@@ -39,6 +39,7 @@ class TestConfig:
             {"u": (float("nan"),)},
             {"u": (float("inf"),)},
             {"zeta": (complex(float("nan"), 0.0),)},
+            {"n_list": (8, 8)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -158,6 +159,17 @@ class TestCli:
         rc = cli.main(["converge", "--u", "nan", "--n-list", "8"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: u must be finite")
+
+    def test_repeated_n_exit_2(self, monkeypatch, capsys):
+        # a slope fitted through equal n is meaningless: refused before the
+        # sweep runs
+        def never(*args):
+            raise AssertionError("a block was prepared")
+
+        monkeypatch.setattr(ch, "prepare_blocks", never)
+        rc = cli.main(["converge", "--n-list", "8,8", "--format", "json"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: n_list entries must be distinct\n"
 
     def test_d4_default_cutoff_exit_2(self, monkeypatch, capsys):
         # 31^6 Fock states at the default cutoff: refused before any block

@@ -126,6 +126,63 @@ class TestPairingEngine:
         sw.block_unitary(basis, haar_unitary(3, np.random.default_rng(5)))
         assert sw._shift_map.cache_info().misses == misses
 
+    @pytest.mark.parametrize("unitary", ["identity", "haar"])
+    @pytest.mark.parametrize(
+        "d,lams,max_weight",
+        [
+            # caps below the cutoff and at it; (6, 6) has no columns of length 1
+            (2, [(9, 5), (12, 3), (20, 2), (6, 6), (7,)], 10),
+            # (4, 4, 3) starts at the class of length 2, (4, 4, 4) at 3
+            (3, [(6, 3, 1), (5, 4, 2), (4, 4, 3), (7, 2), (4, 4, 4)], 3),
+            (4, [(4, 2, 1, 1), (3, 3, 2), (5, 1), (2, 2, 2, 1)], 2),
+        ],
+        ids=["d2", "d3", "d4"],
+    )
+    def test_batch_matches_per_diagram_calls(self, d, lams, max_weight, unitary):
+        # sharing the first class's powers over the union simplex changes
+        # no bit of any pairing, square or rectangular
+        U = np.eye(d) if unitary == "identity" else haar_unitary(d, np.random.default_rng(d))
+        sides = []
+        for lam in lams:
+            ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
+            sides.append((ms, ms))
+        ms = sides[1][0]
+        sides.append((ms[1:], ms[:3]))
+        lams = lams + [lams[1]]
+        got = sw.pairing_matrices(lams, d, U, sides)
+        assert len(got) == len(lams)
+        for lam, (ms_a, ms_b), W in zip(lams, sides, got):
+            assert np.array_equal(W, sw.pairing_matrix(lam, d, U, ms_a, ms_b))
+
+    def test_batch_past_elision_size_matches_per_diagram_calls(self):
+        # a union of 141 x 141 entries is past numpy's in-place size for
+        # temporaries, where `val * PKS[src]` rounds as `PKS[src] * val`;
+        # sharing it would change the last bit of the 81 x 81 and 51 x 51
+        # blocks, so the batch pairs each diagram on its own
+        lams = [(140, 60), (180, 40), (125, 75)]
+        U = md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j,), 200)
+        sides = []
+        for lam in lams:
+            ms = tb.enumerate_m_vectors(lam, 2, max_weight=140)
+            sides.append((ms, ms))
+        sizes = [len(ms) ** 2 for ms, _ in sides]
+        assert sizes == [81**2, 141**2, 51**2]
+        assert sizes[1] >= sw.ELIDED_ENTRIES > sizes[0]
+        got = sw.pairing_matrices(lams, 2, U, sides)
+        for lam, (ms_a, ms_b), W in zip(lams, sides, got):
+            assert np.array_equal(W, sw.pairing_matrix(lam, 2, U, ms_a, ms_b))
+
+    def test_batch_bases_and_unitaries_match_single_calls(self):
+        lams = [(9, 5), (12, 3), (20, 2), (6, 6)]
+        U = haar_unitary(2, np.random.default_rng(7))
+        bases = sw.block_bases(lams, 2, max_weight=10)
+        for lam, basis, op in zip(lams, bases, sw.block_unitaries(bases, U)):
+            single = sw.block_basis(lam, 2, max_weight=10)
+            assert basis.mvectors == single.mvectors
+            assert np.array_equal(basis.gram, single.gram)
+            assert np.array_equal(basis.norms, single.norms)
+            assert np.array_equal(op.matrix, sw.block_unitary(single, U).matrix)
+
 
 class TestMinorDetProduct:
     def test_identity_zero_vector(self):
