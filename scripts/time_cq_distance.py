@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Time metrics.cq_distance at the benchmark's converge units and two larger
+sizes.
+
+Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
+       PYTHONPATH=src python scripts/time_cq_distance.py [repeats]
+
+Prints a leading JSON line of provenance (as scripts/time_prepare_blocks.py
+does), then one JSON line per size: d, n, the Fock cutoff, the box count,
+the eigvalsh calls of one cq_distance call, the seconds of each repeat
+(default 9) and their median.  The blocks, the channel output and the limit
+state are built once per size, outside the timing.  The sizes are the
+converge units of perfbench (d=2 n=64 and 128 at the default config, d=3
+n=8 and 10 at fock_cutoff 3), d=2 n=1024 and d=3 n=16 at fock_cutoff 4; d=3
+uses mu=(0.5,0.3,0.2), u=(0.5,0), zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i).
+"""
+
+import json
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from qlan import channels as ch
+from qlan import experiments as ex
+from qlan import gaussian as gs
+from qlan import metrics as mt
+from time_prepare_blocks import D3, provenance
+
+SIZES = [(2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (3, 16, 4)]
+
+
+def eigvalsh_calls(fn) -> int:
+    """Number of np.linalg.eigvalsh calls made by fn()."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eigvalsh(*args, **kwargs)
+
+    np.linalg.eigvalsh = counted
+    try:
+        fn()
+    finally:
+        np.linalg.eigvalsh = eigvalsh
+    return calls
+
+
+def main() -> int:
+    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 9
+    print(json.dumps(provenance()), flush=True)
+    for d, n, cutoff in SIZES:
+        config = ex.ExperimentConfig(fock_cutoff=cutoff, n_list=(n,), **(D3 if d == 3 else {}))
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
+        out = ch.forward_channel(spec, n, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        calls = eigvalsh_calls(lambda: mt.cq_distance(out, limit))
+        seconds = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            mt.cq_distance(out, limit)
+            seconds.append(round(time.perf_counter() - start, 4))
+        row = {
+            "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
+            "eigvalsh_calls": calls, "seconds": seconds,
+            "median_s": statistics.median(seconds),
+        }
+        print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,9 @@
 """Truncated Fock-space limit model: thermal and displaced thermal states,
 Weyl operators, and the classical-quantum Gaussian product state, with the
 box rule: the one quadrature by which every integral of a function of the
-classical Gaussian density over a lattice box is taken.
+classical Gaussian density over a lattice box is taken.  Its levels are
+nested tensor Clenshaw-Curtis rules, so a box that needs a finer level
+reuses every value of the coarser ones.
 
 One oscillator mode per eigenvalue pair (j, k), j < k, ordered like
 tableaux.pairs(d), so mode occupation numbers and block basis labels share
@@ -159,52 +161,85 @@ def limit_state(spec_mu: Spectrum, theta: LocalParams, fock: FockSpec) -> LimitS
     )
 
 
-# The box rule: tensor Gauss-Legendre orders per axis, tried in turn until
-# two successive values differ by at most BOX_TOL.
-BOX_ORDERS = (8, 16, 32)
+# The box rule: nested tensor Clenshaw-Curtis levels on the Chebyshev-Lobatto
+# points cos(pi j / N) per axis, N in BOX_LEVELS, tried in turn until two
+# successive values differ by at most BOX_TOL.  Each level holds every point
+# of the level before it, so no point is evaluated twice.
+BOX_LEVELS = (8, 16, 32)
 BOX_TOL = 1e-6
 
 
+def _clenshaw_curtis_weights(N: int) -> np.ndarray:
+    """Clenshaw-Curtis weights of the points cos(pi j / N), j = 0..N, on
+    [-1, 1]: positive and summing to 2 (Trefethen, SIAM Rev. 50, 67-87)."""
+    theta = np.pi * np.arange(N + 1) / N
+    k = np.arange(1, N // 2 + 1)
+    b = np.where(2 * k == N, 1.0, 2.0)
+    w = (1.0 - (b / (4.0 * k * k - 1.0)) @ np.cos(2.0 * np.outer(k, theta))) / N
+    w[1:-1] *= 2.0
+    return w
+
+
 @functools.cache
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    and read-only, since every caller shares them."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    xs.flags.writeable = False
-    ws.flags.writeable = False
-    return xs, ws
+def _nested_levels(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per BOX_LEVELS level on [-1, 1]^dim: the points that level adds, and
+    the tensor weights of every point so far, in the order the points were
+    added.  Computed once per dimension and read-only, since every caller
+    shares them."""
+    finest = BOX_LEVELS[-1]
+    axis = np.cos(np.pi * np.arange(finest + 1) / finest)
+    shape = (finest + 1,) * dim
+    seen = np.zeros(shape, dtype=bool)
+    order = np.empty(0, dtype=np.intp)  # flat index of each point so far
+    levels = []
+    for N in BOX_LEVELS:
+        step = finest // N
+        grid = np.zeros(shape, dtype=bool)
+        grid[(slice(None, None, step),) * dim] = True
+        new = np.flatnonzero(grid & ~seen)
+        seen |= grid
+        order = np.concatenate((order, new))
+        pts = axis[np.stack(np.unravel_index(new, shape), axis=1)]
+        w1 = _clenshaw_curtis_weights(N)
+        weights = functools.reduce(
+            np.multiply, [w1[i // step] for i in np.unravel_index(order, shape)]
+        )
+        pts.flags.writeable = False
+        weights.flags.writeable = False
+        levels.append((pts, weights))
+    return tuple(levels)
 
 
 def box_rule(
     lo: np.ndarray, hi: np.ndarray, mean: np.ndarray, cov: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The box rule on [lo, hi] for N(mean, cov): per BOX_ORDERS order, the
-    density at the tensor Gauss-Legendre nodes and the node weights, which
-    sum to the box volume."""
-    dim = len(lo)
+    """The box rule on [lo, hi] for N(mean, cov): per BOX_LEVELS level, the
+    density at the points that level adds, and the weights of every point so
+    far, in the order the points were added; they sum to the box volume."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     inv = np.linalg.inv(cov)
-    norm = math.sqrt((2 * math.pi) ** dim * np.linalg.det(cov))
-    scale = math.prod((hi[i] - lo[i]) / 2 for i in range(dim))
+    norm = math.sqrt((2 * math.pi) ** len(lo) * np.linalg.det(cov))
+    half = 0.5 * (hi - lo)
+    centre = 0.5 * (hi + lo)
+    scale = float(np.prod(half))
     rule = []
-    for order in BOX_ORDERS:
-        xs, ws = _leggauss(order)
-        axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * xs for i in range(dim)]
-        pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        diff = pts - mean
+    for pts, weights in _nested_levels(len(lo)):
+        diff = centre + half * pts - mean
         dens = np.exp(-0.5 * np.einsum("ni,ij,nj->n", diff, inv, diff)) / norm
-        weights = functools.reduce(np.multiply.outer, [ws] * dim).ravel() * scale
-        rule.append((dens, weights))
+        rule.append((dens, weights * scale))
     return tuple(rule)
 
 
 def box_integral(fn, rule) -> float:
-    """Integral over the box of fn(density), at the first order of the rule
-    whose value is within BOX_TOL of the previous order's, else at the last
-    order.  fn maps an array of densities to an array of integrand values and
-    is called on one order at a time."""
+    """Integral over the box of fn(density), at the first level of the rule
+    whose value is within BOX_TOL of the previous level's, else at the last
+    level.  fn maps an array of densities to an array of integrand values and
+    is called once per level, on the points that level adds."""
+    vals = np.empty(0)
     prev = None
     for dens, weights in rule:
-        val = float((fn(dens) * weights).sum())
+        vals = np.concatenate((vals, fn(dens)))
+        val = float((vals * weights).sum())
         if prev is not None and abs(val - prev) <= BOX_TOL:
             return val
         prev = val

@@ -189,10 +189,10 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     times its state.  The integrand depends on x only through t = rho(x), so
     every term of a box is read from the densities of its one box rule.  On
     boxes with one axis (d = 2) the quantum term is one Hermitian eigensolve
-    per quadrature node, since a 1-D rule already samples t along a line.  On
-    boxes with more axes, the curve f(t) = ||t Phi - B||_1 is built once per
-    box over the density's range on every order of the rule
-    (trace_norm_curve), and every node is read from it."""
+    per quadrature point, since a 1-D rule already samples t along a line.
+    On boxes with more axes, the curve f(t) = ||t Phi - B||_1 is built once
+    per box over the density's range on every point of the rule
+    (trace_norm_curve), and every point is read from it."""
     _check_disjoint(out.cells)
     mean, cov = limit.mean, limit.cov
     Phi = limit.quantum

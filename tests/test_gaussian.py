@@ -156,3 +156,94 @@ class TestSmearing:
                 v = gs.coherent_vector(z, N)
                 acc += w / M * np.outer(v, v.conj())
         assert np.abs(acc - gs.thermal(beta, N)).max() < 1e-4
+
+
+# A box and a Gaussian per box dimension; the mean sits off the box and the
+# covariance is generic, so distinct points of the box have distinct densities
+BOXES = {
+    1: (np.array([0.2]), np.array([1.1]), np.array([-0.4]), np.array([[0.7]])),
+    2: (
+        np.array([0.2, -0.3]),
+        np.array([1.1, 0.4]),
+        np.array([-0.4, -0.9]),
+        np.array([[0.7, 0.13], [0.13, 0.31]]),
+    ),
+}
+
+
+def lobatto_grid_density(N, lo, hi, mean, cov):
+    """Density at the tensor Chebyshev-Lobatto points cos(pi j / N) of the
+    box, built without the box rule."""
+    axis = np.cos(np.pi * np.arange(N + 1) / N)
+    axes = [0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * axis for i in range(len(lo))]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    diff = pts - mean
+    quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+    return np.exp(-0.5 * quad) / math.sqrt((2 * math.pi) ** len(lo) * np.linalg.det(cov))
+
+
+class TestBoxRule:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_levels_nest(self, dim):
+        # the points handed out up to level N are the N-point Lobatto grid,
+        # which holds the grid of the level before
+        lo, hi, mean, cov = BOXES[dim]
+        rule = gs.box_rule(lo, hi, mean, cov)
+        assert len(rule) == len(gs.BOX_LEVELS)
+        seen = np.empty(0)
+        for N, (dens, _weights) in zip(gs.BOX_LEVELS, rule):
+            seen = np.concatenate((seen, dens))
+            want = lobatto_grid_density(N, lo, hi, mean, cov)
+            assert len(seen) == (N + 1) ** dim
+            assert np.allclose(np.sort(seen), np.sort(want), rtol=1e-13, atol=0.0)
+        for coarse, fine in zip(gs.BOX_LEVELS, gs.BOX_LEVELS[1:]):
+            inner = lobatto_grid_density(coarse, lo, hi, mean, cov)
+            outer = lobatto_grid_density(fine, lo, hi, mean, cov)
+            assert np.isin(inner, outer).all()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_integral_evaluates_each_point_once(self, dim):
+        lo, hi, mean, cov = BOXES[dim]
+        rule = gs.box_rule(lo, hi, mean, cov)
+        rng = np.random.default_rng(dim)
+        for fn, reached in ((lambda t: rng.random(len(t)), 3), (np.ones_like, 2)):
+            calls = []
+
+            def recorded(t):
+                calls.append(t.copy())
+                return fn(t)
+
+            gs.box_integral(recorded, rule)
+            assert len(calls) == reached
+            sizes = np.cumsum([len(t) for t in calls])
+            assert list(sizes) == [(N + 1) ** dim for N in gs.BOX_LEVELS[:reached]]
+            handed = np.concatenate(calls)
+            assert len(np.unique(handed)) == len(handed)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_weights_positive_sum_to_volume(self, dim):
+        lo, hi, mean, cov = BOXES[dim]
+        volume = float(np.prod(hi - lo))
+        for N, (_dens, weights) in zip(gs.BOX_LEVELS, gs.box_rule(lo, hi, mean, cov)):
+            assert len(weights) == (N + 1) ** dim
+            assert (weights > 0).all()
+            assert weights.sum() == pytest.approx(volume, rel=1e-13)
+
+    def test_even_powers_exact(self):
+        # level N integrates x^(2k) exactly for 2k <= N; x^2 is read back from
+        # the density of a centred Gaussian, as box_integral's fn would
+        var = 0.8
+        lo, hi = np.array([-0.7]), np.array([1.3])
+        rule = gs.box_rule(lo, hi, np.array([0.0]), np.array([[var]]))
+        dens = np.empty(0)
+        for N, (new, weights) in zip(gs.BOX_LEVELS, rule):
+            dens = np.concatenate((dens, new))
+            x2 = -2.0 * var * np.log(dens * math.sqrt(2 * math.pi * var))
+            for k in range(N // 2 + 1):
+                exact = (hi[0] ** (2 * k + 1) - lo[0] ** (2 * k + 1)) / (2 * k + 1)
+                assert float(weights @ x2**k) == pytest.approx(exact, rel=1e-12), (N, k)
+
+    def test_rule_arrays_read_only(self):
+        levels = gs._nested_levels(2)
+        with pytest.raises(ValueError):
+            levels[0][1][0] = 1.0

@@ -3,6 +3,7 @@ the piecewise Chebyshev trace-norm curve, and the combined classical-quantum
 distance report."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlan import channels as ch
+from qlan import experiments as ex
 from qlan import gaussian as gs
 from qlan import metrics as mt
 from qlan import models as md
@@ -184,6 +186,50 @@ class TestCqDistance:
         monkeypatch.setattr(gs, "box_rule", counted)
         mt.cq_distance(out, limit)
         assert len(calls) == len(out.cells)
+
+
+@pytest.fixture(scope="module")
+def fine_legendre():
+    return np.polynomial.legendre.leggauss(1024)
+
+
+class TestCqDistanceAccuracy:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_matches_fine_gauss_oracle(self, n, fine_legendre):
+        # the box rule's error is set by the kinks inside boxes; on the
+        # default model it stays far below the distances' own n-dependence
+        config = ex.ExperimentConfig()
+        spec, theta = config.spectrum(), config.theta()
+        fock = gs.FockSpec(2, 10)
+        blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
+        out = ch.forward_channel(spec, n, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        rep = mt.cq_distance(out, limit)
+        total, classical = fine_gauss_cq_distance(out, limit, *fine_legendre)
+        assert abs(rep.total - total) <= 5e-5
+        assert abs(rep.classical - classical) <= 5e-5
+
+
+def fine_gauss_cq_distance(out, limit, xs, ws) -> tuple[float, float]:
+    """Oracle for cq_distance's total and classical terms on one-axis boxes:
+    per box, Gauss-Legendre at the nodes xs with weights ws, one eigensolve
+    of t Phi - B per node, and the box mass from erf."""
+    mean, var = float(limit.mean[0]), float(limit.cov[0, 0])
+    Phi = limit.quantum
+    total = classical = inside = 0.0
+    for c in out.cells:
+        a, b = float(c.lo[0]), float(c.hi[0])
+        x = 0.5 * (a + b) + 0.5 * (b - a) * xs
+        w = 0.5 * (b - a) * ws
+        t = np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
+        height = c.weight / (b - a)
+        B = height * c.quantum
+        total += float(w @ np.array([mt.trace_distance(ti * Phi, B) for ti in t]))
+        classical += float(w @ np.abs(height - t))
+        s = math.sqrt(2 * var)
+        inside += 0.5 * (math.erf((b - mean) / s) - math.erf((a - mean) / s))
+    outside = max(0.0, 1.0 - inside)
+    return total + outside + out.neglected_mass, classical + outside
 
 
 def per_node_cq_distance(out, limit) -> mt.DistanceReport:
