@@ -14,6 +14,7 @@ from . import channels as ch
 from . import gaussian as gs
 from . import metrics as mt
 from . import models as md
+from . import oracle as orc
 from . import schur_weyl as sw
 from . import tableaux as tb
 from .errors import ResourceLimitError
@@ -256,36 +257,23 @@ def _verify_formdet() -> dict:
         for d in (2, 3):
             for lam in tb.enumerate_diagrams(n, d):
                 basis = [
-                    tb.canonical_tableau(lam, m, d)
+                    orc.canonical_tableau(lam, m, d)
                     for m in tb.enumerate_m_vectors(lam, d, max_weight=n)
                 ]
                 for _ in range(20):
-                    U = _haar_unitary(d, rng)
-                    Umat = _tensor_rep(U, n)
-                    Q = sw.column_antisymmetrizer_matrix(lam, n, d)
+                    U = orc.haar_unitary(d, rng)
+                    Umat = gs.tensor_modes([U] * n)
+                    Q = orc.column_antisymmetrizer_matrix(lam, n, d)
                     for ta in basis[:2]:
                         for tc in basis[:2]:
                             va = np.zeros(d**n)
-                            va[sw.tableau_vector_index(ta, d)] = 1.0
+                            va[orc.tableau_vector_index(ta, d)] = 1.0
                             vb = np.zeros(d**n)
-                            vb[sw.tableau_vector_index(tc, d)] = 1.0
-                            lhs = sw.minor_det_product(U, ta, tc)
+                            vb[orc.tableau_vector_index(tc, d)] = 1.0
+                            lhs = orc.minor_det_product(U, ta, tc)
                             rhs = (Q @ va).conj() @ Umat @ vb
                             worst = max(worst, abs(lhs - rhs))
     return _report("formdet", worst <= 1e-10, {"max_abs_error": worst})
-
-
-def _haar_unitary(d: int, rng) -> np.ndarray:
-    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def _tensor_rep(U: np.ndarray, n: int) -> np.ndarray:
-    M = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        M = np.kron(M, U)
-    return M
 
 
 def proportional_diagram(n: int, mu: tuple[float, ...]) -> tb.Diagram:

@@ -98,12 +98,6 @@ def displaced_thermal(beta: float, z: complex, N: int) -> np.ndarray:
     return W.conj().T @ thermal(beta, N) @ W
 
 
-def char_fn(rho: np.ndarray, z: complex) -> complex:
-    """Characteristic function Tr[rho W(z)] on the truncation of rho."""
-    N = rho.shape[0] - 1
-    return complex(np.trace(rho @ weyl(z, N)))
-
-
 def tensor_modes(mats: list[np.ndarray]) -> np.ndarray:
     out = mats[0]
     for M in mats[1:]:
@@ -244,14 +238,3 @@ def box_integral(fn, rule) -> float:
             return val
         prev = val
     return prev
-
-
-def partial_trace_to_mode(rho: np.ndarray, fock: FockSpec, mode_idx: int) -> np.ndarray:
-    """Reduce a multimode state to a single mode."""
-    dims = [fock.cutoff + 1] * fock.nmodes
-    T = rho.reshape(dims + dims)
-    for m in reversed(range(fock.nmodes)):
-        if m == mode_idx:
-            continue
-        T = np.trace(T, axis1=m, axis2=T.ndim // 2 + m)
-    return T

@@ -108,59 +108,13 @@ def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.nd
     return hermitian_exp_i(H / math.sqrt(n))
 
 
-def rho_theta(
-    spec: Spectrum,
-    theta: LocalParams,
-    n: int,
-    variant: str = "unitary",
-) -> np.ndarray:
-    """Local family member at theta/sqrt(n): either the rotated diagonal
-    state or the direct off-diagonal perturbation."""
-    vals = perturbed_spectrum(spec, theta.u, n)
-    D = np.diag(np.array(vals, dtype=complex))
-    if variant == "unitary":
-        U = rotation_unitary(spec, theta.zeta, n)
-        return U @ D @ U.conj().T
-    if variant == "tilde":
-        root = math.sqrt(n)
-        rho = D.copy()
-        for idx, (j, k) in enumerate(tb.pairs(spec.d)):
-            z = theta.zeta[idx]
-            rho[j - 1, k - 1] = np.conj(z) / root
-            rho[k - 1, j - 1] = z / root
-        if np.linalg.eigvalsh(rho).min() <= 0:
-            raise ValueError("parameters out of range: state not positive")
-        return rho
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # block weights
 
 
-def weight_prefactor(lam: tb.Diagram, n: int, d: int) -> int:
-    """Combinatorial prefactor of the block weight: multinomial(n; lambda)
-    times prod_l lambda_l! prod_{k>l}(lambda_l - lambda_k + k - l) /
-    (lambda_l + d - l)!; equals the multiplicity of the block.  Exact; the
-    weights use log_weight_prefactor."""
-    from fractions import Fraction
-
-    rows = [tb.row(lam, i) for i in range(1, d + 1)]
-    out = Fraction(math.factorial(n))
-    for lk in rows:
-        out /= math.factorial(lk)
-    for l in range(1, d + 1):
-        ll = rows[l - 1]
-        num = Fraction(math.factorial(ll))
-        for k in range(l + 1, d + 1):
-            num *= ll - rows[k - 1] + k - l
-        out *= num / math.factorial(ll + d - l)
-    assert out.denominator == 1
-    return out.numerator
-
-
 def log_weight_prefactor(lam: tb.Diagram, n: int, d: int) -> float:
-    """Natural log of weight_prefactor, in which the lambda_l! cancel:
+    """Natural log of the block multiplicity in the product form of
+    oracle.multiplicity_product_form, in which the lambda_l! cancel:
     log n! + sum_l [sum_{k>l} log(lambda_l - lambda_k + k - l)
     - log (lambda_l + d - l)!]."""
     rows = [tb.row(lam, i) for i in range(1, d + 1)]
@@ -194,15 +148,6 @@ def log_schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
         for j in range(i + 1, d):
             out -= math.log(vals[i] - vals[j])
     return out
-
-
-def schur_poly_enumerated(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
-    d = len(vals)
-    total = 0.0
-    for m in tb.enumerate_m_vectors(lam, d):
-        mult = tb.total_multiplicities(lam, m, d)
-        total += math.prod(v**k for v, k in zip(vals, mult))
-    return total
 
 
 def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) -> float:

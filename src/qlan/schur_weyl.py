@@ -55,6 +55,9 @@ entries (the sweeps' simplex pairs have about 10**3) and pair one at a time
 beyond; the result then matches the per-diagram calls bit for bit.
 `run_decompose`, whose untruncated blocks differ widely in size, pairs one
 diagram at a time.  `pairing_matrix` is the batch of one.
+
+The references this module is checked against, orbit sums by enumeration
+and Young symmetrizers on the full tensor space, live in `qlan.oracle`.
 """
 
 from __future__ import annotations
@@ -66,10 +69,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import NearSingularGramError, ResourceLimitError
+from .errors import NearSingularGramError
 from . import tableaux as tb
 
-DEFAULT_PAIR_BUDGET = 10**7
 # complex entries (256 KiB) from which numpy computes `val * PKS[src]` in
 # place on the temporary, operands swapped (see the module docstring)
 ELIDED_ENTRIES = 2**14
@@ -95,24 +97,6 @@ def small_det(M) -> complex:
         sign * math.prod(M[i][p[i]] for i in range(k))
         for sign, p in signed_permutations(k)
     )
-
-
-def minor_det_product(U: np.ndarray, t_a: tb.Tableau, t_b: tb.Tableau) -> complex:
-    """Product over columns c of det U[t_a-column entries, t_b-column entries];
-    equals the overlap of f_a with the column-antisymmetrized U^(x n) f_b."""
-    if tuple(len(r) for r in t_a) != tuple(len(r) for r in t_b):
-        raise ValueError("tableaux must share a shape")
-    out = 1.0 + 0.0j
-    for ca, cb in zip(tb.columns_of(t_a), tb.columns_of(t_b)):
-        M = [[U[i - 1, j - 1] for j in cb] for i in ca]
-        out *= small_det(M)
-        if out == 0:
-            return 0.0 if _is_real(U) else 0.0 + 0.0j
-    return out
-
-
-def _is_real(U: np.ndarray) -> bool:
-    return not np.iscomplexobj(U)
 
 
 # ---------------------------------------------------------------------------
@@ -340,46 +324,6 @@ def pairing_matrix(
 
 
 # ---------------------------------------------------------------------------
-# direct orbit-sum evaluation (small cases; cross-checks the transfer)
-
-
-def symmetrizer_pairing(
-    lam: tb.Diagram,
-    d: int,
-    m: tb.MVector,
-    l: tb.MVector,
-    U: np.ndarray | None = None,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> complex:
-    """Orbit sum W(m, l; U) by explicit double enumeration of admissible
-    row rearrangements.  With U omitted (identity), pairs whose column
-    contents mismatch are skipped wholesale."""
-    lam = tb.check_diagram(lam, d)
-    size = tb.orbit_size(lam, m, d) * tb.orbit_size(lam, l, d)
-    if size > budget:
-        raise ResourceLimitError(f"orbit pair count {size} exceeds budget {budget}")
-    orb_a = list(tb.orbit(lam, m, d, admissible_only=True, budget=None))
-    orb_b = list(tb.orbit(lam, l, d, admissible_only=True, budget=None))
-    if U is None:
-        by_content: dict[tuple, list[tb.Tableau]] = {}
-        for t in orb_b:
-            key = tuple(frozenset(c) for c in tb.columns_of(t))
-            by_content.setdefault(key, []).append(t)
-        ident = np.eye(d)
-        total = 0.0
-        for ta in orb_a:
-            key = tuple(frozenset(c) for c in tb.columns_of(ta))
-            for tbl in by_content.get(key, ()):
-                total += minor_det_product(ident, ta, tbl).real
-        return total
-    total = 0.0 + 0.0j
-    for ta in orb_a:
-        for tbl in orb_b:
-            total += minor_det_product(U, ta, tbl)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # block basis, Gram matrix, block operators
 
 
@@ -508,125 +452,3 @@ def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[BlockOperato
     sides = [(list(b.mvectors), list(b.mvectors)) for b in bases]
     Ws = pairing_matrices([b.lam for b in bases], len(U), U, sides)
     return [_block_operator(b, W / np.outer(b.norms, b.norms)) for b, W in zip(bases, Ws)]
-
-
-# ---------------------------------------------------------------------------
-# full tensor-space oracle
-
-
-def _digit_table(n: int, d: int) -> np.ndarray:
-    D = d**n
-    idx = np.arange(D)
-    digits = np.zeros((D, n), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % d
-        idx = idx // d
-    return digits
-
-
-def _perm_index_map(sigma: tuple[int, ...], digits: np.ndarray, d: int) -> np.ndarray:
-    """Index map of the operator permuting tensor factors: factor k of the
-    output is factor sigma^{-1}(k) of the input (0-based positions)."""
-    n = digits.shape[1]
-    inv = [0] * n
-    for k, s in enumerate(sigma):
-        inv[s] = k
-    newdigits = digits[:, inv]
-    powers = d ** np.arange(n - 1, -1, -1)
-    return newdigits @ powers
-
-
-def _standard_tableau_positions(lam: tb.Diagram) -> list[list[int]]:
-    """0-based factor positions per row under row-reading numbering."""
-    rows, k = [], 0
-    for li in lam:
-        rows.append(list(range(k, k + li)))
-        k += li
-    return rows
-
-
-def _group_elements(blocks: list[list[int]], n: int):
-    """All products of per-block permutations, as position maps sigma with
-    sigma[k] = image of position k, plus the permutation sign (blocks are
-    increasing, so the sign is that of the permuted block order)."""
-    out = [(list(range(n)), 1)]
-    for block in blocks:
-        nxt = []
-        for sign, perm in signed_permutations(len(block)):
-            for base, bsign in out:
-                sigma = list(base)
-                for src, i in zip(block, perm):
-                    sigma[src] = base[block[i]]
-                nxt.append((sigma, bsign * sign))
-        out = nxt
-    return out
-
-
-def row_symmetrizer_matrix(lam: tb.Diagram, n: int, d: int) -> np.ndarray:
-    digits = _digit_table(n, d)
-    rows = _standard_tableau_positions(lam)
-    D = d**n
-    P = np.zeros((D, D))
-    src = np.arange(D)
-    for sigma, _ in _group_elements(rows, n):
-        P[_perm_index_map(tuple(sigma), digits, d), src] += 1.0
-    return P
-
-
-def column_antisymmetrizer_matrix(lam: tb.Diagram, n: int, d: int) -> np.ndarray:
-    digits = _digit_table(n, d)
-    rows = _standard_tableau_positions(lam)
-    ncols = lam[0]
-    cols = [
-        [rows[i][c] for i in range(len(lam)) if c < lam[i]] for c in range(ncols)
-    ]
-    D = d**n
-    Q = np.zeros((D, D))
-    src = np.arange(D)
-    for sigma, sign in _group_elements(cols, n):
-        Q[_perm_index_map(tuple(sigma), digits, d), src] += sign
-    return Q
-
-
-def young_symmetrizer_matrix(lam: tb.Diagram, n: int, d: int) -> np.ndarray:
-    return column_antisymmetrizer_matrix(lam, n, d) @ row_symmetrizer_matrix(
-        lam, n, d
-    )
-
-
-def tableau_vector_index(t: tb.Tableau, d: int) -> int:
-    """Tensor basis index of the product vector whose factor at box (i, c)
-    (row-reading order) is the tableau entry."""
-    idx = 0
-    for trow in t:
-        for e in trow:
-            idx = idx * d + (e - 1)
-    return idx
-
-
-def brute_force_blocks(
-    rho: np.ndarray, n: int, limit: int = 6561
-) -> list[tuple[tb.Diagram, float, np.ndarray]]:
-    """Decompose rho^(x n) on the full tensor space: for each diagram, build
-    the Young symmetrizer explicitly, restrict rho^(x n) to its range (one
-    copy of the irreducible block) and read off weight and spectrum."""
-    d = rho.shape[0]
-    if d**n > limit:
-        raise ResourceLimitError(f"tensor dimension {d**n} exceeds limit {limit}")
-    rho_n = rho
-    for _ in range(n - 1):
-        rho_n = np.kron(rho_n, rho)
-    out = []
-    for lam in tb.enumerate_diagrams(n, d):
-        Y = young_symmetrizer_matrix(lam, n, d)
-        dim = tb.dim_irrep(lam, d)
-        Uleft, svals, _ = np.linalg.svd(Y)
-        rank = int((svals > 1e-9 * svals[0]).sum())
-        assert rank == dim, (lam, rank, dim)
-        B = Uleft[:, :rank]
-        block = B.conj().T @ rho_n @ B
-        raw_trace = float(np.trace(block).real)
-        weight = tb.multiplicity(lam, n, d) * raw_trace
-        spectrum = np.sort(np.linalg.eigvalsh(block / raw_trace))[::-1]
-        out.append((lam, weight, spectrum))
-    return out

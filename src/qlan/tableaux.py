@@ -3,7 +3,7 @@
 Diagrams are tuples of non-increasing positive integers (trailing zeros
 stripped).  Basis labels are "m-vectors": occupation counts m[i,j] of entry j
 in row i (1 <= i < j <= d), stored as flat tuples aligned with `pairs(d)`.
-Tableaux are tuples of row tuples, entries in 1..d.
+Tableaux themselves, their orbits and gamma counts live in `qlan.oracle`.
 """
 
 from __future__ import annotations
@@ -11,16 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from typing import Iterator
-
-from .errors import ResourceLimitError
-
-DEFAULT_ORBIT_BUDGET = 10**7
 
 Diagram = tuple[int, ...]
 MVector = tuple[int, ...]
-Tableau = tuple[tuple[int, ...], ...]
 
 
 def check_diagram(lam: Diagram, d: int | None = None) -> Diagram:
@@ -99,46 +93,12 @@ def multiplicity(lam: Diagram, n: int, d: int) -> int:
     return out.numerator
 
 
-def multiplicity_product_form(lam: Diagram, n: int, d: int) -> int:
-    """Same dimension via the multinomial * spacing-ratio product."""
-    lam = check_diagram(lam, d)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    rows = [row(lam, i) for i in range(1, d + 1)]
-    out = Fraction(math.factorial(n))
-    for lk in rows:
-        out /= math.factorial(lk)
-    for l in range(d):
-        for k in range(l + 1, d):
-            out *= Fraction(rows[l] - rows[k] + k - l, rows[l] + k - l)
-    assert out.denominator == 1
-    return out.numerator
-
-
 def row_loads(m: MVector, d: int) -> tuple[int, ...]:
     """Number of off-diagonal entries sum_j m[i,j] carried by each row i."""
     loads = [0] * d
     for (i, _j), cnt in zip(pairs(d), m):
         loads[i - 1] += cnt
     return tuple(loads)
-
-
-def canonical_tableau(lam: Diagram, m: MVector, d: int) -> Tableau:
-    """Row-sorted filling: row i holds (lambda_i - load_i) copies of i followed
-    by m[i,j] copies of each j > i in increasing order."""
-    lam = check_diagram(lam, d)
-    loads = row_loads(m, d)
-    rows = []
-    for i in range(1, len(lam) + 1):
-        li = lam[i - 1]
-        if loads[i - 1] > li:
-            raise ValueError(f"row {i} capacity {li} exceeded by m={m}")
-        entries = [i] * (li - loads[i - 1])
-        for (a, b), cnt in zip(pairs(d), m):
-            if a == i:
-                entries.extend([b] * cnt)
-        rows.append(tuple(entries))
-    return tuple(rows)
 
 
 def total_multiplicities(lam: Diagram, m: MVector, d: int) -> tuple[int, ...]:
@@ -148,40 +108,6 @@ def total_multiplicities(lam: Diagram, m: MVector, d: int) -> tuple[int, ...]:
     for (i, j), cnt in zip(pairs(d), m):
         totals[j - 1] += cnt
     return tuple(totals)
-
-
-def columns_of(t: Tableau) -> list[tuple[int, ...]]:
-    ncols = len(t[0]) if t else 0
-    return [tuple(r[c] for r in t if c < len(r)) for c in range(ncols)]
-
-
-def is_semistandard(t: Tableau) -> bool:
-    """Rows non-decreasing, columns strictly increasing."""
-    for trow in t:
-        if any(trow[k] > trow[k + 1] for k in range(len(trow) - 1)):
-            return False
-    for col in columns_of(t):
-        if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):
-            return False
-    return True
-
-
-def is_admissible(t: Tableau) -> bool:
-    """No column carries a repeated entry."""
-    return all(len(set(col)) == len(col) for col in columns_of(t))
-
-
-def fits(lam: Diagram, m: MVector, d: int) -> bool:
-    """True iff the canonical filling of m is a semistandard tableau."""
-    loads = row_loads(m, d)
-    for i in range(1, d + 1):
-        if loads[i - 1] > row(lam, i):
-            return False
-        if row(lam, i) > 0 and i > len(check_diagram(lam, d)):
-            return False
-    if any(loads[i - 1] > 0 and row(lam, i) == 0 for i in range(1, d + 1)):
-        return False
-    return is_semistandard(canonical_tableau(lam, m, d))
 
 
 def _columns_strict(lam: Diagram, m: MVector, d: int) -> bool:
@@ -234,99 +160,6 @@ def enumerate_m_vectors(
 
     rec(0, [], [0] * d, 0)
     return sorted(out)
-
-
-def orbit_size(lam: Diagram, m: MVector, d: int) -> int:
-    """Number of row rearrangements of the canonical filling: product of
-    per-row multinomials."""
-    t = canonical_tableau(lam, m, d)
-    size = 1
-    for trow in t:
-        size *= math.factorial(len(trow))
-        for v in set(trow):
-            size //= math.factorial(trow.count(v))
-    return size
-
-
-def multiset_permutations(items) -> Iterator[tuple]:
-    """Distinct orderings of items in lexicographic order (next-permutation
-    steps from the sorted sequence)."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
-
-
-def orbit(
-    lam: Diagram,
-    m: MVector,
-    d: int,
-    admissible_only: bool = False,
-    budget: int | None = DEFAULT_ORBIT_BUDGET,
-) -> Iterator[Tableau]:
-    """All tableaux obtained by permuting entries within rows of the canonical
-    filling of m, optionally filtered to admissible ones."""
-    t = canonical_tableau(lam, m, d)
-    size = orbit_size(lam, m, d)
-    if budget is not None and size > budget:
-        raise ResourceLimitError(f"orbit size {size} exceeds budget {budget}")
-    row_choices = [list(multiset_permutations(trow)) for trow in t]
-    for rows in product(*row_choices):
-        if admissible_only and not is_admissible(rows):
-            continue
-        yield rows
-
-
-def gamma(t: Tableau) -> int:
-    """Excess-brick count: (entries off their row index) minus (modified
-    columns); zero iff every modified column is a single substitution."""
-    if not is_admissible(t):
-        raise ValueError("gamma is defined for admissible tableaux only")
-    bricks = sum(
-        1 for i, trow in enumerate(t, start=1) for e in trow if e != i
-    )
-    modified = sum(
-        1
-        for c, col in enumerate(columns_of(t))
-        if any(col[i] != i + 1 for i in range(len(col)))
-    )
-    return bricks - modified
-
-
-def count_gamma0(
-    lam: Diagram,
-    m: MVector,
-    d: int,
-    budget: int | None = DEFAULT_ORBIT_BUDGET,
-) -> int:
-    """Number of admissible tableaux in the orbit of m with gamma = 0."""
-    return sum(
-        1
-        for t in orbit(lam, m, d, admissible_only=True, budget=budget)
-        if gamma(t) == 0
-    )
-
-
-def gamma0_bounds(lam: Diagram, m: MVector, d: int) -> tuple[float, float]:
-    """Lower/upper bounds on count_gamma0: products over bricks (i, j) of
-    ((lambda_i - lambda_j - |m|)_+)^m_ij / m_ij! and
-    (lambda_i - lambda_j)^m_ij / m_ij!."""
-    w = sum(m)
-    lo = hi = 1.0
-    for (i, j), cnt in zip(pairs(d), m):
-        gap = row(lam, i) - row(lam, j)
-        lo *= max(gap - w, 0) ** cnt / math.factorial(cnt)
-        hi *= gap**cnt / math.factorial(cnt)
-    return lo, hi
 
 
 def is_typical(lam: Diagram, n: int, mu: tuple[float, ...], alpha: float) -> bool:

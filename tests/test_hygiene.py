@@ -1,6 +1,9 @@
 """Source hygiene: every module in the package, the scripts and the tests
 uses each name it imports, and every module-level function and class of the
-package is read somewhere outside its own definition."""
+package is read somewhere outside its own definition.  The reference code
+that only tests read lives in `qlan.oracle`: every other definition of the
+package has a reader on the production path, and only the lemma verifiers
+and the tests import the oracle."""
 
 import ast
 from collections import Counter
@@ -53,6 +56,32 @@ def unreferenced_definitions(module: ast.Module, trees: list[ast.AST]) -> list[s
     ]
 
 
+def production_readers(trees: dict[Path, ast.AST]) -> list[ast.AST]:
+    """The trees whose reads keep a definition on the production path: the
+    package modules other than the oracle, and the scripts."""
+    return [
+        tree
+        for path, tree in trees.items()
+        if path.parent.name in ("qlan", "scripts") and path.name != "oracle.py"
+    ]
+
+
+def imports_oracle(tree: ast.AST) -> bool:
+    """True iff the module imports qlan.oracle, in absolute or (from inside
+    the package) relative form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "qlan.oracle" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("qlan" if node.level else "", node.module)))
+            if module == "qlan.oracle" or (
+                module == "qlan" and any(alias.name == "oracle" for alias in node.names)
+            ):
+                return True
+    return False
+
+
 def test_sources_found():
     folders = {p.parent.name for p in SOURCES}
     assert folders == {"qlan", "scripts", "tests"}
@@ -74,6 +103,26 @@ def test_no_unreferenced_definitions():
     assert {name: found for name, found in dead.items() if found} == {}
 
 
+def test_production_definitions_have_production_readers():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    readers = production_readers(trees)
+    test_only = {
+        p.name: unreferenced_definitions(tree, readers)
+        for p, tree in trees.items()
+        if p.parent.name == "qlan" and p.name != "oracle.py"
+    }
+    assert {name: found for name, found in test_only.items() if found} == {}
+
+
+def test_only_verifiers_and_tests_import_the_oracle():
+    importers = {
+        f"{p.parent.name}/{p.name}"
+        for p in SOURCES
+        if p.parent.name != "tests" and imports_oracle(ast.parse(p.read_text()))
+    }
+    assert importers == {"qlan/experiments.py"}
+
+
 def test_definition_scan_ignores_self_reference():
     module = ast.parse(
         "def loop(k):\n    return loop(k - 1) if k else 0\n"
@@ -82,6 +131,39 @@ def test_definition_scan_ignores_self_reference():
     )
     caller = ast.parse("import m\nx = m.used()\ny: m.Box\n")
     assert unreferenced_definitions(module, [module, caller]) == ["line 1: loop"]
+
+
+def test_production_scan_ignores_tests_and_oracle():
+    module = ast.parse(
+        "def scripted():\n    return 1\n"
+        "def tested():\n    return 2\n"
+        "def checked():\n    return 3\n"
+        "def used():\n    return 4\n"
+    )
+    trees = {
+        Path("src/qlan/m.py"): module,
+        Path("src/qlan/oracle.py"): ast.parse("import m\nx = m.checked()\n"),
+        Path("src/qlan/n.py"): ast.parse("from .m import used\nx = used()\n"),
+        Path("scripts/run.py"): ast.parse("from qlan import m\nm.scripted()\n"),
+        Path("tests/test_m.py"): ast.parse("from qlan import m\nm.tested()\n"),
+    }
+    assert unreferenced_definitions(module, production_readers(trees)) == [
+        "line 3: tested",
+        "line 5: checked",
+    ]
+
+
+def test_oracle_import_scan():
+    for code in (
+        "from . import oracle as orc",
+        "from .oracle import char_fn",
+        "from qlan import models, oracle",
+        "from qlan.oracle import fits",
+        "import qlan.oracle",
+    ):
+        assert imports_oracle(ast.parse(code)), code
+    for code in ("from . import models as md", "from qlan import tableaux", "import oracle"):
+        assert not imports_oracle(ast.parse(code)), code
 
 
 def test_scan_sees_unused_and_used_names():

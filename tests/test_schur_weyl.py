@@ -8,16 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlan import experiments as ex
+from qlan import gaussian as gs
 from qlan import models as md
+from qlan import oracle as orc
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
 from qlan.errors import NearSingularGramError
-
-
-def haar_unitary(d, rng):
-    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 SMALL_BLOCKS = [
@@ -62,7 +58,7 @@ def spin_oracle_error(n, U, cutoff=30):
 
 
 def haar_special_unitary(rng):
-    U = haar_unitary(2, rng)
+    U = orc.haar_unitary(2, rng)
     return U / np.sqrt(np.linalg.det(U))
 
 
@@ -73,18 +69,18 @@ class TestPairingEngine:
         W = sw.pairing_matrix(lam, d, np.eye(d), ms, ms)
         for i, m in enumerate(ms):
             for j, l in enumerate(ms):
-                direct = sw.symmetrizer_pairing(lam, d, m, l)
+                direct = orc.symmetrizer_pairing(lam, d, m, l)
                 assert W[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("d,lam", SMALL_BLOCKS)
     def test_matches_direct_orbit_enumeration_unitary(self, d, lam):
         rng = np.random.default_rng(hash((d, lam)) % 2**32)
-        U = haar_unitary(d, rng)
+        U = orc.haar_unitary(d, rng)
         ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
         W = sw.pairing_matrix(lam, d, U, ms, ms)
         for i, m in enumerate(ms):
             for j, l in enumerate(ms):
-                direct = sw.symmetrizer_pairing(lam, d, m, l, U)
+                direct = orc.symmetrizer_pairing(lam, d, m, l, U)
                 assert W[i, j] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("d,lam", [(2, (5, 2)), (3, (4, 2, 1)), (4, (3, 2, 1))])
@@ -92,7 +88,7 @@ class TestPairingEngine:
         # rows and columns from different m-vector lists, including a
         # single m against the zero m-vector
         rng = np.random.default_rng(sum(lam) + d)
-        U = haar_unitary(d, rng)
+        U = orc.haar_unitary(d, rng)
         ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
         zero = ms[0]
         for ms_a, ms_b in [(ms[1:], [zero]), ([zero], ms[-3:]), (ms[-2:], ms[:3])]:
@@ -100,7 +96,7 @@ class TestPairingEngine:
             assert W.shape == (len(ms_a), len(ms_b))
             for i, m in enumerate(ms_a):
                 for j, l in enumerate(ms_b):
-                    direct = sw.symmetrizer_pairing(lam, d, m, l, U)
+                    direct = orc.symmetrizer_pairing(lam, d, m, l, U)
                     assert W[i, j] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_scales_to_large_n(self):
@@ -123,7 +119,7 @@ class TestPairingEngine:
         # rotation pairing of the same block needs
         basis = sw.block_basis((5, 2, 1), 3, max_weight=3)
         misses = sw._shift_map.cache_info().misses
-        sw.block_unitary(basis, haar_unitary(3, np.random.default_rng(5)))
+        sw.block_unitary(basis, orc.haar_unitary(3, np.random.default_rng(5)))
         assert sw._shift_map.cache_info().misses == misses
 
     @pytest.mark.parametrize("unitary", ["identity", "haar"])
@@ -141,7 +137,7 @@ class TestPairingEngine:
     def test_batch_matches_per_diagram_calls(self, d, lams, max_weight, unitary):
         # sharing the first class's powers over the union simplex changes
         # no bit of any pairing, square or rectangular
-        U = np.eye(d) if unitary == "identity" else haar_unitary(d, np.random.default_rng(d))
+        U = np.eye(d) if unitary == "identity" else orc.haar_unitary(d, np.random.default_rng(d))
         sides = []
         for lam in lams:
             ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
@@ -174,7 +170,7 @@ class TestPairingEngine:
 
     def test_batch_bases_and_unitaries_match_single_calls(self):
         lams = [(9, 5), (12, 3), (20, 2), (6, 6)]
-        U = haar_unitary(2, np.random.default_rng(7))
+        U = orc.haar_unitary(2, np.random.default_rng(7))
         bases = sw.block_bases(lams, 2, max_weight=10)
         for lam, basis, op in zip(lams, bases, sw.block_unitaries(bases, U)):
             single = sw.block_basis(lam, 2, max_weight=10)
@@ -188,27 +184,25 @@ class TestMinorDetProduct:
     def test_identity_zero_vector(self):
         # unmodified canonical tableau pairs with itself to 1 per column
         lam = (3, 2)
-        t = tb.canonical_tableau(lam, (0, 0, 0), 3)
-        assert sw.minor_det_product(np.eye(3), t, t) == pytest.approx(1.0)
+        t = orc.canonical_tableau(lam, (0, 0, 0), 3)
+        assert orc.minor_det_product(np.eye(3), t, t) == pytest.approx(1.0)
 
     def test_agrees_with_column_antisymmetrization(self):
         rng = np.random.default_rng(3)
         for d, n, lam in [(2, 3, (2, 1)), (3, 4, (2, 1, 1)), (2, 4, (2, 2))]:
-            U = haar_unitary(d, rng)
-            Um = np.array([[1.0]], dtype=complex)
-            for _ in range(n):
-                Um = np.kron(Um, U)
-            Q = sw.column_antisymmetrizer_matrix(lam, n, d)
+            U = orc.haar_unitary(d, rng)
+            Um = gs.tensor_modes([U] * n)
+            Q = orc.column_antisymmetrizer_matrix(lam, n, d)
             ms = tb.enumerate_m_vectors(lam, d, max_weight=n)
             for ma in ms[:3]:
                 for mb in ms[:3]:
-                    ta = tb.canonical_tableau(lam, ma, d)
-                    tbb = tb.canonical_tableau(lam, mb, d)
+                    ta = orc.canonical_tableau(lam, ma, d)
+                    tbb = orc.canonical_tableau(lam, mb, d)
                     va = np.zeros(d**n)
-                    va[sw.tableau_vector_index(ta, d)] = 1.0
+                    va[orc.tableau_vector_index(ta, d)] = 1.0
                     vb = np.zeros(d**n)
-                    vb[sw.tableau_vector_index(tbb, d)] = 1.0
-                    lhs = sw.minor_det_product(U, ta, tbb)
+                    vb[orc.tableau_vector_index(tbb, d)] = 1.0
+                    lhs = orc.minor_det_product(U, ta, tbb)
                     rhs = (Q @ va).conj() @ Um @ vb
                     assert abs(lhs - rhs) < 1e-10
 
@@ -263,7 +257,7 @@ class TestBlockOperators:
         basis = sw.block_basis(lam, 2, max_weight=12)
         assert basis.size == 11
         rng = np.random.default_rng(5)
-        U = haar_unitary(2, rng)
+        U = orc.haar_unitary(2, rng)
         B = sw.block_unitary(basis, U)
         assert np.allclose(B.matrix.conj().T @ B.matrix, np.eye(11), atol=1e-10)
         assert B.truncation_defect < 1e-10
@@ -308,20 +302,20 @@ class TestSpinOracle:
 class TestTensorOracle:
     def test_symmetrizer_rank_equals_dimension(self):
         for d, n, lam in [(2, 3, (2, 1)), (3, 3, (2, 1)), (2, 4, (3, 1))]:
-            Y = sw.young_symmetrizer_matrix(lam, n, d)
+            Y = orc.young_symmetrizer_matrix(lam, n, d)
             rank = np.linalg.matrix_rank(Y, tol=1e-9)
             assert rank == tb.dim_irrep(lam, d)
 
     def test_brute_force_blocks_two_samples(self):
         rho = np.diag([0.75, 0.25])
-        blocks = sw.brute_force_blocks(rho, 2)
+        blocks = orc.brute_force_blocks(rho, 2)
         got = {lam: w for lam, w, _ in blocks}
         assert got[(2,)] == pytest.approx(0.8125, abs=1e-12)
         assert got[(1, 1)] == pytest.approx(0.1875, abs=1e-12)
 
     def test_brute_force_blocks_weights_sum_to_one(self):
         rho = np.diag([0.5, 0.3, 0.2])
-        blocks = sw.brute_force_blocks(rho, 3)
+        blocks = orc.brute_force_blocks(rho, 3)
         assert sum(w for _, w, _ in blocks) == pytest.approx(1.0, abs=1e-10)
 
     def test_representation_overlap_matches_tensor_oracle(self):
@@ -329,17 +323,15 @@ class TestTensorOracle:
         # symmetrizer-image vectors on the tensor space
         d, n, lam = 2, 4, (3, 1)
         rng = np.random.default_rng(11)
-        U = haar_unitary(d, rng)
-        Um = np.array([[1.0]], dtype=complex)
-        for _ in range(n):
-            Um = np.kron(Um, U)
-        Y = sw.young_symmetrizer_matrix(lam, n, d)
+        U = orc.haar_unitary(d, rng)
+        Um = gs.tensor_modes([U] * n)
+        Y = orc.young_symmetrizer_matrix(lam, n, d)
         ms = tb.enumerate_m_vectors(lam, d, max_weight=n)
         vecs = []
         for m in ms:
-            t = tb.canonical_tableau(lam, m, d)
+            t = orc.canonical_tableau(lam, m, d)
             e = np.zeros(d**n)
-            e[sw.tableau_vector_index(t, d)] = 1.0
+            e[orc.tableau_vector_index(t, d)] = 1.0
             v = Y @ e
             vecs.append(v / np.linalg.norm(v))
         basis = sw.block_basis(lam, d, max_weight=n)
