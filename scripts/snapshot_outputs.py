@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Write the CLI outputs that byte-identity checks compare, one file each.
+
+Usage: python scripts/snapshot_outputs.py OUTDIR
+
+Runs, through `qlan.cli.main`: `converge` at the default config (CSV and
+JSON) and at n=64,128 (JSON), `converge` at a d=3 config (CSV and JSON),
+`decompose` at d=2 n=48 and at that d=3 config with n=10, and every
+`verify` lemma.  Two snapshots are identical iff `diff -r` of their
+directories is empty.  The script uses nothing but the CLI, so it runs on
+an older checkout too.
+"""
+
+import sys
+from pathlib import Path
+
+from qlan import cli
+from qlan import experiments as ex
+
+D3 = [
+    "--d", "3", "--mu", "0.5,0.3,0.2", "--u", "0.5,0",
+    "--zeta", "0.5+0.3i,0.2-0.1i,0.1+0.2i",
+]
+
+RUNS = {
+    "converge.csv": ["converge"],
+    "converge.json": ["converge", "--format", "json"],
+    "converge_n64_128.json": ["converge", "--n-list", "64,128", "--format", "json"],
+    "converge_d3.csv": ["converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10"],
+    "converge_d3.json": [
+        "converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10", "--format", "json",
+    ],
+    "decompose_d2_n48.json": ["decompose", "--n-list", "48"],
+    "decompose_d3_n10.json": ["decompose", *D3, "--n-list", "10"],
+}
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    outdir = Path(sys.argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    runs = dict(RUNS)
+    for lemma in sorted(ex.VERIFIERS):
+        runs[f"verify_{lemma}.json"] = ["verify", lemma]
+    failed = 0
+    for name, argv in runs.items():
+        code = cli.main([*argv, "--out", str(outdir / name)])
+        print(f"{name}: exit {code}")
+        failed += code != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

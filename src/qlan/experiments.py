@@ -177,12 +177,16 @@ def run_decompose(config: ExperimentConfig) -> dict:
     n = config.n_list[0]
     spec = config.spectrum()
     theta = config.theta()
+    # the window of run_converge, so both agree on every diagram
+    typical = set(ch.typical_diagrams(n, spec, config.alpha))
     blocks = []
     total = 0.0
+    # one diagram per transfer: a union of the untruncated simplices is far
+    # larger than most blocks' own
     for lam in tb.enumerate_diagrams(n, config.d):
         weight = md.block_weight(lam, spec, theta.u, n)
-        basis = sw.block_basis(lam, config.d, max_weight=n)
-        state = md.block_state(basis, spec, theta, n)
+        (basis,) = sw.block_bases([lam], config.d, max_weight=n)
+        (state,) = md.block_states([basis], spec, theta, n)
         spectrum = np.linalg.eigvalsh(state.matrix)[::-1]
         total += weight
         blocks.append(
@@ -192,7 +196,7 @@ def run_decompose(config: ExperimentConfig) -> dict:
                 "dim": tb.dim_irrep(lam, config.d),
                 "multiplicity": tb.multiplicity(lam, n, config.d),
                 "spectrum": [float(v) for v in spectrum],
-                "typical": tb.is_typical(lam, n, config.mu, config.alpha),
+                "typical": lam in typical,
             }
         )
     return {
@@ -342,9 +346,9 @@ def _verify_len0() -> dict:
     dists = {}
     for n in (25, 200):
         lam = _most_probable_diagram(spec, n)
-        basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
+        (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
-        state = md.block_state(basis, spec, theta, n)
+        (state,) = md.block_states([basis], spec, theta, n)
         phi = iso.matrix @ state.matrix @ iso.matrix.conj().T
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
@@ -361,10 +365,9 @@ def _verify_ldisplacement() -> dict:
     vals = []
     for n in (25, 100, 400):
         lam = _most_probable_diagram(spec, n)
-        basis = sw.block_basis(lam, 2, max_weight=fock.cutoff)
+        (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
-        U = md.rotation_unitary(spec, zeta, n)
-        B = sw.block_unitary(basis, U)
+        (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, zeta, n))
         zero = (0,)
         psi = iso.matrix @ (B.matrix @ basis.coords(zero).astype(complex))
         vals.append(1.0 - abs(target.conj() @ psi) ** 2)
@@ -376,12 +379,12 @@ def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int) ->
     """|| [rotate(zeta+z) - rotate(zeta) rotate(z)] applied to the lowest
     weight vector ||_1 on the most probable block."""
     lam = _most_probable_diagram(spec, n)
-    basis = sw.block_basis(lam, 2, max_weight=FOCK_CUTOFF)
+    (basis,) = sw.block_bases([lam], 2, max_weight=FOCK_CUTOFF)
     e0 = basis.coords((0,)).astype(complex)
 
     def rotate(w):
-        U = md.rotation_unitary(spec, (w,), n)
-        return sw.block_unitary(basis, U).matrix
+        (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, (w,), n))
+        return B.matrix
 
     psi_sum = rotate(zeta + z) @ e0
     psi_seq = rotate(zeta) @ (rotate(z) @ e0)

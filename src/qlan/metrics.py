@@ -178,9 +178,6 @@ class DistanceReport:
     atypical: float
     truncation_budget: float
 
-    def components_sum(self) -> float:
-        return self.classical + self.quantum_sup + self.atypical
-
 
 def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> DistanceReport:
     """Exact trace-norm distance between the channel output and the Gaussian

@@ -165,56 +165,40 @@ def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) 
 # block states
 
 
-def block_state(
-    basis: sw.BlockBasis, spec: Spectrum, theta: LocalParams, n: int
-) -> sw.BlockOperator:
-    """Normalized block of the tensor-power state in orthonormal coordinates.
+def block_states(
+    bases: list[sw.BlockBasis], spec: Spectrum, theta: LocalParams, n: int
+) -> list[sw.BlockOperator]:
+    """Normalized block of the tensor-power state on every basis, in
+    orthonormal coordinates.
 
     The diagonal-parameter part takes the value prod_i (mu_i^{u,n})^{w_i} on
     each vector of weight w (total multiplicities); the weight classes span
     their own orthonormal coordinates (see BlockBasis), so it is diagonal.
     The off-diagonal parameters enter by conjugation with the block
-    rotation."""
-    rotation = None
-    if any(theta.zeta):
-        rotation = sw.block_unitary(basis, rotation_unitary(spec, theta.zeta, n))
-    return _block_state(basis, spec, theta.u, n, rotation)
-
-
-def block_states(
-    bases: list[sw.BlockBasis], spec: Spectrum, theta: LocalParams, n: int
-) -> list[sw.BlockOperator]:
-    """block_state of every basis, with one rotation transfer for all."""
+    rotation, all rotations coming from one transfer."""
     rotations = [None] * len(bases)
     if any(theta.zeta):
         rotations = sw.block_unitaries(bases, rotation_unitary(spec, theta.zeta, n))
-    return [_block_state(b, spec, theta.u, n, r) for b, r in zip(bases, rotations)]
-
-
-def _block_state(
-    basis: sw.BlockBasis,
-    spec: Spectrum,
-    u: tuple[float, ...],
-    n: int,
-    rotation: sw.BlockOperator | None,
-) -> sw.BlockOperator:
-    vals = perturbed_spectrum(spec, u, n)
-    logs = [math.log(v) for v in vals]
-    log_full = log_schur_poly(basis.lam, vals)
-    weights = [tb.total_multiplicities(basis.lam, m, basis.d) for m in basis.mvectors]
-    # eigenvalues relative to the block trace s_lambda, each at most 1
-    evs = np.array(
-        [math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full) for w in weights]
-    )
-    covered = float(evs.sum())
-    loss = max(0.0, 1.0 - covered)
-    rho = np.diag(evs / covered).astype(complex)
-    if rotation is not None:
-        rho = rotation.matrix @ rho @ rotation.matrix.conj().T
-        tr = float(np.trace(rho).real)
-        loss = max(loss, 1.0 - tr)
-        rho = rho / tr
-    return sw.BlockOperator(basis.lam, rho, float(loss))
+    out = []
+    for basis, rotation in zip(bases, rotations):
+        vals = perturbed_spectrum(spec, theta.u, n)
+        logs = [math.log(v) for v in vals]
+        log_full = log_schur_poly(basis.lam, vals)
+        weights = [tb.total_multiplicities(basis.lam, m, basis.d) for m in basis.mvectors]
+        # eigenvalues relative to the block trace s_lambda, each at most 1
+        evs = np.array(
+            [math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full) for w in weights]
+        )
+        covered = float(evs.sum())
+        loss = max(0.0, 1.0 - covered)
+        rho = np.diag(evs / covered).astype(complex)
+        if rotation is not None:
+            rho = rotation.matrix @ rho @ rotation.matrix.conj().T
+            tr = float(np.trace(rho).real)
+            loss = max(loss, 1.0 - tr)
+            rho = rho / tr
+        out.append(sw.BlockOperator(basis.lam, rho, float(loss)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,23 +27,25 @@ the non-trivial pair types, and
 
     W(m, l; U) = [x^m y^l] prod over L of (v0_L + P_L)^ncols.
 
-`pairing_matrix` evaluates this product on one flat complex vector S over
-the positions a * |b-simplex| + b, with a running over the exponent vectors
-at most the largest requested m (per pair and in total weight) and b
-likewise, applying each class as the binomial sum of C(ncols, K)
+`pairing_matrices` evaluates this product, per diagram, on one flat complex
+vector S over the positions a * |simplex| + b, with a and b running over
+the exponent vectors at most the largest requested m (per pair and in total
+weight), applying each class as the binomial sum of C(ncols, K)
 v0^(ncols-K) P^K S over K.  Each term of P is a gather and scatter between
-flat positions, built from one shift map per side; the simplices and shift
-maps depend only on the caps, so they are cached and shared, read-only, by
-a block's Gram and rotation pairings and by every block with the same caps.
+flat positions, built from one shift map per side; the simplex and its
+shift maps depend only on the caps, so they are cached and shared,
+read-only, by a block's Gram and rotation pairings and by every block with
+the same caps.  A simplex pair of more than MAX_TRANSFER_ENTRIES positions
+is refused before anything is allocated.
 
 The first non-empty class acts on the unit vector e0 (S before any class),
 so its powers P^K e0 depend on U, the class length and the simplex, and not
 on lambda: only the weights C(ncols, K) v0^(ncols-K) differ between blocks.
-`pairing_matrices` therefore pairs many diagrams at one U (all blocks of a
-sweep point share the local unitary) and runs that sequence once on the
-union simplex, whose caps are the largest of the batch; a block reads the
-powers at its own simplex, which is down-closed in the union (bricks only
-raise exponents, so nothing outside it feeds into it), sums its own
+`pairing_matrices` therefore pairs a list of diagrams at one U (all blocks
+of a sweep point share the local unitary) and runs that sequence once on
+the union simplex, whose caps are the largest of the list; a block reads
+the powers at its own simplex, which is down-closed in the union (bricks
+only raise exponents, so nothing outside it feeds into it), sums its own
 binomial series, and runs its remaining classes on its own simplex.  Each
 entry sees the operations of a block on its own, in the same order, with
 one caveat: numpy evaluates `val * PKS[src]` as `PKS[src] * val` once the
@@ -52,9 +54,9 @@ the temporary), and with fused multiply-adds the operand order can change
 the last bit.  A term could cross that size between the union and a
 block's own simplex, so blocks share the union only while it has fewer
 entries (the sweeps' simplex pairs have about 10**3) and pair one at a time
-beyond; the result then matches the per-diagram calls bit for bit.
+beyond; every block then gets the bits of a list holding it alone.
 `run_decompose`, whose untruncated blocks differ widely in size, pairs one
-diagram at a time.  `pairing_matrix` is the batch of one.
+diagram per call.
 
 The references this module is checked against, orbit sums by enumeration
 and Young symmetrizers on the full tensor space, live in `qlan.oracle`.
@@ -69,12 +71,16 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import NearSingularGramError
+from .errors import NearSingularGramError, ResourceLimitError
 from . import tableaux as tb
 
 # complex entries (256 KiB) from which numpy computes `val * PKS[src]` in
 # place on the temporary, operands swapped (see the module docstring)
 ELIDED_ENTRIES = 2**14
+
+# complex entries of the largest simplex pair a transfer may allocate: one
+# such vector is 256 MiB, and a transfer holds several at once
+MAX_TRANSFER_ENTRIES = 2**24
 
 # ---------------------------------------------------------------------------
 # determinants of tiny matrices, exact on integer entries
@@ -168,52 +174,45 @@ def _shift_map(caps: tuple[int, ...], wcap: int, v: tuple[int, ...]):
     return _frozen(np.flatnonzero(inside)), _frozen(_positions(caps, wcap, moved[inside]))
 
 
-def _side(ms: list[tb.MVector], npairs: int):
-    """Per-pair caps, total-weight cap and the m-vectors as rows."""
-    M = np.array(ms, dtype=np.intp).reshape(len(ms), npairs)
-    caps = tuple(int(c) for c in M.max(axis=0, initial=0))
-    return caps, int(M.sum(axis=1).max(initial=0)), M
-
-
-def _class_terms(length: int, d: int, U: np.ndarray, side_a, side_b):
+def _class_terms(length: int, d: int, U: np.ndarray, bounds):
     """v0 = det U[1..L, 1..L] and P for the columns of length L, as a list of
-    (source, destination, value) over the flat positions a * nb + b of the
-    simplex pair: P S adds val * S[a, b] at [a + va, b + vb]."""
+    (source, destination, value) over the flat positions a * ns + b, ns the
+    size of the simplex of `bounds`: P S adds val * S[a, b] at [a + va, b + vb]."""
     npairs = len(tb.pairs(d))
-    nb = len(_simplex(*side_b))
+    ns = len(_simplex(*bounds))
     v0 = complex(small_det([[U[i, j] for j in range(length)] for i in range(length)]))
     idcol = tuple(range(1, length + 1))
-    sides = [(tuple([0] * npairs), idcol)] + [
+    columns = [(tuple([0] * npairs), idcol)] + [
         (_brick_vector(bricks, d), entries) for bricks, entries in column_modifiers(length, d)
     ]
     terms = []
-    for va, ea in sides:
-        src_a, dst_a = _shift_map(*side_a, va)
+    for va, ea in columns:
+        src_a, dst_a = _shift_map(*bounds, va)
         if not src_a.size:
             continue
-        for vb, eb in sides:
+        for vb, eb in columns:
             if not (any(va) or any(vb)):
                 continue
-            src_b, dst_b = _shift_map(*side_b, vb)
+            src_b, dst_b = _shift_map(*bounds, vb)
             if not src_b.size:
                 continue
             val = complex(small_det([[U[i - 1, j - 1] for j in eb] for i in ea]))
             if val != 0:
-                src = (src_a[:, None] * nb + src_b).ravel()
-                dst = (dst_a[:, None] * nb + dst_b).ravel()
+                src = (src_a[:, None] * ns + src_b).ravel()
+                dst = (dst_a[:, None] * ns + dst_b).ravel()
                 terms.append((src, dst, val))
     return v0, terms
 
 
-def _apply_class(S, length: int, d: int, U: np.ndarray, sides, series) -> list[np.ndarray]:
-    """(v0 + P)^ncols S for the columns of length L on the simplex pair
-    `sides`, as the binomial sum of C(ncols, K) v0^(ncols-K) P^K S over K,
+def _apply_class(S, length: int, d: int, U: np.ndarray, bounds, series) -> list[np.ndarray]:
+    """(v0 + P)^ncols S for the columns of length L on the simplex pair of
+    `bounds`, as the binomial sum of C(ncols, K) v0^(ncols-K) P^K S over K,
     for each (ncols, limit, pos) of the series: one sequence of powers
     P^K S, each sum stopping at K = limit and read at the flat positions
     pos (None: all of them).  A term's destinations are distinct, so
     `np.add.at` adds exactly what `nxt[dst] += ...` would, without the
     gathered copy of nxt[dst]."""
-    v0, terms = _class_terms(length, d, U, *sides)
+    v0, terms = _class_terms(length, d, U, bounds)
     outs = [v0**ncols * (S if pos is None else S[pos]) for ncols, _, pos in series]
     PKS = S
     for K in range(1, max(limit for _, limit, _ in series) + 1):
@@ -233,29 +232,31 @@ def _apply_class(S, length: int, d: int, U: np.ndarray, sides, series) -> list[n
     return outs
 
 
-def _union(sides):
+def _union(bounds):
     """The smallest (caps, wcap) whose simplex holds every given simplex."""
-    caps, wcaps = zip(*sides)
+    caps, wcaps = zip(*bounds)
     return tuple(map(max, zip(*caps))), max(wcaps)
 
 
-def _restriction(union, pair):
-    """Flat positions of the simplex pair inside the union pair, or None when
-    they coincide."""
-    if pair == union:
+def _restriction(union, bounds):
+    """Flat positions of the simplex pair of `bounds` inside that of
+    `union`, or None when they coincide."""
+    if bounds == union:
         return None
-    rows = _positions(*union[0], _simplex(*pair[0]))
-    cols = _positions(*union[1], _simplex(*pair[1]))
-    return (rows[:, None] * len(_simplex(*union[1])) + cols).ravel()
+    pos = _positions(*union, _simplex(*bounds))
+    return (pos[:, None] * len(_simplex(*union)) + pos).ravel()
 
 
 def pairing_matrices(
     lams: list[tb.Diagram],
     d: int,
     U: np.ndarray,
-    sides: list[tuple[list[tb.MVector], list[tb.MVector]]],
+    mss: list[list[tb.MVector]],
 ) -> list[np.ndarray]:
-    """pairing_matrix(lams[i], d, U, *sides[i]) for every i, at one U.
+    """For every i, the matrix of orbit sums W(m, l; U) for m, l in mss[i] on
+    the diagram lams[i]: the coefficients of prod over L of
+    (v0_L + P_L)^ncols described in the module docstring, truncated to the
+    exponents that mss[i] can reach.
 
     A diagram's first non-empty column class acts on the unit vector e0, so
     its powers P^K e0 depend on U, the class length and the simplex only.
@@ -264,18 +265,28 @@ def pairing_matrices(
     ELIDED_ENTRIES entries; each reads it on its own simplex (down-closed in
     the union, and bricks only raise exponents, so the rest of the union
     never feeds into it) and sums its own binomial series.  The remaining
-    classes run per diagram on its own simplex."""
+    classes run per diagram on its own simplex.  A diagram whose simplex
+    pair has more than MAX_TRANSFER_ENTRIES positions raises
+    ResourceLimitError before any transfer runs."""
     npairs = len(tb.pairs(d))
-    pairs, rows, classes, groups = [], [], [], {}
-    for i, (lam, (ms_a, ms_b)) in enumerate(zip(lams, sides)):
+    bounds, rows, classes, groups = [], [], [], {}
+    for i, (lam, ms) in enumerate(zip(lams, mss)):
         lam = tb.check_diagram(lam, d)
-        caps_a, wcap_a, M_a = _side(ms_a, npairs)
-        caps_b, wcap_b, M_b = _side(ms_b, npairs)
-        pairs.append(((caps_a, wcap_a), (caps_b, wcap_b)))
-        rows.append((M_a, M_b))
+        # the m-vectors as rows, their per-pair caps and total-weight cap
+        M = np.array(ms, dtype=np.intp).reshape(len(ms), npairs)
+        caps = tuple(int(c) for c in M.max(axis=0, initial=0))
+        wcap = int(M.sum(axis=1).max(initial=0))
+        entries = len(_simplex(caps, wcap)) ** 2
+        if entries > MAX_TRANSFER_ENTRIES:
+            raise ResourceLimitError(
+                f"the pairing transfer of {lam} needs {entries:,} complex entries, "
+                f"more than {MAX_TRANSFER_ENTRIES:,}; lower n or the basis cutoff"
+            )
+        bounds.append((caps, wcap))
+        rows.append(M)
         # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for
         # larger K; the heaviest simplex vector weighs min(wcap, sum of caps)
-        max_power = min(wcap_a, sum(caps_a)) + min(wcap_b, sum(caps_b))
+        max_power = 2 * min(wcap, sum(caps))
         ncols = [tb.row(lam, L) - tb.row(lam, L + 1) for L in range(1, d + 1)]
         # (length, ncols, largest K) per class; the empty diagram gets one
         # class of no columns, which leaves S = e0
@@ -287,40 +298,26 @@ def pairing_matrices(
 
     batches = []
     for length, members in groups.items():
-        union = _union([pairs[i][0] for i in members]), _union([pairs[i][1] for i in members])
-        if len(_simplex(*union[0])) * len(_simplex(*union[1])) < ELIDED_ENTRIES:
+        union = _union([bounds[i] for i in members])
+        if len(_simplex(*union)) ** 2 < ELIDED_ENTRIES:
             batches.append((length, members, union))
         else:
-            batches += [(length, [i], pairs[i]) for i in members]
+            batches += [(length, [i], bounds[i]) for i in members]
     S = {}
     for length, members, union in batches:
-        e0 = np.zeros(len(_simplex(*union[0])) * len(_simplex(*union[1])), dtype=complex)
+        e0 = np.zeros(len(_simplex(*union)) ** 2, dtype=complex)
         e0[0] = 1.0
-        series = [(*classes[i][0][1:], _restriction(union, pairs[i])) for i in members]
+        series = [(*classes[i][0][1:], _restriction(union, bounds[i])) for i in members]
         S.update(zip(members, _apply_class(e0, length, d, U, union, series)))
         del e0  # the remaining classes run without it
 
     out = []
-    for i, ((side_a, side_b), (M_a, M_b)) in enumerate(zip(pairs, rows)):
+    for i, (own, M) in enumerate(zip(bounds, rows)):
         for length, ncols, limit in classes[i][1:]:
-            S[i] = _apply_class(S[i], length, d, U, pairs[i], [(ncols, limit, None)])[0]
-        nb = len(_simplex(*side_b))
-        cells = np.ix_(_positions(*side_a, M_a), _positions(*side_b, M_b))
-        out.append(S[i].reshape(-1, nb)[cells])
+            S[i] = _apply_class(S[i], length, d, U, own, [(ncols, limit, None)])[0]
+        pos = _positions(*own, M)
+        out.append(S[i].reshape(-1, len(_simplex(*own)))[np.ix_(pos, pos)])
     return out
-
-
-def pairing_matrix(
-    lam: tb.Diagram,
-    d: int,
-    U: np.ndarray,
-    ms_a: list[tb.MVector],
-    ms_b: list[tb.MVector],
-) -> np.ndarray:
-    """Matrix of orbit sums W(m, l; U) for m in ms_a, l in ms_b: the
-    coefficients of prod over L of (v0_L + P_L)^ncols described in the module
-    docstring, truncated to the exponents that ms_a and ms_b can reach."""
-    return pairing_matrices([lam], d, U, [(ms_a, ms_b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +328,8 @@ def gram_matrix(lam: tb.Diagram, d: int, basis: list[tb.MVector]) -> np.ndarray:
     """Overlap matrix of the normalized symmetrizer-image vectors; the
     identity pairing makes entries across different total-multiplicity
     classes exactly zero (the selection rule)."""
-    ms = list(basis)
-    return _gram_and_norms(pairing_matrix(lam, d, np.eye(d), ms, ms))[0]
+    (W,) = pairing_matrices([lam], d, np.eye(d), [list(basis)])
+    return _gram_and_norms(W)[0]
 
 
 def _gram_and_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,26 +390,19 @@ class BlockBasis:
         return self.sqrt_gram[:, self.index(m)].copy()
 
 
-def _block_basis(lam: tb.Diagram, d: int, ms: list[tb.MVector], W: np.ndarray) -> BlockBasis:
-    G, norms = _gram_and_norms(W)
-    sqrt, inv_sqrt = orthonormalize(G)
-    return BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms)
-
-
-def block_basis(lam: tb.Diagram, d: int, max_weight: int | None = None) -> BlockBasis:
-    lam = tb.check_diagram(lam, d)
-    ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
-    return _block_basis(lam, d, ms, pairing_matrix(lam, d, np.eye(d), ms, ms))
-
-
 def block_bases(
     lams: list[tb.Diagram], d: int, max_weight: int | None = None
 ) -> list[BlockBasis]:
-    """block_basis of every diagram, from one identity transfer."""
+    """The basis of every diagram, truncated to total weight |m| <=
+    max_weight, from one identity transfer."""
     lams = [tb.check_diagram(lam, d) for lam in lams]
     mss = [tb.enumerate_m_vectors(lam, d, max_weight=max_weight) for lam in lams]
-    Ws = pairing_matrices(lams, d, np.eye(d), [(ms, ms) for ms in mss])
-    return [_block_basis(lam, d, ms, W) for lam, ms, W in zip(lams, mss, Ws)]
+    out = []
+    for lam, ms, W in zip(lams, mss, pairing_matrices(lams, d, np.eye(d), mss)):
+        G, norms = _gram_and_norms(W)
+        sqrt, inv_sqrt = orthonormalize(G)
+        out.append(BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms))
+    return out
 
 
 @dataclass(frozen=True)
@@ -425,30 +415,16 @@ class BlockOperator:
     truncation_defect: float
 
 
-def mixed_overlap_matrix(basis: BlockBasis, U: np.ndarray) -> np.ndarray:
-    """Overlaps <m| pi(U) |l> of the normalized non-orthogonal vectors."""
-    ms = list(basis.mvectors)
-    W = pairing_matrix(basis.lam, basis.d, U, ms, ms)
-    return W / np.outer(basis.norms, basis.norms)
-
-
-def _block_operator(basis: BlockBasis, M: np.ndarray) -> BlockOperator:
-    """The block operator with overlaps M, in orthonormal coordinates."""
-    mat = basis.inv_sqrt_gram @ M @ basis.inv_sqrt_gram
-    colnorms = np.linalg.norm(mat, axis=0) ** 2
-    defect = float(max(0.0, 1.0 - colnorms.min()))
-    return BlockOperator(basis.lam, mat, defect)
-
-
-def block_unitary(basis: BlockBasis, U: np.ndarray) -> BlockOperator:
-    """Representation matrix of the d x d unitary U on the truncated block, in
-    orthonormal coordinates; columns lose norm where the true image leaks
-    outside the truncated basis."""
-    return _block_operator(basis, mixed_overlap_matrix(basis, U))
-
-
 def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[BlockOperator]:
-    """block_unitary of every basis, from one transfer at U."""
-    sides = [(list(b.mvectors), list(b.mvectors)) for b in bases]
-    Ws = pairing_matrices([b.lam for b in bases], len(U), U, sides)
-    return [_block_operator(b, W / np.outer(b.norms, b.norms)) for b, W in zip(bases, Ws)]
+    """Representation matrix of the d x d unitary U on every truncated
+    block, in orthonormal coordinates, from one transfer at U: the overlaps
+    <m| pi(U) |l> of the normalized vectors between two inverse square
+    roots of the Gram matrix.  Columns lose norm where the true image leaks
+    outside the truncated basis."""
+    mss = [list(b.mvectors) for b in bases]
+    out = []
+    for b, W in zip(bases, pairing_matrices([b.lam for b in bases], len(U), U, mss)):
+        mat = b.inv_sqrt_gram @ (W / np.outer(b.norms, b.norms)) @ b.inv_sqrt_gram
+        colnorms = np.linalg.norm(mat, axis=0) ** 2
+        out.append(BlockOperator(b.lam, mat, float(max(0.0, 1.0 - colnorms.min()))))
+    return out

@@ -160,10 +160,3 @@ def enumerate_m_vectors(
 
     rec(0, [], [0] * d, 0)
     return sorted(out)
-
-
-def is_typical(lam: Diagram, n: int, mu: tuple[float, ...], alpha: float) -> bool:
-    """True iff every row satisfies |lambda_i - n mu_i| <= n^alpha."""
-    d = len(mu)
-    bound = n**alpha
-    return all(abs(row(lam, i) - n * mu[i - 1]) <= bound for i in range(1, d + 1))

@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlan import channels as ch
 from qlan import cli
 from qlan import experiments as ex
+from qlan import models as md
+from qlan import schur_weyl as sw
 
 
 class TestConfig:
@@ -62,6 +65,45 @@ class TestRunners:
         assert weights[(1, 1)] == pytest.approx(0.1875)
         assert result["total_weight"] == pytest.approx(1.0)
         assert result["schema_version"] == 4
+
+    @pytest.mark.parametrize("zeta", [0j, 0.5 + 0.3j])
+    def test_decompose_one_transfer_per_diagram(self, zeta, monkeypatch):
+        # each diagram pairs on its own: one identity transfer, plus one at
+        # the local rotation when zeta != 0, each a list of one diagram
+        calls = []
+        real = sw.pairing_matrices
+
+        def counting(lams, d, U, mss):
+            kind = "identity" if np.array_equal(U, np.eye(d)) else "rotation"
+            calls.append((kind, tuple(lams)))
+            return real(lams, d, U, mss)
+
+        monkeypatch.setattr(sw, "pairing_matrices", counting)
+        result = ex.run_decompose(ex.ExperimentConfig(zeta=(zeta,), n_list=(9,)))
+        kinds = ["identity", "rotation"] if zeta else ["identity"]
+        expect = [(k, (tuple(b["lam"]),)) for b in result["blocks"] for k in kinds]
+        assert len(result["blocks"]) == 5
+        assert calls == expect
+
+    def test_decompose_typical_flags_match_converge_window(self, monkeypatch):
+        # 32**0.6 rounds to 7.999999999999999 while 16 + 32**0.6 rounds to
+        # 24.0: the window converge prepares blocks from admits lambda_1 = 24
+        # at mu_1 n = 16, and decompose must flag those blocks typical too
+        def no_basis(lams, d, max_weight=None):
+            return [None] * len(lams)
+
+        def unit_state(bases, spec, theta, n):
+            return [sw.BlockOperator((), np.eye(1), 0.0) for _ in bases]
+
+        monkeypatch.setattr(sw, "block_bases", no_basis)
+        monkeypatch.setattr(md, "block_states", unit_state)
+        cfg = ex.ExperimentConfig(d=3, mu=(0.5, 0.3, 0.2), u=(0.0, 0.0),
+                                  zeta=(0j, 0j, 0j), n_list=(32,))
+        flags = {tuple(b["lam"]): b["typical"] for b in ex.run_decompose(cfg)["blocks"]}
+        window = set(ch.typical_diagrams(32, cfg.spectrum(), cfg.alpha))
+        assert flags == {lam: lam in window for lam in flags}
+        edge = [(24, 8), (24, 7, 1), (24, 6, 2), (24, 5, 3), (24, 4, 4)]
+        assert all(flags[lam] for lam in edge)
 
     def test_decompose_needs_single_n(self):
         with pytest.raises(ValueError):
@@ -184,6 +226,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: Fock dimension 887503681 ")
         assert "cutoff 30" in err
+
+    def test_oversized_transfer_exit_2(self, monkeypatch, capsys):
+        # the one-row block of n=8 pairs on a 9 x 9 simplex pair
+        monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 80)
+        rc = cli.main(["decompose", "--n-list", "8"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the pairing transfer of (8,) needs 81 complex entries, "
+            "more than 80; lower n or the basis cutoff\n"
+        )
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

@@ -1,6 +1,7 @@
 """Source hygiene: every module in the package, the scripts and the tests
 uses each name it imports, and every module-level function and class of the
-package is read somewhere outside its own definition.  The reference code
+package, and every method and property of its classes, is read somewhere
+outside its own definition.  The reference code
 that only tests read lives in `qlan.oracle`: every other definition of the
 package has a reader on the production path, and only the lemma verifiers
 and the tests import the oracle."""
@@ -44,15 +45,29 @@ def read_names(tree: ast.AST) -> list[str]:
     ]
 
 
+def definitions(module: ast.Module):
+    """Module-level functions and classes, and the methods and properties of
+    those classes; dunders are called by Python itself, so they are exempt."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                item
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+
+
 def unreferenced_definitions(module: ast.Module, trees: list[ast.AST]) -> list[str]:
-    """Module-level functions and classes of `module` that no expression in
-    `trees` reads, not counting reads inside the definition itself."""
+    """Definitions of `module` that no expression in `trees` reads, not
+    counting reads inside the definition itself."""
     reads = Counter(name for tree in trees for name in read_names(tree))
     return [
         f"line {node.lineno}: {node.name}"
-        for node in module.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and reads[node.name] == read_names(node).count(node.name)
+        for node in definitions(module)
+        if reads[node.name] == read_names(node).count(node.name)
     ]
 
 
@@ -151,6 +166,24 @@ def test_production_scan_ignores_tests_and_oracle():
         "line 3: tested",
         "line 5: checked",
     ]
+
+
+def test_production_scan_sees_methods():
+    module = ast.parse(
+        "class Report:\n"
+        "    def __init__(self):\n        self.x = 1\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def shown(self):\n        return 2\n"
+        "    def tested(self):\n        return 3\n"
+    )
+    trees = {
+        Path("src/qlan/m.py"): module,
+        Path("src/qlan/n.py"): ast.parse(
+            "from .m import Report\nr = Report()\nr.used()\nr.shown\n"
+        ),
+        Path("tests/test_m.py"): ast.parse("from qlan import m\nm.Report().tested()\n"),
+    }
+    assert unreferenced_definitions(module, production_readers(trees)) == ["line 9: tested"]
 
 
 def test_oracle_import_scan():

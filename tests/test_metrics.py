@@ -111,7 +111,7 @@ def small_run():
 class TestCqDistance:
     def test_total_bounded_by_components(self, small_run):
         rep = small_run
-        assert rep.total <= rep.components_sum() + 1e-8
+        assert rep.total <= rep.classical + rep.quantum_sup + rep.atypical + 1e-8
 
     def test_components_nonnegative(self, small_run):
         rep = small_run

@@ -125,8 +125,8 @@ class TestBlockState:
         spec = md.Spectrum((0.7, 0.3))
         theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
         lam = (60, 40)
-        basis = sw.block_basis(lam, 2, max_weight=15)
-        state = md.block_state(basis, spec, theta, 100)
+        (basis,) = sw.block_bases([lam], 2, max_weight=15)
+        (state,) = md.block_states([basis], spec, theta, 100)
         assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(state.matrix).min() > -1e-12
 
@@ -135,8 +135,8 @@ class TestBlockState:
         spec = md.Spectrum((0.7, 0.3))
         theta = md.LocalParams((0.0,), (0j,))
         lam = (5, 1)
-        basis = sw.block_basis(lam, 2, max_weight=6)
-        state = md.block_state(basis, spec, theta, 6)
+        (basis,) = sw.block_bases([lam], 2, max_weight=6)
+        (state,) = md.block_states([basis], spec, theta, 6)
         expect = np.array([0.7 ** (6 - k) * 0.3**k for k in range(5)])
         expect = np.sort(expect / expect.sum())
         got = np.sort(np.linalg.eigvalsh(state.matrix))
@@ -146,9 +146,9 @@ class TestBlockState:
         "d,lam,cutoff", [(3, (4, 2, 1), 4), (3, (30, 18, 12), 6), (4, (3, 2, 1), 3)]
     )
     def test_sqrt_gram_block_diagonal_over_weights(self, d, lam, cutoff):
-        # block_state is diagonal because each weight class spans its own
+        # block_states is diagonal because each weight class spans its own
         # orthonormal coordinates
-        basis = sw.block_basis(lam, d, max_weight=cutoff)
+        (basis,) = sw.block_bases([lam], d, max_weight=cutoff)
         weights = [tb.total_multiplicities(lam, m, d) for m in basis.mvectors]
         cross = np.array([[wr != wc for wc in weights] for wr in weights])
         assert cross.any()

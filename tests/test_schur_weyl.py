@@ -13,7 +13,7 @@ from qlan import models as md
 from qlan import oracle as orc
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
-from qlan.errors import NearSingularGramError
+from qlan.errors import NearSingularGramError, ResourceLimitError
 
 
 SMALL_BLOCKS = [
@@ -33,7 +33,7 @@ def spin_representation(lam, U):
     (k copies of 2 in row 1): exp(i dpi(H)) for U = exp(iH), with dpi the
     spin-(lam1-lam2)/2 representation of the generators times det^lam2.
     Its low-weight corner is a Wigner D-matrix block, built by one
-    eigendecomposition and so free of the cancellation in pairing_matrix."""
+    eigendecomposition and so free of the cancellation in pairing_matrices."""
     N, lam2 = lam[0] - lam[1], lam[1]
     vals, vecs = np.linalg.eig(U)
     H = (vecs * np.angle(vals)) @ np.linalg.inv(vecs)
@@ -48,13 +48,19 @@ def spin_representation(lam, U):
 
 
 def spin_oracle_error(n, U, cutoff=30):
-    """Largest entry of block_unitary minus the spin-j corner, at the
+    """Largest entry of block_unitaries minus the spin-j corner, at the
     diagram with rows proportional to (0.7, 0.3)."""
     lam = ex.proportional_diagram(n, (0.7, 0.3))
-    basis = sw.block_basis(lam, 2, max_weight=cutoff)
-    B = sw.block_unitary(basis, U).matrix
+    (basis,) = sw.block_bases([lam], 2, max_weight=cutoff)
+    (B,) = sw.block_unitaries([basis], U)
     D = spin_representation(lam, U)[: basis.size, : basis.size]
-    return float(np.abs(B - D).max())
+    return float(np.abs(B.matrix - D).max())
+
+
+def overlaps(basis, U):
+    """<m| pi(U) |l> of the normalized non-orthogonal vectors of the basis."""
+    (W,) = sw.pairing_matrices([basis.lam], basis.d, U, [list(basis.mvectors)])
+    return W / np.outer(basis.norms, basis.norms)
 
 
 def haar_special_unitary(rng):
@@ -66,7 +72,7 @@ class TestPairingEngine:
     @pytest.mark.parametrize("d,lam", SMALL_BLOCKS)
     def test_matches_direct_orbit_enumeration_identity(self, d, lam):
         ms = tb.enumerate_m_vectors(lam, d, max_weight=3)
-        W = sw.pairing_matrix(lam, d, np.eye(d), ms, ms)
+        (W,) = sw.pairing_matrices([lam], d, np.eye(d), [ms])
         for i, m in enumerate(ms):
             for j, l in enumerate(ms):
                 direct = orc.symmetrizer_pairing(lam, d, m, l)
@@ -77,27 +83,11 @@ class TestPairingEngine:
         rng = np.random.default_rng(hash((d, lam)) % 2**32)
         U = orc.haar_unitary(d, rng)
         ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
-        W = sw.pairing_matrix(lam, d, U, ms, ms)
+        (W,) = sw.pairing_matrices([lam], d, U, [ms])
         for i, m in enumerate(ms):
             for j, l in enumerate(ms):
                 direct = orc.symmetrizer_pairing(lam, d, m, l, U)
                 assert W[i, j] == pytest.approx(direct, rel=1e-10, abs=1e-10)
-
-    @pytest.mark.parametrize("d,lam", [(2, (5, 2)), (3, (4, 2, 1)), (4, (3, 2, 1))])
-    def test_rectangular_matches_direct_orbit_enumeration(self, d, lam):
-        # rows and columns from different m-vector lists, including a
-        # single m against the zero m-vector
-        rng = np.random.default_rng(sum(lam) + d)
-        U = orc.haar_unitary(d, rng)
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
-        zero = ms[0]
-        for ms_a, ms_b in [(ms[1:], [zero]), ([zero], ms[-3:]), (ms[-2:], ms[:3])]:
-            W = sw.pairing_matrix(lam, d, U, ms_a, ms_b)
-            assert W.shape == (len(ms_a), len(ms_b))
-            for i, m in enumerate(ms_a):
-                for j, l in enumerate(ms_b):
-                    direct = orc.symmetrizer_pairing(lam, d, m, l, U)
-                    assert W[i, j] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_scales_to_large_n(self):
         # the class-convolution evaluation must not enumerate orbits
@@ -115,11 +105,11 @@ class TestPairingEngine:
                 a[0] = 1
 
     def test_rotation_reuses_gram_shift_maps(self):
-        # the Gram pairing of block_basis fetches every shift map that the
+        # the Gram pairing of block_bases fetches every shift map that the
         # rotation pairing of the same block needs
-        basis = sw.block_basis((5, 2, 1), 3, max_weight=3)
+        bases = sw.block_bases([(5, 2, 1)], 3, max_weight=3)
         misses = sw._shift_map.cache_info().misses
-        sw.block_unitary(basis, orc.haar_unitary(3, np.random.default_rng(5)))
+        sw.block_unitaries(bases, orc.haar_unitary(3, np.random.default_rng(5)))
         assert sw._shift_map.cache_info().misses == misses
 
     @pytest.mark.parametrize("unitary", ["identity", "haar"])
@@ -136,19 +126,13 @@ class TestPairingEngine:
     )
     def test_batch_matches_per_diagram_calls(self, d, lams, max_weight, unitary):
         # sharing the first class's powers over the union simplex changes
-        # no bit of any pairing, square or rectangular
+        # no bit of any pairing
         U = np.eye(d) if unitary == "identity" else orc.haar_unitary(d, np.random.default_rng(d))
-        sides = []
-        for lam in lams:
-            ms = tb.enumerate_m_vectors(lam, d, max_weight=max_weight)
-            sides.append((ms, ms))
-        ms = sides[1][0]
-        sides.append((ms[1:], ms[:3]))
-        lams = lams + [lams[1]]
-        got = sw.pairing_matrices(lams, d, U, sides)
+        mss = [tb.enumerate_m_vectors(lam, d, max_weight=max_weight) for lam in lams]
+        got = sw.pairing_matrices(lams, d, U, mss)
         assert len(got) == len(lams)
-        for lam, (ms_a, ms_b), W in zip(lams, sides, got):
-            assert np.array_equal(W, sw.pairing_matrix(lam, d, U, ms_a, ms_b))
+        for lam, ms, W in zip(lams, mss, got):
+            assert np.array_equal(W, sw.pairing_matrices([lam], d, U, [ms])[0])
 
     def test_batch_past_elision_size_matches_per_diagram_calls(self):
         # a union of 141 x 141 entries is past numpy's in-place size for
@@ -157,27 +141,56 @@ class TestPairingEngine:
         # blocks, so the batch pairs each diagram on its own
         lams = [(140, 60), (180, 40), (125, 75)]
         U = md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j,), 200)
-        sides = []
-        for lam in lams:
-            ms = tb.enumerate_m_vectors(lam, 2, max_weight=140)
-            sides.append((ms, ms))
-        sizes = [len(ms) ** 2 for ms, _ in sides]
+        mss = [tb.enumerate_m_vectors(lam, 2, max_weight=140) for lam in lams]
+        sizes = [len(ms) ** 2 for ms in mss]
         assert sizes == [81**2, 141**2, 51**2]
         assert sizes[1] >= sw.ELIDED_ENTRIES > sizes[0]
-        got = sw.pairing_matrices(lams, 2, U, sides)
-        for lam, (ms_a, ms_b), W in zip(lams, sides, got):
-            assert np.array_equal(W, sw.pairing_matrix(lam, 2, U, ms_a, ms_b))
+        got = sw.pairing_matrices(lams, 2, U, mss)
+        for lam, ms, W in zip(lams, mss, got):
+            assert np.array_equal(W, sw.pairing_matrices([lam], 2, U, [ms])[0])
 
     def test_batch_bases_and_unitaries_match_single_calls(self):
         lams = [(9, 5), (12, 3), (20, 2), (6, 6)]
         U = orc.haar_unitary(2, np.random.default_rng(7))
         bases = sw.block_bases(lams, 2, max_weight=10)
         for lam, basis, op in zip(lams, bases, sw.block_unitaries(bases, U)):
-            single = sw.block_basis(lam, 2, max_weight=10)
+            (single,) = sw.block_bases([lam], 2, max_weight=10)
             assert basis.mvectors == single.mvectors
             assert np.array_equal(basis.gram, single.gram)
             assert np.array_equal(basis.norms, single.norms)
-            assert np.array_equal(op.matrix, sw.block_unitary(single, U).matrix)
+            (single_op,) = sw.block_unitaries([single], U)
+            assert np.array_equal(op.matrix, single_op.matrix)
+
+    def test_oversized_transfer_refused_before_any_class(self, monkeypatch):
+        # (5, 2) fits at 3 x 3 positions; (7, 1) needs 7 x 7, so the list is
+        # refused before the transfer of either diagram starts
+        def never(*args):
+            raise AssertionError("a class transfer ran")
+
+        monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 40)
+        monkeypatch.setattr(sw, "_apply_class", never)
+        lams = [(5, 2), (7, 1)]
+        mss = [tb.enumerate_m_vectors(lam, 2, max_weight=8) for lam in lams]
+        with pytest.raises(ResourceLimitError, match=r"\(7, 1\) needs 49 complex entries"):
+            sw.pairing_matrices(lams, 2, np.eye(2), mss)
+
+    @pytest.mark.parametrize(
+        "lam,positions,admitted",
+        # the largest untruncated d=3 blocks at n=35 and n=36
+        [((26, 9), 3975, True), ((27, 9), 4300, False)],
+    )
+    def test_transfer_bound_at_d3(self, lam, positions, admitted, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(sw, "_apply_class", reached)
+        ms = tb.enumerate_m_vectors(lam, 3, max_weight=sum(lam))
+        expect = Reached if admitted else ResourceLimitError
+        with pytest.raises(expect, match=None if admitted else f"{positions**2:,} complex"):
+            sw.pairing_matrices([lam], 3, np.eye(3), [ms])
 
 
 class TestMinorDetProduct:
@@ -254,18 +267,18 @@ class TestBlockOperators:
         # the whole 11-dimensional irrep fits under the weight cutoff, so the
         # representation matrix is exactly unitary with zero defect
         lam = (40, 30)
-        basis = sw.block_basis(lam, 2, max_weight=12)
+        (basis,) = sw.block_bases([lam], 2, max_weight=12)
         assert basis.size == 11
         rng = np.random.default_rng(5)
         U = orc.haar_unitary(2, rng)
-        B = sw.block_unitary(basis, U)
+        (B,) = sw.block_unitaries([basis], U)
         assert np.allclose(B.matrix.conj().T @ B.matrix, np.eye(11), atol=1e-10)
         assert B.truncation_defect < 1e-10
 
     def test_mixed_overlap_identity_is_gram(self):
         lam = (4, 2, 1)
-        basis = sw.block_basis(lam, 3, max_weight=3)
-        M = sw.mixed_overlap_matrix(basis, np.eye(3))
+        (basis,) = sw.block_bases([lam], 3, max_weight=3)
+        M = overlaps(basis, np.eye(3))
         # identity overlaps reproduce the Gram matrix off the zero pattern
         mask = basis.gram != 0
         assert np.allclose(M.real[mask], basis.gram[mask], atol=1e-12)
@@ -334,8 +347,8 @@ class TestTensorOracle:
             e[orc.tableau_vector_index(t, d)] = 1.0
             v = Y @ e
             vecs.append(v / np.linalg.norm(v))
-        basis = sw.block_basis(lam, d, max_weight=n)
-        M = sw.mixed_overlap_matrix(basis, U)
+        (basis,) = sw.block_bases([lam], d, max_weight=n)
+        M = overlaps(basis, U)
         for i, vi in enumerate(vecs):
             for j, vj in enumerate(vecs):
                 direct = vi.conj() @ Um @ vj

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlan.errors import ResourceLimitError
+from qlan import channels as ch
+from qlan import models as md
 from qlan import oracle as orc
 from qlan import tableaux as tb
 
@@ -261,14 +263,11 @@ class TestCountGamma0:
 
 class TestTypical:
     def test_rounded_mean(self):
-        n, mu = 100, (0.7, 0.3)
-        lam = (70, 30)
-        assert tb.is_typical(lam, n, mu, 0.6)
+        assert (70, 30) in ch.typical_diagrams(100, md.Spectrum((0.7, 0.3)), 0.6)
 
     def test_single_row_atypical(self):
-        assert not tb.is_typical((100,), 100, (0.7, 0.3), 0.6)
+        assert (100,) not in ch.typical_diagrams(100, md.Spectrum((0.7, 0.3)), 0.6)
 
     def test_boundary_inclusive(self):
-        n, mu, alpha = 100, (0.5, 0.5), 0.5
-        lam = (60, 40)  # |60 - 50| = 10 = 100^0.5
-        assert tb.is_typical(lam, n, mu, alpha)
+        lam = (70, 30)  # |70 - 60| = 10 = 100^0.5
+        assert lam in ch.typical_diagrams(100, md.Spectrum((0.6, 0.4)), 0.5)
