@@ -65,7 +65,6 @@ class BlockIsometry:
     number state |m> (scaled by 1/sqrt(s) so A*A = G/s <= 1), completed by
     R = I' sqrt(1 - A*A) on spare number states orthogonal to Range(A)."""
 
-    lam: tb.Diagram
     matrix: np.ndarray
     contraction_scale: float
     completion_rank: int
@@ -99,7 +98,7 @@ def build_isometry(basis: sw.BlockBasis, fock: gs.FockSpec) -> BlockIsometry:
     err = np.abs(V.conj().T @ V - np.eye(K)).max()
     if err > 1e-10:
         raise AssertionError(f"isometry defect {err:.2e}")
-    return BlockIsometry(basis.lam, V, s, rank)
+    return BlockIsometry(V, s, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +125,6 @@ class ClassicalQuantumState:
     """Piecewise-constant classical density paired with per-cell quantum
     states; weights of cells sum to 1 - neglected_mass."""
 
-    n: int
-    d: int
     cells: tuple[Cell, ...]
     neglected_mass: float
     truncation_budget: float
@@ -184,7 +181,7 @@ def forward_channel(
             f"neglected diagram mass {neglected:.3f} exceeds {COVERAGE_BOUND}; "
             "increase alpha"
         )
-    return ClassicalQuantumState(n, spec.d, tuple(cells), neglected, budget)
+    return ClassicalQuantumState(tuple(cells), neglected, budget)
 
 
 # ---------------------------------------------------------------------------

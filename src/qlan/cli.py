@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "converge":
             result = ex.run_converge(_config(args, fock_cutoff=args.fock_cutoff))
         elif args.command == "decompose":
-            # decompose builds untruncated bases: no Fock cutoff to set
+            # decompose keeps every m-vector: no Fock cutoff to set
             result = ex.run_decompose(_config(args))
         else:
             result = ex.run_verify(args.lemma)

@@ -44,6 +44,9 @@ FOCK_CUTOFF = 30
 # 16 MB, and each block's isometry and limit state hold several.
 MAX_FOCK_DIM = 1024
 
+# Largest block decompose enumerates: n <= 4,095 at d=2, 41 at d=3, 15 at d=4
+MAX_BLOCK_DIM = 4096
+
 def _fmt(x) -> str:
     """Fixed, locale-independent scalar formatting for byte-stable output."""
     if isinstance(x, bool):
@@ -177,23 +180,26 @@ def run_decompose(config: ExperimentConfig) -> dict:
     n = config.n_list[0]
     spec = config.spectrum()
     theta = config.theta()
+    vals = md.perturbed_spectrum(spec, theta.u, n)
     # the window of run_converge, so both agree on every diagram
     typical = set(ch.typical_diagrams(n, spec, config.alpha))
     blocks = []
     total = 0.0
-    # one diagram per transfer: a union of the untruncated simplices is far
-    # larger than most blocks' own
     for lam in tb.enumerate_diagrams(n, config.d):
+        dim = tb.dim_irrep(lam, config.d)
+        if dim > MAX_BLOCK_DIM:
+            raise ResourceLimitError(f"the block of {lam} has dimension {dim}, "
+                                     f"more than {MAX_BLOCK_DIM}; lower n")
         weight = md.block_weight(lam, spec, theta.u, n)
-        (basis,) = sw.block_bases([lam], config.d, max_weight=n)
-        (state,) = md.block_states([basis], spec, theta, n)
-        spectrum = np.linalg.eigvalsh(state.matrix)[::-1]
+        # the rotation by zeta leaves the spectrum of the diagonal block
+        evs = md.weight_eigenvalues(lam, tb.enumerate_m_vectors(lam, config.d), vals)
+        spectrum = np.sort(evs / evs.sum())[::-1]
         total += weight
         blocks.append(
             {
                 "lam": list(lam),
                 "weight": weight,
-                "dim": tb.dim_irrep(lam, config.d),
+                "dim": dim,
                 "multiplicity": tb.multiplicity(lam, n, config.d),
                 "spectrum": [float(v) for v in spectrum],
                 "typical": lam in typical,
@@ -202,7 +208,7 @@ def run_decompose(config: ExperimentConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "decompose",
-        # the bases are untruncated, so the Fock cutoff is not read
+        # every m-vector is kept, so the Fock cutoff is not read
         "config": {k: v for k, v in config.metadata().items() if k != "fock_cutoff"},
         "n": n,
         "blocks": blocks,

@@ -142,7 +142,6 @@ class LimitState:
     mean: np.ndarray
     cov: np.ndarray
     quantum: np.ndarray
-    fock: FockSpec
 
 
 def limit_state(spec_mu: Spectrum, theta: LocalParams, fock: FockSpec) -> LimitState:
@@ -151,7 +150,6 @@ def limit_state(spec_mu: Spectrum, theta: LocalParams, fock: FockSpec) -> LimitS
         mean=np.array(theta.u, dtype=float),
         cov=covariance(spec_mu),
         quantum=quantum,
-        fock=fock,
     )
 
 

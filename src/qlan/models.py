@@ -165,30 +165,33 @@ def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) 
 # block states
 
 
+def weight_eigenvalues(lam: tb.Diagram, ms: list[tb.MVector], vals: tuple[float, ...]) -> np.ndarray:
+    """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector of weight w: the
+    block spectrum of diag(vals)^(x n) over its trace, each at most 1."""
+    logs = [math.log(v) for v in vals]
+    log_full = log_schur_poly(lam, vals)
+    weights = [tb.total_multiplicities(lam, m, len(vals)) for m in ms]
+    return np.array([math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full)
+                     for w in weights])
+
+
 def block_states(
     bases: list[sw.BlockBasis], spec: Spectrum, theta: LocalParams, n: int
 ) -> list[sw.BlockOperator]:
     """Normalized block of the tensor-power state on every basis, in
     orthonormal coordinates.
 
-    The diagonal-parameter part takes the value prod_i (mu_i^{u,n})^{w_i} on
-    each vector of weight w (total multiplicities); the weight classes span
-    their own orthonormal coordinates (see BlockBasis), so it is diagonal.
-    The off-diagonal parameters enter by conjugation with the block
-    rotation, all rotations coming from one transfer."""
+    The diagonal-parameter part is diagonal, weight_eigenvalues at the
+    perturbed spectrum, as each weight class spans its own orthonormal
+    coordinates (see BlockBasis).  The off-diagonal parameters enter by
+    conjugation with the block rotation, all rotations from one transfer."""
     rotations = [None] * len(bases)
     if any(theta.zeta):
         rotations = sw.block_unitaries(bases, rotation_unitary(spec, theta.zeta, n))
+    vals = perturbed_spectrum(spec, theta.u, n)
     out = []
     for basis, rotation in zip(bases, rotations):
-        vals = perturbed_spectrum(spec, theta.u, n)
-        logs = [math.log(v) for v in vals]
-        log_full = log_schur_poly(basis.lam, vals)
-        weights = [tb.total_multiplicities(basis.lam, m, basis.d) for m in basis.mvectors]
-        # eigenvalues relative to the block trace s_lambda, each at most 1
-        evs = np.array(
-            [math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full) for w in weights]
-        )
+        evs = weight_eigenvalues(basis.lam, basis.mvectors, vals)
         covered = float(evs.sum())
         loss = max(0.0, 1.0 - covered)
         rho = np.diag(evs / covered).astype(complex)
@@ -197,7 +200,7 @@ def block_states(
             tr = float(np.trace(rho).real)
             loss = max(loss, 1.0 - tr)
             rho = rho / tr
-        out.append(sw.BlockOperator(basis.lam, rho, float(loss)))
+        out.append(sw.BlockOperator(rho, float(loss)))
     return out
 
 

@@ -55,8 +55,6 @@ the last bit.  A term could cross that size between the union and a
 block's own simplex, so blocks share the union only while it has fewer
 entries (the sweeps' simplex pairs have about 10**3) and pair one at a time
 beyond; every block then gets the bits of a list holding it alone.
-`run_decompose`, whose untruncated blocks differ widely in size, pairs one
-diagram per call.
 
 The references this module is checked against, orbit sums by enumeration
 and Young symmetrizers on the full tensor space, live in `qlan.oracle`.
@@ -390,9 +388,7 @@ class BlockBasis:
         return self.sqrt_gram[:, self.index(m)].copy()
 
 
-def block_bases(
-    lams: list[tb.Diagram], d: int, max_weight: int | None = None
-) -> list[BlockBasis]:
+def block_bases(lams: list[tb.Diagram], d: int, max_weight: int) -> list[BlockBasis]:
     """The basis of every diagram, truncated to total weight |m| <=
     max_weight, from one identity transfer."""
     lams = [tb.check_diagram(lam, d) for lam in lams]
@@ -410,7 +406,6 @@ class BlockOperator:
     """Matrix of an operator in the orthonormal coordinates of a BlockBasis,
     with the mass lost to basis truncation (for unitaries)."""
 
-    lam: tb.Diagram
     matrix: np.ndarray
     truncation_defect: float
 
@@ -426,5 +421,5 @@ def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[BlockOperato
     for b, W in zip(bases, pairing_matrices([b.lam for b in bases], len(U), U, mss)):
         mat = b.inv_sqrt_gram @ (W / np.outer(b.norms, b.norms)) @ b.inv_sqrt_gram
         colnorms = np.linalg.norm(mat, axis=0) ** 2
-        out.append(BlockOperator(b.lam, mat, float(max(0.0, 1.0 - colnorms.min()))))
+        out.append(BlockOperator(mat, float(max(0.0, 1.0 - colnorms.min()))))
     return out

@@ -14,7 +14,9 @@ from qlan import channels as ch
 from qlan import cli
 from qlan import experiments as ex
 from qlan import models as md
+from qlan import oracle as orc
 from qlan import schur_weyl as sw
+from qlan import tableaux as tb
 
 
 class TestConfig:
@@ -67,36 +69,60 @@ class TestRunners:
         assert result["schema_version"] == 4
 
     @pytest.mark.parametrize("zeta", [0j, 0.5 + 0.3j])
-    def test_decompose_one_transfer_per_diagram(self, zeta, monkeypatch):
-        # each diagram pairs on its own: one identity transfer, plus one at
-        # the local rotation when zeta != 0, each a list of one diagram
-        calls = []
-        real = sw.pairing_matrices
+    def test_decompose_builds_no_block(self, zeta, monkeypatch):
+        # the spectra come from the weights alone: no pairing transfer, basis,
+        # block state or eigensolve
+        def never(*args, **kwargs):
+            raise AssertionError("decompose must not call this")
 
-        def counting(lams, d, U, mss):
-            kind = "identity" if np.array_equal(U, np.eye(d)) else "rotation"
-            calls.append((kind, tuple(lams)))
-            return real(lams, d, U, mss)
-
-        monkeypatch.setattr(sw, "pairing_matrices", counting)
+        for mod, name in [(sw, "pairing_matrices"), (sw, "block_bases"),
+                          (md, "block_states"), (np.linalg, "eigh"),
+                          (np.linalg, "eigvalsh")]:
+            monkeypatch.setattr(mod, name, never)
         result = ex.run_decompose(ex.ExperimentConfig(zeta=(zeta,), n_list=(9,)))
-        kinds = ["identity", "rotation"] if zeta else ["identity"]
-        expect = [(k, (tuple(b["lam"]),)) for b in result["blocks"] for k in kinds]
         assert len(result["blocks"]) == 5
-        assert calls == expect
+        assert result["total_weight"] == pytest.approx(1.0)
 
-    def test_decompose_typical_flags_match_converge_window(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "d, mu, u, zeta, ns",
+        [
+            (2, (0.7, 0.3), (0.4,), (0.3 + 0.2j,), range(2, 9)),
+            (3, (0.5, 0.3, 0.2), (0.1, 0.05), (0.2j, 0.1, 0.15 + 0.1j), range(2, 6)),
+        ],
+        ids=["d2", "d3"],
+    )
+    def test_decompose_matches_tensor_oracle(self, d, mu, u, zeta, ns):
+        # the cases of acceptance criterion 2, through run_decompose
+        spec = md.Spectrum(mu)
+        theta = md.LocalParams(u, zeta)
+        for n in ns:
+            cfg = ex.ExperimentConfig(d=d, mu=mu, u=u, zeta=zeta, n_list=(n,))
+            blocks = ex.run_decompose(cfg)["blocks"]
+            oracle = orc.brute_force_blocks(orc.rho_theta(spec, theta, n), n)
+            assert [tuple(b["lam"]) for b in blocks] == [lam for lam, _, _ in oracle]
+            for b, (_lam, w, spectrum) in zip(blocks, oracle):
+                assert b["weight"] == pytest.approx(w, abs=1e-9)
+                np.testing.assert_allclose(b["spectrum"], spectrum, rtol=0, atol=1e-9)
+
+    def test_decompose_matches_rotated_block_states(self):
+        # reference: eigvalsh of the rotated block state on the untruncated
+        # basis, at d=3 n=10 with every zeta component nonzero
+        mu, u = (0.5, 0.3, 0.2), (0.5, 0.0)
+        zeta = (0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j)
+        n = 10
+        cfg = ex.ExperimentConfig(d=3, mu=mu, u=u, zeta=zeta, n_list=(n,))
+        blocks = ex.run_decompose(cfg)["blocks"]
+        lams = [tuple(b["lam"]) for b in blocks]
+        bases = [sw.block_bases([lam], 3, max_weight=n)[0] for lam in lams]
+        states = md.block_states(bases, cfg.spectrum(), cfg.theta(), n)
+        for b, state in zip(blocks, states):
+            reference = np.linalg.eigvalsh(state.matrix)[::-1]
+            np.testing.assert_allclose(b["spectrum"], reference, rtol=0, atol=1e-12)
+
+    def test_decompose_typical_flags_match_converge_window(self):
         # 32**0.6 rounds to 7.999999999999999 while 16 + 32**0.6 rounds to
         # 24.0: the window converge prepares blocks from admits lambda_1 = 24
         # at mu_1 n = 16, and decompose must flag those blocks typical too
-        def no_basis(lams, d, max_weight=None):
-            return [None] * len(lams)
-
-        def unit_state(bases, spec, theta, n):
-            return [sw.BlockOperator((), np.eye(1), 0.0) for _ in bases]
-
-        monkeypatch.setattr(sw, "block_bases", no_basis)
-        monkeypatch.setattr(md, "block_states", unit_state)
         cfg = ex.ExperimentConfig(d=3, mu=(0.5, 0.3, 0.2), u=(0.0, 0.0),
                                   zeta=(0j, 0j, 0j), n_list=(32,))
         flags = {tuple(b["lam"]): b["typical"] for b in ex.run_decompose(cfg)["blocks"]}
@@ -228,14 +254,45 @@ class TestCli:
         assert "cutoff 30" in err
 
     def test_oversized_transfer_exit_2(self, monkeypatch, capsys):
-        # the one-row block of n=8 pairs on a 9 x 9 simplex pair
+        # the one-row block of n=8, typical here, pairs on a 9 x 9 simplex pair
         monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 80)
-        rc = cli.main(["decompose", "--n-list", "8"])
+        rc = cli.main(["converge", "--n-list", "8", "--fock-cutoff", "15"])
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: the pairing transfer of (8,) needs 81 complex entries, "
             "more than 80; lower n or the basis cutoff\n"
         )
+
+    def test_oversized_block_exit_2(self, monkeypatch, capsys):
+        # (4096,) is the first diagram at n=4096, one box past the bound
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized block must not be enumerated")
+
+        monkeypatch.setattr(tb, "enumerate_m_vectors", never)
+        rc = cli.main(["decompose", "--n-list", "4096"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the block of (4096,) has dimension 4097, more than 4096; "
+            "lower n\n"
+        )
+
+    @pytest.mark.parametrize("d, n", [(3, 41), (4, 15)])
+    def test_block_bound_admits_range(self, d, n):
+        # the largest block at the last admitted n is within the bound, and
+        # one box more takes a block past it
+        def largest(n):
+            return max(tb.dim_irrep(lam, d) for lam in tb.enumerate_diagrams(n, d))
+
+        assert largest(n) <= ex.MAX_BLOCK_DIM < largest(n + 1)
+
+    def test_block_bound_admits_transfer_range(self):
+        # at d=2 the dimension lambda_1 - lambda_2 + 1 peaks at the one-row
+        # diagram; every n the pairing transfer admitted for untruncated
+        # bases (4,095 at d=2, 35 at d=3, 11 at d=4) stays admitted
+        assert tb.dim_irrep((4095,), 2) == ex.MAX_BLOCK_DIM
+        for d, n in [(3, 35), (4, 11)]:
+            assert all(tb.dim_irrep(lam, d) <= ex.MAX_BLOCK_DIM
+                       for lam in tb.enumerate_diagrams(n, d))
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

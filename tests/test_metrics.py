@@ -135,7 +135,7 @@ class TestCqDistance:
             lo, hi = ch.box_of(lam, n, spec)
             w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
             cells.append(ch.Cell(lam, lo, hi, w, limit.quantum))
-        out = ch.ClassicalQuantumState(n, d, tuple(cells), 0.0, 0.0)
+        out = ch.ClassicalQuantumState(tuple(cells), 0.0, 0.0)
         rep = mt.cq_distance(out, limit)
         assert rep.quantum_sup < 1e-10
         assert rep.total < bound  # in-box density variation + window tail
