@@ -113,8 +113,8 @@ def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.nd
 
 
 def log_weight_prefactor(lam: tb.Diagram, n: int, d: int) -> float:
-    """Natural log of the block multiplicity in the product form of
-    oracle.multiplicity_product_form, in which the lambda_l! cancel:
+    """Natural log of the block multiplicity tb.multiplicity,
+    n! prod_{l<k} (l_l - l_k) / prod_l l_l! with l_l = lambda_l + d - l:
     log n! + sum_l [sum_{k>l} log(lambda_l - lambda_k + k - l)
     - log (lambda_l + d - l)!]."""
     rows = [tb.row(lam, i) for i in range(1, d + 1)]
@@ -168,9 +168,13 @@ def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) 
 def weight_eigenvalues(lam: tb.Diagram, ms: list[tb.MVector], vals: tuple[float, ...]) -> np.ndarray:
     """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector of weight w: the
     block spectrum of diag(vals)^(x n) over its trace, each at most 1."""
+    d = len(vals)
     logs = [math.log(v) for v in vals]
     log_full = log_schur_poly(lam, vals)
-    weights = [tb.total_multiplicities(lam, m, len(vals)) for m in ms]
+    # weight of m: the rows of lam, less each m[i,j] in entry i, plus it in j
+    shift = [[(v == j) - (v == i) for v in range(1, d + 1)] for i, j in tb.pairs(d)]
+    rows = [tb.row(lam, v) for v in range(1, d + 1)]
+    weights = (np.array(ms, dtype=np.int64).reshape(len(ms), len(shift)) @ shift + rows).tolist()
     return np.array([math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full)
                      for w in weights])
 

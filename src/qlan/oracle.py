@@ -7,7 +7,6 @@ direct forms of the model and of its Gaussian limit."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
@@ -27,6 +26,41 @@ Tableau = tuple[tuple[int, ...], ...]
 
 # ---------------------------------------------------------------------------
 # tableaux and orbits
+
+
+def hook_length(lam: tb.Diagram, i: int, j: int) -> int:
+    """1 + boxes below + boxes to the right of box (i, j), 1-based."""
+    lam = tb.check_diagram(lam)
+    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
+        raise ValueError(f"box ({i},{j}) outside {lam}")
+    below = sum(1 for r in range(i, len(lam)) if lam[r] >= j)
+    return 1 + below + lam[i - 1] - j
+
+
+def _boxes(lam: tb.Diagram) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]
+
+
+def _hook_product(lam: tb.Diagram) -> int:
+    return math.prod(hook_length(lam, i, j) for i, j in _boxes(lam))
+
+
+def dim_irrep_hooks(lam: tb.Diagram, d: int) -> int:
+    """The hook-content formula: prod over boxes of (d + j - i) / hook(i, j)."""
+    lam = tb.check_diagram(lam, d)
+    out, rest = divmod(math.prod(d + j - i for i, j in _boxes(lam)), _hook_product(lam))
+    assert rest == 0
+    return out
+
+
+def multiplicity_hooks(lam: tb.Diagram, n: int) -> int:
+    """The hook length formula: n! / prod of hooks."""
+    lam = tb.check_diagram(lam)
+    if sum(lam) != n:
+        raise ValueError(f"{lam} is not a partition of {n}")
+    out, rest = divmod(math.factorial(n), _hook_product(lam))
+    assert rest == 0
+    return out
 
 
 def canonical_tableau(lam: tb.Diagram, m: tb.MVector, d: int) -> Tableau:
@@ -167,24 +201,6 @@ def gamma0_bounds(lam: tb.Diagram, m: tb.MVector, d: int) -> tuple[float, float]
         lo *= max(gap - w, 0) ** cnt / math.factorial(cnt)
         hi *= gap**cnt / math.factorial(cnt)
     return lo, hi
-
-
-def multiplicity_product_form(lam: tb.Diagram, n: int, d: int) -> int:
-    """Dimension of the S(n) multiplicity space via the multinomial *
-    spacing-ratio product; also the combinatorial prefactor of the block
-    weight, whose log `models.log_weight_prefactor` takes."""
-    lam = tb.check_diagram(lam, d)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    rows = [tb.row(lam, i) for i in range(1, d + 1)]
-    out = Fraction(math.factorial(n))
-    for lk in rows:
-        out /= math.factorial(lk)
-    for l in range(d):
-        for k in range(l + 1, d):
-            out *= Fraction(rows[l] - rows[k] + k - l, rows[l] + k - l)
-    assert out.denominator == 1
-    return out.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ Tableaux themselves, their orbits and gamma counts live in `qlan.oracle`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
@@ -18,9 +17,12 @@ MVector = tuple[int, ...]
 
 
 def check_diagram(lam: Diagram, d: int | None = None) -> Diagram:
-    lam = tuple(int(x) for x in lam if x != 0)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"negative row in {lam}")
+    rows = list(lam)
+    while rows and rows[-1] == 0:
+        rows.pop()
+    if any(x != int(x) or x <= 0 for x in rows):
+        raise ValueError(f"rows must be positive integers before the trailing zeros: {lam}")
+    lam = tuple(int(x) for x in rows)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"rows must be non-increasing: {lam}")
     if d is not None and len(lam) > d:
@@ -58,39 +60,26 @@ def enumerate_diagrams(n: int, d: int) -> list[Diagram]:
     return sorted(rec(n, n, d), reverse=True)
 
 
-def hook_length(lam: Diagram, i: int, j: int) -> int:
-    """1 + boxes below + boxes to the right of box (i, j), 1-based."""
-    lam = check_diagram(lam)
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError(f"box ({i},{j}) outside {lam}")
-    below = sum(1 for r in range(i, len(lam)) if lam[r] >= j)
-    right = lam[i - 1] - j
-    return 1 + below + right
-
-
 def dim_irrep(lam: Diagram, d: int) -> int:
-    """Dimension of the irreducible SU(d) block: prod over boxes of
-    (j + d - i) / hook(i, j), exact."""
+    """Dimension of the irreducible SU(d) block, by Weyl's formula
+    prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i), exact."""
     lam = check_diagram(lam, d)
-    out = Fraction(1)
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            out *= Fraction(j + d - i, hook_length(lam, i, j))
-    assert out.denominator == 1
-    return out.numerator
+    num = math.prod(row(lam, i) - row(lam, j) + j - i for i, j in pairs(d))
+    return num // math.prod(j - i for i, j in pairs(d))
 
 
 def multiplicity(lam: Diagram, n: int, d: int) -> int:
-    """Dimension of the S(n) multiplicity space: n! / prod of hooks, exact."""
+    """Dimension of the S(n) multiplicity space, by Frobenius' form of
+    n! / prod of hooks: n! prod_{i<j} (l_i - l_j) / prod_i l_i!, with
+    l_i = lambda_i + d - i."""
     lam = check_diagram(lam, d)
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    out = Fraction(math.factorial(n))
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            out /= hook_length(lam, i, j)
-    assert out.denominator == 1
-    return out.numerator
+    ls = [row(lam, i) + d - i for i in range(1, d + 1)]
+    num = math.factorial(n) * math.prod(ls[i - 1] - ls[j - 1] for i, j in pairs(d))
+    out, rest = divmod(num, math.prod(math.factorial(li) for li in ls))
+    assert rest == 0
+    return out
 
 
 def row_loads(m: MVector, d: int) -> tuple[int, ...]:
@@ -110,53 +99,42 @@ def total_multiplicities(lam: Diagram, m: MVector, d: int) -> tuple[int, ...]:
     return tuple(totals)
 
 
-def _columns_strict(lam: Diagram, m: MVector, d: int) -> bool:
-    """True iff the columns of the canonical filling of m strictly increase
-    (its rows are sorted by construction).  For sorted rows that holds iff,
-    for each row i and value v, row i+1 has no more entries <= v than row i
-    has entries < v; m must respect the row capacities."""
-    # counts[i][v]: copies of entry v + 1 in row i + 1
-    counts = [[0] * d for _ in range(d)]
-    for (i, j), cnt in zip(pairs(d), m):
-        counts[i - 1][j - 1] = cnt
-    for i, load in enumerate(row_loads(m, d)):
-        counts[i][i] = row(lam, i + 1) - load
-    for i in range(d - 1):
-        upper = lower = 0
-        for v in range(i + 1, d):
-            upper += counts[i][v - 1]
-            lower += counts[i + 1][v]
-            if lower > upper:
-                return False
-    return True
-
-
 def enumerate_m_vectors(
     lam: Diagram, d: int, max_weight: int | None = None
 ) -> list[MVector]:
     """All m-vectors whose canonical filling is semistandard, optionally
     restricted to total weight |m| <= max_weight; full count equals
-    dim_irrep(lam, d)."""
+    dim_irrep(lam, d).
+
+    Walks Gelfand-Tsetlin patterns: with lambda^(k)_i the number of entries
+    <= k in row i (lambda^(d) = lam), the filling is semistandard iff each
+    lambda^(k-1) interlaces lambda^(k), lambda^(k)_i >= lambda^(k-1)_i >=
+    lambda^(k)_(i+1), and then m[i,k] = lambda^(k)_i - lambda^(k-1)_i.  The
+    rows of lambda^(d-1), ..., lambda^(1) are chosen in turn, each within
+    those bounds and the weight left, so every branch ends in an m-vector."""
     lam = check_diagram(lam, d)
-    ps = pairs(d)
+    slot = {p: k for k, p in enumerate(pairs(d))}
+    m = [0] * len(slot)
     out: list[MVector] = []
 
-    def rec(k: int, partial: list[int], loads: list[int], weight: int) -> None:
-        if k == len(ps):
-            m = tuple(partial)
-            if _columns_strict(lam, m, d):
-                out.append(m)
+    def rec(upper: tuple[int, ...], lower: list[int], left: int) -> None:
+        # choose row i of lambda^(k-1) below lambda^(k) = upper, k = len(upper)
+        k, i = len(upper), len(lower)
+        if k == 2:
+            # the last entry, m[1,2], is the first of the flat m-vector
+            rest = tuple(m[1:])
+            out.extend((c,) + rest for c in range(min(upper[0] - upper[1], left) + 1))
             return
-        i, _j = ps[k]
-        cap = row(lam, i) - loads[i - 1]
-        if max_weight is not None:
-            cap = min(cap, max_weight - weight)
-        for cnt in range(cap + 1):
-            partial.append(cnt)
-            loads[i - 1] += cnt
-            rec(k + 1, partial, loads, weight + cnt)
-            loads[i - 1] -= cnt
-            partial.pop()
+        if i == k - 1:
+            rec(tuple(lower), [], left)
+            return
+        top = upper[i]
+        for v in range(top, max(upper[i + 1], top - left) - 1, -1):
+            m[slot[i + 1, k]] = top - v
+            lower.append(v)
+            rec(upper, lower, left - (top - v))
+            lower.pop()
 
-    rec(0, [], [0] * d, 0)
+    rows = tuple(row(lam, i) for i in range(1, d + 1))
+    rec(rows, [], sum(lam) if max_weight is None else max_weight)
     return sorted(out)

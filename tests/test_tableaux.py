@@ -32,6 +32,32 @@ def diagrams(max_n=10, max_d=4):
     )
 
 
+class TestCheckDiagram:
+    def test_strips_trailing_zeros(self):
+        assert tb.check_diagram((3, 2, 0, 0)) == (3, 2)
+        assert tb.check_diagram((0,)) == ()
+
+    def test_interior_zero(self):
+        with pytest.raises(ValueError):
+            tb.check_diagram((3, 0, 2))
+        with pytest.raises(ValueError):
+            tb.dim_irrep((3, 0, 2), 3)
+
+    def test_non_integral(self):
+        with pytest.raises(ValueError):
+            tb.check_diagram((2.5, 1))
+        with pytest.raises(ValueError):
+            tb.multiplicity((2, 1.5), 3, 2)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            tb.check_diagram((2, -1))
+        with pytest.raises(ValueError):
+            tb.check_diagram((1, 2))
+        with pytest.raises(ValueError):
+            tb.check_diagram((1, 1, 1), 2)
+
+
 class TestEnumerateDiagrams:
     def test_small(self):
         assert tb.enumerate_diagrams(3, 2) == [(3,), (2, 1)]
@@ -64,14 +90,14 @@ class TestHooks:
         expect = {1: (7, 6, 5, 2, 1), 2: (4, 3, 2), 3: (3, 2, 1)}
         for i, hooks in expect.items():
             for j, h in enumerate(hooks, start=1):
-                assert tb.hook_length((5, 3, 3), i, j) == h
+                assert orc.hook_length((5, 3, 3), i, j) == h
 
     def test_trivial(self):
-        assert tb.hook_length((1,), 1, 1) == 1
+        assert orc.hook_length((1,), 1, 1) == 1
 
     def test_outside(self):
         with pytest.raises(ValueError):
-            tb.hook_length((2, 1), 2, 2)
+            orc.hook_length((2, 1), 2, 2)
 
 
 class TestDimensions:
@@ -91,9 +117,21 @@ class TestDimensions:
         for n in range(1, 13):
             for d in (2, 3, 4):
                 for lam in tb.enumerate_diagrams(n, d):
-                    assert tb.multiplicity(lam, n, d) == orc.multiplicity_product_form(
-                        lam, n, d
-                    )
+                    assert tb.multiplicity(lam, n, d) == orc.multiplicity_hooks(lam, n)
+
+    def test_dim_forms_agree(self):
+        for n in range(1, 13):
+            for d in (2, 3, 4):
+                for lam in tb.enumerate_diagrams(n, d):
+                    assert tb.dim_irrep(lam, d) == orc.dim_irrep_hooks(lam, d)
+
+    def test_exact_at_decompose_bound(self):
+        # the largest admitted blocks at d = 2, 3, 4
+        assert tb.dim_irrep((4095,), 2) == 4096
+        assert tb.dim_irrep((36, 6), 3) == 4123
+        assert tb.dim_irrep((13, 3), 4) == 4400
+        lam = (2100, 1995)
+        assert tb.multiplicity(lam, 4095, 2) == orc.multiplicity_hooks(lam, 4095)
 
     def test_dimension_identity_small(self):
         for n in range(1, 11):
@@ -133,8 +171,8 @@ class TestMVectors:
         assert t == ((1, 1, 1), (2, 2))
 
     def test_matches_tableau_filter(self):
-        # the direct column test agrees with building each canonical
-        # tableau, over every m-vector within the row capacities
+        # the pattern walk agrees with building each canonical tableau, over
+        # every m-vector within the row capacities and the weight bound
         for d in (2, 3, 4):
             for n in range(1, 11):
                 for lam in tb.enumerate_diagrams(n, d):
@@ -146,9 +184,14 @@ class TestMVectors:
                             for m in cands
                             for c in range(tb.row(lam, i) - tb.row_loads(m + rest, d)[i - 1] + 1)
                         ]
+                    fitting = sorted(m for m in cands if orc.fits(lam, m, d))
                     ms = tb.enumerate_m_vectors(lam, d)
-                    assert ms == sorted(m for m in cands if orc.fits(lam, m, d))
+                    assert ms == fitting
                     assert len(ms) == tb.dim_irrep(lam, d)
+                    for max_weight in (0, 1, 2, 3, 5):
+                        assert tb.enumerate_m_vectors(lam, d, max_weight) == [
+                            m for m in fitting if sum(m) <= max_weight
+                        ]
 
     def test_max_weight_filter(self):
         full = tb.enumerate_m_vectors((6, 2), 2)
