@@ -7,12 +7,13 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 
 Prints a leading JSON line of provenance (as scripts/time_prepare_blocks.py
 does), then one JSON line per size: d, n, the Fock cutoff, the box count,
-the eigvalsh calls of one cq_distance call, the seconds of each repeat
-(default 9) and their median.  The blocks, the channel output and the limit
-state are built once per size, outside the timing.  The sizes are the
-converge units of perfbench (d=2 n=64 and 128 at the default config, d=3
-n=8 and 10 at fock_cutoff 3), d=2 n=1024 and d=3 n=16 at fock_cutoff 4; d=3
-uses mu=(0.5,0.3,0.2), u=(0.5,0), zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i).
+the eigvalsh calls of one cq_distance call and their mean per box
+(solves_per_box), the seconds of each repeat (default 9) and their median.
+The blocks, the channel output and the limit state are built once per size,
+outside the timing.  The sizes are the converge units of perfbench (d=2 n=64
+and 128 at the default config, d=3 n=8 and 10 at fock_cutoff 3), d=2 n=1024
+and d=3 n=16 at fock_cutoff 4; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
+zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i).
 """
 
 import json
@@ -66,7 +67,8 @@ def main() -> int:
             seconds.append(round(time.perf_counter() - start, 4))
         row = {
             "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
-            "eigvalsh_calls": calls, "seconds": seconds,
+            "eigvalsh_calls": calls, "solves_per_box": round(calls / len(out.cells), 2),
+            "seconds": seconds,
             "median_s": statistics.median(seconds),
         }
         print(json.dumps(row), flush=True)

@@ -15,12 +15,12 @@ from . import tableaux as tb
 from .errors import ResourceLimitError
 
 # Piecewise Chebyshev curves: the nested Chebyshev-Lobatto degrees a piece
-# is sampled at (each level reuses the previous level's points), the size of
-# the last three coefficients, relative to max |f| on the piece, at which it
-# is accepted, and the width, relative to the curve's range, below which a
-# failing piece is not bisected again.
+# is sampled at (each level reuses the previous level's points), the share of
+# gaussian.BOX_TOL a box's curve error may take once integrated over the box,
+# and the width, relative to the curve's range, below which a failing piece
+# is not bisected again.
 CURVE_DEGREES = (4, 8, 16, 32)
-CURVE_TOL = 1e-10
+CURVE_SHARE = 1e-2
 CURVE_MIN_WIDTH = 1e-12
 
 
@@ -54,15 +54,19 @@ class ChebyshevCurve:
         return out
 
 
-def _chebyshev_piece(f, a: float, b: float) -> np.ndarray | None:
+def _chebyshev_piece(f, a: float, b: float, tol: float, fa, fb):
     """Chebyshev coefficients of f on [a, b] at the first CURVE_DEGREES level
-    whose last three coefficients pass CURVE_TOL, or None if none does."""
+    whose last three coefficients are at most tol (None if none is), and the
+    values at that level's points, f(b) first and f(a) last.  fa and fb are
+    f(a) and f(b) when already known, else None."""
     vals = None
     for N in CURVE_DEGREES:
         j = np.arange(N + 1)
         ts = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / N)
+        ts[[0, N]] = b, a  # exact ends, shared with the neighbouring pieces
         if vals is None:
-            vals = np.array([f(t) for t in ts])
+            ends = (f(b) if fb is None else fb, f(a) if fa is None else fa)
+            vals = np.array([ends[0], *map(f, ts[1:N]), ends[1]])
         else:
             # the previous level's points are the even ones of this level
             prev, vals = vals, np.empty(N + 1)
@@ -73,16 +77,17 @@ def _chebyshev_piece(f, a: float, b: float) -> np.ndarray | None:
         halved[[0, N]] *= 0.5
         coeffs = (2.0 / N) * (np.cos(np.pi * np.outer(j, j) / N) @ halved)
         coeffs[[0, N]] *= 0.5
-        if np.abs(coeffs[-3:]).max() <= CURVE_TOL * np.abs(vals).max():
-            return coeffs
-    return None
+        if np.abs(coeffs[-3:]).max() <= tol:
+            return coeffs, vals
+    return None, vals
 
 
-def chebyshev_curve(f, lo: float, hi: float, kinks) -> ChebyshevCurve:
+def chebyshev_curve(f, lo: float, hi: float, kinks, tol: float) -> ChebyshevCurve:
     """Piecewise Chebyshev interpolant of the scalar function f on [lo, hi],
-    cut at the kinks inside the range; a piece whose coefficients do not
-    decay by the last degree is bisected.  Raises ResourceLimitError when a
-    piece narrower than CURVE_MIN_WIDTH of the range still fails."""
+    cut at the kinks inside the range, a piece accepted once its last three
+    coefficients are at most the absolute tol and bisected if none is; f is
+    evaluated once at each end two pieces share.  Raises ResourceLimitError
+    when a piece narrower than CURVE_MIN_WIDTH of the range still fails."""
     min_width = CURVE_MIN_WIDTH * (hi - lo)
     edges = [lo]
     for k in np.sort(kinks):
@@ -90,21 +95,24 @@ def chebyshev_curve(f, lo: float, hi: float, kinks) -> ChebyshevCurve:
         if edges[-1] + min_width < k < hi - min_width:
             edges.append(float(k))
     edges.append(hi)
-    todo = list(zip(edges[:-1], edges[1:]))[::-1]  # a stack, leftmost on top
-    breaks, coeffs = [lo], []
+    # a stack of (a, b, f(b) or None), leftmost on top; fa: f(a) of the top, or None
+    todo = [(a, b, None) for a, b in zip(edges[:-1], edges[1:])][::-1]
+    breaks, coeffs, fa = [lo], [], None
     while todo:
-        a, b = todo.pop()
-        c = _chebyshev_piece(f, a, b)
+        a, b, fb = todo.pop()
+        c, vals = _chebyshev_piece(f, a, b, tol, fa, fb)
         if c is None:
             if b - a <= min_width:
                 raise ResourceLimitError(
                     f"Chebyshev curve does not converge on [{a:.17g}, {b:.17g}]"
                 )
             m = 0.5 * (a + b)
-            todo += [(m, b), (a, m)]
+            todo += [(m, b, vals[0]), (a, m, None)]
+            fa = vals[-1]
             continue
         breaks.append(b)
         coeffs.append(c)
+        fa = vals[0]
     return ChebyshevCurve(np.array(breaks), tuple(coeffs))
 
 
@@ -118,14 +126,31 @@ def _inverse_sqrt(Phi: np.ndarray) -> np.ndarray:
 
 
 def trace_norm_curve(
-    Phi: np.ndarray, Phi_isqrt: np.ndarray, B: np.ndarray, lo: float, hi: float
+    Phi: np.ndarray, Phi_isqrt: np.ndarray, B: np.ndarray, lo: float, hi: float, tol: float
 ) -> ChebyshevCurve:
     """f(t) = ||t Phi - B||_1 on [lo, hi] for positive definite Phi with
-    inverse square root Phi_isqrt.  f is convex and analytic between its
-    kinks, the generalised eigenvalues of the pencil (B, Phi), where an
-    eigenvalue of t Phi - B crosses zero; one eigensolve finds them."""
+    inverse square root Phi_isqrt, its pieces accepted at the absolute tol
+    (chebyshev_curve).  f is convex and analytic between its kinks, the
+    generalised eigenvalues of the pencil (B, Phi), where an eigenvalue of
+    t Phi - B crosses zero; one eigensolve finds them.  At and above the top
+    kink t Phi - B is positive semidefinite (Sylvester's inertia), so there f
+    is the trace t Tr Phi - Tr B, stored as one degree-1 piece with no solve
+    (and none at the top kink itself)."""
     kinks = np.linalg.eigvalsh(Phi_isqrt @ B @ Phi_isqrt)
-    return chebyshev_curve(lambda t: _trace_norm(t * Phi - B), lo, hi, kinks)
+    top = min(max(lo, float(kinks[-1])), hi)
+    slope, offset = float(np.trace(Phi).real), float(np.trace(B).real)
+
+    def f(t):
+        return t * slope - offset if t >= kinks[-1] else _trace_norm(t * Phi - B)
+
+    breaks, coeffs = [lo], ()
+    if top > lo:
+        curve = chebyshev_curve(f, lo, top, kinks, tol)
+        breaks, coeffs = list(curve.breaks), curve.coeffs
+    if top < hi:
+        breaks.append(hi)
+        coeffs += (np.array([f(0.5 * (top + hi)), 0.5 * (hi - top) * slope]),)
+    return ChebyshevCurve(np.array(breaks), coeffs)
 
 
 def _check_disjoint(cells) -> None:
@@ -189,7 +214,10 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     per quadrature point, since a 1-D rule already samples t along a line.
     On boxes with more axes, the curve f(t) = ||t Phi - B||_1 is built once
     per box over the density's range on every point of the rule
-    (trace_norm_curve), and every point is read from it."""
+    (trace_norm_curve), and every point is read from it.  The curve is
+    resolved only as far as the box rule can use: its pieces are accepted at
+    CURVE_SHARE * gaussian.BOX_TOL / volume, so its error integrated over the
+    box is a hundredth of the tolerance the rule itself accepts."""
     _check_disjoint(out.cells)
     mean, cov = limit.mean, limit.cov
     Phi = limit.quantum
@@ -207,7 +235,8 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         else:
             tmin = min(dens.min() for dens, _ in rule)
             tmax = max(dens.max() for dens, _ in rule)
-            integrand = trace_norm_curve(Phi, Phi_isqrt, B, tmin, tmax)
+            tol = CURVE_SHARE * gs.BOX_TOL / rule[0][1].sum()  # the weights sum to the volume
+            integrand = trace_norm_curve(Phi, Phi_isqrt, B, tmin, tmax, tol)
         total += gs.box_integral(integrand, rule)
         l1, mass = _cell_classical(c, rule)
         classical += l1

@@ -51,9 +51,8 @@ def enumerate_diagrams(n: int, d: int) -> list[Diagram]:
         if rest == 0:
             yield ()
             return
-        if nparts == 0:
-            return
-        for first in range(min(rest, maxpart), 0, -1):
+        # the nparts rows left, each at most first, must hold rest
+        for first in range(min(rest, maxpart), -(-rest // nparts) - 1, -1):
             for tail in rec(rest - first, first, nparts - 1):
                 yield (first, *tail)
 

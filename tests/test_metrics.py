@@ -162,7 +162,7 @@ class TestCqDistance:
         for field in dataclasses.fields(rep):
             got, want = getattr(rep, field.name), getattr(expected, field.name)
             assert abs(got - want) <= 1e-10, field.name
-        assert len(calls) < 1000  # one solve per node takes about 2,960
+        assert len(calls) < 300  # one solve per node takes about 2,960
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_one_box_rule_per_cell(self, d, monkeypatch):
@@ -274,9 +274,10 @@ class TestTraceNormCurve:
         positive = kinks[kinks > 1e-8]
         assert len(positive) == 3
         lo, hi = 0.5 * positive.min(), 1.5 * positive.max()
-        curve = mt.trace_norm_curve(Phi, isqrt, B, lo, hi)
         ts = np.concatenate([np.linspace(lo, hi, 197), positive])
         exact = np.array([mt.trace_distance(t * Phi, B) for t in ts])
+        # f is convex, so its largest value on the range is at an end
+        curve = mt.trace_norm_curve(Phi, isqrt, B, lo, hi, 1e-10 * max(exact[0], exact[196]))
         assert np.abs(curve(ts) - exact).max() <= 1e-9 * exact.max()
 
     def test_multiple_of_phi_is_abs(self):
@@ -284,7 +285,7 @@ class TestTraceNormCurve:
         Phi = random_density(8, rng)
         h = 0.3
         isqrt, _kinks = pencil_kinks(Phi, h * Phi)
-        curve = mt.trace_norm_curve(Phi, isqrt, h * Phi, 0.0, 1.0)
+        curve = mt.trace_norm_curve(Phi, isqrt, h * Phi, 0.0, 1.0, 1e-13)
         # the pencil's eigenvalues all sit at h and count as one kink
         assert len(curve.coeffs) == 2
         assert curve.breaks[1] == pytest.approx(h, abs=1e-10)
@@ -294,7 +295,77 @@ class TestTraceNormCurve:
     def test_nonconvergent_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ResourceLimitError):
-            mt.chebyshev_curve(lambda t: rng.random(), 0.0, 1.0, ())
+            mt.chebyshev_curve(lambda t: rng.random(), 0.0, 1.0, (), 1e-10)
+
+    def test_no_solve_above_top_kink(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        Phi = random_density(10, rng)
+        B = 0.6 * random_density(10, rng)
+        isqrt, kinks = pencil_kinks(Phi, B)
+        top = kinks.max()
+        lo, hi = 0.5 * kinks.min(), 3.0 * top
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(A, *args, **kwargs):
+            # t Phi - B has trace t Tr Phi - Tr B; the first call is the pencil's
+            solved.append((np.trace(A).real + np.trace(B).real) / np.trace(Phi).real)
+            return eigvalsh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        curve = mt.trace_norm_curve(Phi, isqrt, B, lo, hi, 1e-10)
+        monkeypatch.undo()
+        assert len(solved) > 1 and max(solved[1:]) < top
+        ts = np.linspace(top, hi, 101)
+        linear = ts * np.trace(Phi).real - np.trace(B).real
+        assert np.abs(curve(ts) - linear).max() <= 1e-12
+        exact = np.array([mt.trace_distance(t * Phi, B) for t in ts])
+        assert np.abs(curve(ts) - exact).max() <= 1e-12
+
+    def test_each_node_solved_once(self):
+        # the pieces share their ends, so a curve with p pieces of degrees
+        # N_i keeps sum(N_i + 1) - (p - 1) distinct nodes
+        rng = np.random.default_rng(5)
+        Phi = random_density(10, rng)
+        B = 0.6 * random_density(10, rng)
+        _isqrt, kinks = pencil_kinks(Phi, B)
+        nodes = []
+
+        def f(t):
+            nodes.append(t)
+            return mt.trace_distance(t * Phi, B)
+
+        lo, hi = 0.5 * kinks.min(), kinks.max()
+        curve = mt.chebyshev_curve(f, lo, hi, kinks, 1e-8)
+        assert len(curve.coeffs) > 2
+        degrees = [len(c) - 1 for c in curve.coeffs]
+        assert len(nodes) == len(set(nodes)) == sum(degrees) + 1
+        assert set(curve.breaks) <= set(nodes)
+
+
+class TestSymmetry:
+    # turns of zeta that the model's distances cannot see; they guard that the
+    # adaptive curve and box rule add no input-dependent error
+    FIELDS = ("total", "classical", "quantum_sup", "sn_total")
+
+    @staticmethod
+    def assert_same_rows(config, turned):
+        rows = ex.run_converge(config)["rows"]
+        turned_rows = ex.run_converge(dataclasses.replace(config, zeta=turned))["rows"]
+        for row, turned_row in zip(rows, turned_rows):
+            for field in TestSymmetry.FIELDS:
+                assert abs(row[field] - turned_row[field]) <= 1e-12, (row["n"], field)
+
+    def test_d3_conjugation(self):
+        config = ex.ExperimentConfig(
+            d=3, mu=(0.5, 0.3, 0.2), u=(0.5, 0.0), zeta=(0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j),
+            n_list=(8, 10), fock_cutoff=3,
+        )
+        self.assert_same_rows(config, tuple(z.conjugate() for z in config.zeta))
+
+    def test_d2_phase_turn(self):
+        config = ex.ExperimentConfig(n_list=(64, 128))
+        self.assert_same_rows(config, tuple(z * complex(np.exp(0.7j)) for z in config.zeta))
 
 
 class TestSnDistance:

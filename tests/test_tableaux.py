@@ -66,6 +66,17 @@ class TestEnumerateDiagrams:
     def test_count_10_3(self):
         assert len(tb.enumerate_diagrams(10, 3)) == 14
 
+    def test_equals_partition_filter(self):
+        # every multiset of d row lengths (zeros allowed) summing to n
+        for d in (2, 3, 4):
+            for n in range(1, 31):
+                rows = itertools.combinations_with_replacement(range(n + 1), d)
+                expected = sorted(
+                    (tuple(x for x in reversed(r) if x) for r in rows if sum(r) == n),
+                    reverse=True,
+                )
+                assert tb.enumerate_diagrams(n, d) == expected, (n, d)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             tb.enumerate_diagrams(0, 2)
