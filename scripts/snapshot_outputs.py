@@ -4,7 +4,9 @@
 Usage: python scripts/snapshot_outputs.py OUTDIR
 
 Runs, through `qlan.cli.main`: `converge` at the default config (CSV and
-JSON) and at n=64,128 (JSON), `converge` at a d=3 config (CSV and JSON),
+JSON) and at n=64,128 (JSON), `converge` at mu=0.95,0.05, u=0, n=64,128
+(JSON; its limit state is not numerically positive definite, so every
+quadrature node is solved), `converge` at a d=3 config (CSV and JSON),
 `decompose` at d=2 n=48 and at that d=3 config with n=10, and every
 `verify` lemma.  Two snapshots are identical iff `diff -r` of their
 directories is empty.  The script uses nothing but the CLI, so it runs on
@@ -26,6 +28,9 @@ RUNS = {
     "converge.csv": ["converge"],
     "converge.json": ["converge", "--format", "json"],
     "converge_n64_128.json": ["converge", "--n-list", "64,128", "--format", "json"],
+    "converge_singular_limit.json": [
+        "converge", "--mu", "0.95,0.05", "--u", "0", "--n-list", "64,128", "--format", "json",
+    ],
     "converge_d3.csv": ["converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10"],
     "converge_d3.json": [
         "converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10", "--format", "json",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time metrics.cq_distance at the benchmark's converge units and two larger
+"""Time metrics.cq_distance at the benchmark's converge units and three larger
 sizes.
 
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
@@ -12,7 +12,7 @@ the eigvalsh calls of one cq_distance call and their mean per box
 The blocks, the channel output and the limit state are built once per size,
 outside the timing.  The sizes are the converge units of perfbench (d=2 n=64
 and 128 at the default config, d=3 n=8 and 10 at fock_cutoff 3), d=2 n=1024
-and d=3 n=16 at fock_cutoff 4; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
+and 4096, and d=3 n=16 at fock_cutoff 4; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
 zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i).
 """
 
@@ -29,7 +29,7 @@ from qlan import gaussian as gs
 from qlan import metrics as mt
 from time_prepare_blocks import D3, provenance
 
-SIZES = [(2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (3, 16, 4)]
+SIZES = [(2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (2, 4096, 30), (3, 16, 4)]
 
 
 def eigvalsh_calls(fn) -> int:

@@ -125,30 +125,44 @@ def _inverse_sqrt(Phi: np.ndarray) -> np.ndarray:
     return (V / np.sqrt(w)) @ V.conj().T
 
 
-def trace_norm_curve(
-    Phi: np.ndarray, Phi_isqrt: np.ndarray, B: np.ndarray, lo: float, hi: float, tol: float
-) -> ChebyshevCurve:
-    """f(t) = ||t Phi - B||_1 on [lo, hi] for positive definite Phi with
-    inverse square root Phi_isqrt, its pieces accepted at the absolute tol
-    (chebyshev_curve).  f is convex and analytic between its kinks, the
-    generalised eigenvalues of the pencil (B, Phi), where an eigenvalue of
-    t Phi - B crosses zero; one eigensolve finds them.  At and above the top
-    kink t Phi - B is positive semidefinite (Sylvester's inertia), so there f
-    is the trace t Tr Phi - Tr B, stored as one degree-1 piece with no solve
-    (and none at the top kink itself)."""
-    kinks = np.linalg.eigvalsh(Phi_isqrt @ B @ Phi_isqrt)
-    top = min(max(lo, float(kinks[-1])), hi)
+def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
+    """f(t) = ||t Phi - B||_1 and the kinks of f, the generalised eigenvalues
+    of the pencil (B, Phi) (where an eigenvalue of t Phi - B crosses zero),
+    ascending, from one eigensolve.  At and above the top kink t Phi - B is
+    positive semidefinite (Sylvester's inertia), so there f is the trace
+    t Tr Phi - Tr B and takes no solve; below it, f takes one.  Phi_isqrt is
+    the inverse square root of Phi, or None when Phi is not numerically
+    positive definite: then no kink is known and f solves at every t."""
+    if Phi_isqrt is None:
+        kinks, top = np.empty(0), math.inf
+    else:
+        kinks = np.linalg.eigvalsh(Phi_isqrt @ B @ Phi_isqrt)
+        top = kinks[-1]
     slope, offset = float(np.trace(Phi).real), float(np.trace(B).real)
 
     def f(t):
-        return t * slope - offset if t >= kinks[-1] else _trace_norm(t * Phi - B)
+        return t * slope - offset if t >= top else _trace_norm(t * Phi - B)
 
+    return f, kinks
+
+
+def trace_norm_curve(
+    Phi: np.ndarray, Phi_isqrt: np.ndarray, B: np.ndarray, lo: float, hi: float, tol: float
+) -> ChebyshevCurve:
+    """f(t) = ||t Phi - B||_1 (trace_norm_fn) on [lo, hi] for positive
+    definite Phi with inverse square root Phi_isqrt, its pieces accepted at
+    the absolute tol (chebyshev_curve).  f is convex and analytic between its
+    kinks.  At and above the top kink f is linear, so that range is stored
+    as one degree-1 piece with no solve (and none at the top kink itself)."""
+    f, kinks = trace_norm_fn(Phi, Phi_isqrt, B)
+    top = min(max(lo, float(kinks[-1])), hi)
     breaks, coeffs = [lo], ()
     if top > lo:
         curve = chebyshev_curve(f, lo, top, kinks, tol)
         breaks, coeffs = list(curve.breaks), curve.coeffs
     if top < hi:
         breaks.append(hi)
+        slope = float(np.trace(Phi).real)
         coeffs += (np.array([f(0.5 * (top + hi)), 0.5 * (hi - top) * slope]),)
     return ChebyshevCurve(np.array(breaks), coeffs)
 
@@ -209,19 +223,29 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     limit: on each box, the integral of ||rho(x) Phi - B||_1 with rho the
     Gaussian density, Phi the limit's quantum state and B the box's height
     times its state.  The integrand depends on x only through t = rho(x), so
-    every term of a box is read from the densities of its one box rule.  On
-    boxes with one axis (d = 2) the quantum term is one Hermitian eigensolve
-    per quadrature point, since a 1-D rule already samples t along a line.
-    On boxes with more axes, the curve f(t) = ||t Phi - B||_1 is built once
-    per box over the density's range on every point of the rule
-    (trace_norm_curve), and every point is read from it.  The curve is
+    every term of a box is read from the densities of its one box rule, and
+    the box's pencil (B, Phi) takes one eigensolve (trace_norm_fn): at and
+    above its top kink the integrand is the trace t Tr Phi - Tr B.  On boxes
+    with one axis (d = 2) the quantum term takes one Hermitian eigensolve per
+    quadrature point below the top kink and none above it, since a 1-D rule
+    already samples t along a line; when Phi is not numerically positive
+    definite no kink is known, and every point is solved.  On boxes with more
+    axes, the curve f(t) = ||t Phi - B||_1 is built once per box over the
+    density's range on every point of the rule (trace_norm_curve), and every
+    point is read from it; they need a positive definite Phi.  The curve is
     resolved only as far as the box rule can use: its pieces are accepted at
     CURVE_SHARE * gaussian.BOX_TOL / volume, so its error integrated over the
     box is a hundredth of the tolerance the rule itself accepts."""
     _check_disjoint(out.cells)
     mean, cov = limit.mean, limit.cov
     Phi = limit.quantum
-    Phi_isqrt = _inverse_sqrt(Phi) if len(mean) > 1 else None
+    one_axis = len(mean) == 1
+    try:
+        Phi_isqrt = _inverse_sqrt(Phi)
+    except ResourceLimitError:
+        if not one_axis:
+            raise
+        Phi_isqrt = None
     total = 0.0
     inside = 0.0
     classical = 0.0
@@ -229,9 +253,11 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     for c in out.cells:
         rule = gs.box_rule(c.lo, c.hi, mean, cov)
         B = _height(c) * c.quantum
-        if Phi_isqrt is None:
+        if one_axis:
+            f, _kinks = trace_norm_fn(Phi, Phi_isqrt, B)
+
             def integrand(dens):
-                return np.array([_trace_norm(t * Phi - B) for t in dens])
+                return np.array([f(t) for t in dens])
         else:
             tmin = min(dens.min() for dens, _ in rule)
             tmax = max(dens.max() for dens, _ in rule)

@@ -169,14 +169,11 @@ def weight_eigenvalues(lam: tb.Diagram, ms: list[tb.MVector], vals: tuple[float,
     """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector of weight w: the
     block spectrum of diag(vals)^(x n) over its trace, each at most 1."""
     d = len(vals)
-    logs = [math.log(v) for v in vals]
-    log_full = log_schur_poly(lam, vals)
     # weight of m: the rows of lam, less each m[i,j] in entry i, plus it in j
     shift = [[(v == j) - (v == i) for v in range(1, d + 1)] for i, j in tb.pairs(d)]
     rows = [tb.row(lam, v) for v in range(1, d + 1)]
-    weights = (np.array(ms, dtype=np.int64).reshape(len(ms), len(shift)) @ shift + rows).tolist()
-    return np.array([math.exp(sum(k * lv for k, lv in zip(w, logs)) - log_full)
-                     for w in weights])
+    weights = np.array(ms, dtype=np.int64).reshape(len(ms), len(shift)) @ shift + rows
+    return np.exp(weights @ np.log(vals) - log_schur_poly(lam, vals))
 
 
 def block_states(

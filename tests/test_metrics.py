@@ -3,6 +3,7 @@ the piecewise Chebyshev trace-norm curve, and the combined classical-quantum
 distance report."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlan import channels as ch
+from qlan import cli
 from qlan import experiments as ex
 from qlan import gaussian as gs
 from qlan import metrics as mt
@@ -163,6 +165,49 @@ class TestCqDistance:
             got, want = getattr(rep, field.name), getattr(expected, field.name)
             assert abs(got - want) <= 1e-10, field.name
         assert len(calls) < 300  # one solve per node takes about 2,960
+
+    @pytest.mark.parametrize(
+        "mu, u, bound",
+        [
+            ((0.7, 0.3), (0.5,), 400),  # one solve per node takes 608
+            ((0.9, 0.1), (0.5,), None),  # cond(Phi) is about 4e28
+        ],
+    )
+    def test_d2_matches_per_node_oracle(self, mu, u, bound, monkeypatch):
+        config = ex.ExperimentConfig(mu=mu, u=u, n_list=(64,))
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
+        out = ch.forward_channel(spec, 64, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        expected = per_node_cq_distance(out, limit)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rep = mt.cq_distance(out, limit)
+        monkeypatch.undo()
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), getattr(expected, field.name)
+            assert abs(got - want) <= 1e-12, field.name
+        if bound is not None:
+            assert len(calls) < bound
+
+    def test_d2_singular_limit_runs(self, tmp_path):
+        # at mu = (0.95, 0.05), u = 0 the cutoff-30 limit state is not
+        # numerically positive definite, so no top kink is known and every
+        # node is solved; the totals are those of one solve per node
+        config = ex.ExperimentConfig(mu=(0.95, 0.05), u=(0.0,), n_list=(64, 128))
+        with pytest.raises(ResourceLimitError):
+            mt._inverse_sqrt(gs.limit_state(config.spectrum(), config.theta(), config.fock()).quantum)
+        path = tmp_path / "out.json"
+        argv = ["converge", "--mu", "0.95,0.05", "--u", "0", "--n-list", "64,128"]
+        assert cli.main([*argv, "--format", "json", "--out", str(path)]) == 0
+        totals = [row["total"] for row in json.loads(path.read_text())["rows"]]
+        assert totals == pytest.approx([0.338364216655, 0.306126622633], abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_one_box_rule_per_cell(self, d, monkeypatch):
