@@ -6,7 +6,9 @@ Usage: python scripts/snapshot_outputs.py OUTDIR
 Runs, through `qlan.cli.main`: `converge` at the default config (CSV and
 JSON) and at n=64,128 (JSON), `converge` at mu=0.95,0.05, u=0, n=64,128
 (JSON; its limit state is not numerically positive definite, so every
-quadrature node is solved), `converge` at a d=3 config (CSV and JSON),
+quadrature node is solved), `converge` at fock cutoff 150 with n=320
+(JSON; its blocks share first-class unions of more than 2**14 entries),
+`converge` at a d=3 config (CSV and JSON),
 `decompose` at d=2 n=48 and at that d=3 config with n=10, and every
 `verify` lemma.  Two snapshots are identical iff `diff -r` of their
 directories is empty.  The script uses nothing but the CLI, so it runs on
@@ -30,6 +32,9 @@ RUNS = {
     "converge_n64_128.json": ["converge", "--n-list", "64,128", "--format", "json"],
     "converge_singular_limit.json": [
         "converge", "--mu", "0.95,0.05", "--u", "0", "--n-list", "64,128", "--format", "json",
+    ],
+    "converge_k150_n320.json": [
+        "converge", "--fock-cutoff", "150", "--n-list", "320", "--format", "json",
     ],
     "converge_d3.csv": ["converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10"],
     "converge_d3.json": [

@@ -49,7 +49,8 @@ class ChebyshevCurve:
         for i, c in enumerate(self.coeffs):
             a, b = self.breaks[i], self.breaks[i + 1]
             sel = piece == i
-            x = (2.0 * t[sel] - a - b) / (b - a)
+            # a zero-width piece is constant, so any x reads it
+            x = (2.0 * t[sel] - a - b) / ((b - a) or 1.0)
             out[sel] = np.polynomial.chebyshev.chebval(x, c)
         return out
 
@@ -153,14 +154,15 @@ def trace_norm_curve(
     definite Phi with inverse square root Phi_isqrt, its pieces accepted at
     the absolute tol (chebyshev_curve).  f is convex and analytic between its
     kinks.  At and above the top kink f is linear, so that range is stored
-    as one degree-1 piece with no solve (and none at the top kink itself)."""
+    as one degree-1 piece with no solve (and none at the top kink itself).
+    A zero-width range (lo == hi) is one constant piece f(lo)."""
     f, kinks = trace_norm_fn(Phi, Phi_isqrt, B)
     top = min(max(lo, float(kinks[-1])), hi)
     breaks, coeffs = [lo], ()
     if top > lo:
         curve = chebyshev_curve(f, lo, top, kinks, tol)
         breaks, coeffs = list(curve.breaks), curve.coeffs
-    if top < hi:
+    if top < hi or lo == hi:
         breaks.append(hi)
         slope = float(np.trace(Phi).real)
         coeffs += (np.array([f(0.5 * (top + hi)), 0.5 * (hi - top) * slope]),)

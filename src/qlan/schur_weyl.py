@@ -47,14 +47,10 @@ the union simplex, whose caps are the largest of the list; a block reads
 the powers at its own simplex, which is down-closed in the union (bricks
 only raise exponents, so nothing outside it feeds into it), sums its own
 binomial series, and runs its remaining classes on its own simplex.  Each
-entry sees the operations of a block on its own, in the same order, with
-one caveat: numpy evaluates `val * PKS[src]` as `PKS[src] * val` once the
-gathered temporary holds ELIDED_ENTRIES = 2**14 complex entries (it reuses
-the temporary), and with fused multiply-adds the operand order can change
-the last bit.  A term could cross that size between the union and a
-block's own simplex, so blocks share the union only while it has fewer
-entries (the sweeps' simplex pairs have about 10**3) and pair one at a time
-beyond; every block then gets the bits of a list holding it alone.
+entry sees the operations of a block on its own, in the same order, and
+every scalar-array product is an explicit `np.multiply(scalar, array)`,
+whose operand order numpy keeps at every size, so a block gets the same
+bits alone or in any batch.
 
 The references this module is checked against, orbit sums by enumeration
 and Young symmetrizers on the full tensor space, live in `qlan.oracle`.
@@ -72,12 +68,10 @@ import numpy as np
 from .errors import NearSingularGramError, ResourceLimitError
 from . import tableaux as tb
 
-# complex entries (256 KiB) from which numpy computes `val * PKS[src]` in
-# place on the temporary, operands swapped (see the module docstring)
-ELIDED_ENTRIES = 2**14
-
-# complex entries of the largest simplex pair a transfer may allocate: one
-# such vector is 256 MiB, and a transfer holds several at once
+# complex entries of the largest simplex pair, a block's or a shared union's,
+# that a transfer may allocate (one such vector is 256 MiB, and a transfer
+# holds several); experiments.MAX_FOCK_DIM keeps the CLI's pairs at 2**20, so
+# this guards library callers that pass a larger max_weight
 MAX_TRANSFER_ENTRIES = 2**24
 
 # ---------------------------------------------------------------------------
@@ -211,12 +205,13 @@ def _apply_class(S, length: int, d: int, U: np.ndarray, bounds, series) -> list[
     `np.add.at` adds exactly what `nxt[dst] += ...` would, without the
     gathered copy of nxt[dst]."""
     v0, terms = _class_terms(length, d, U, bounds)
-    outs = [v0**ncols * (S if pos is None else S[pos]) for ncols, _, pos in series]
+    # np.multiply(scalar, array) keeps its operand order at every size
+    outs = [np.multiply(v0**ncols, S if pos is None else S[pos]) for ncols, _, pos in series]
     PKS = S
     for K in range(1, max(limit for _, limit, _ in series) + 1):
         nxt = np.zeros_like(S)
         for src, dst, val in terms:
-            np.add.at(nxt, dst, val * PKS[src])
+            np.add.at(nxt, dst, np.multiply(val, PKS[src]))
         PKS = nxt
         if not PKS.any():
             break
@@ -226,7 +221,7 @@ def _apply_class(S, length: int, d: int, U: np.ndarray, bounds, series) -> list[
             own = PKS if pos is None else PKS[pos]
             # the early stop of a sum on its own positions
             if pos is None or own.any():
-                out += math.comb(ncols, K) * v0 ** (ncols - K) * own
+                out += np.multiply(math.comb(ncols, K) * v0 ** (ncols - K), own)
     return outs
 
 
@@ -245,6 +240,16 @@ def _restriction(union, bounds):
     return (pos[:, None] * len(_simplex(*union)) + pos).ravel()
 
 
+def _check_size(what: str, bounds) -> None:
+    """Refuse a transfer on a simplex pair of more than MAX_TRANSFER_ENTRIES."""
+    entries = len(_simplex(*bounds)) ** 2
+    if entries > MAX_TRANSFER_ENTRIES:
+        raise ResourceLimitError(
+            f"{what} needs {entries:,} complex entries, "
+            f"more than {MAX_TRANSFER_ENTRIES:,}; lower n or the basis cutoff"
+        )
+
+
 def pairing_matrices(
     lams: list[tb.Diagram],
     d: int,
@@ -259,27 +264,21 @@ def pairing_matrices(
     A diagram's first non-empty column class acts on the unit vector e0, so
     its powers P^K e0 depend on U, the class length and the simplex only.
     The diagrams whose first class has the same length share one sequence of
-    powers on the union of their simplices, if it has fewer than
-    ELIDED_ENTRIES entries; each reads it on its own simplex (down-closed in
-    the union, and bricks only raise exponents, so the rest of the union
-    never feeds into it) and sums its own binomial series.  The remaining
-    classes run per diagram on its own simplex.  A diagram whose simplex
-    pair has more than MAX_TRANSFER_ENTRIES positions raises
-    ResourceLimitError before any transfer runs."""
+    powers on the union of their simplices; each reads it on its own simplex
+    (down-closed in the union, and bricks only raise exponents, so the rest
+    of the union never feeds into it) and sums its own binomial series.  The
+    remaining classes run per diagram on its own simplex.  A diagram whose
+    simplex pair, or a union whose pair, has more than MAX_TRANSFER_ENTRIES
+    positions raises ResourceLimitError before any transfer runs."""
     npairs = len(tb.pairs(d))
+    lams = [tb.check_diagram(lam, d) for lam in lams]
     bounds, rows, classes, groups = [], [], [], {}
     for i, (lam, ms) in enumerate(zip(lams, mss)):
-        lam = tb.check_diagram(lam, d)
         # the m-vectors as rows, their per-pair caps and total-weight cap
         M = np.array(ms, dtype=np.intp).reshape(len(ms), npairs)
         caps = tuple(int(c) for c in M.max(axis=0, initial=0))
         wcap = int(M.sum(axis=1).max(initial=0))
-        entries = len(_simplex(caps, wcap)) ** 2
-        if entries > MAX_TRANSFER_ENTRIES:
-            raise ResourceLimitError(
-                f"the pairing transfer of {lam} needs {entries:,} complex entries, "
-                f"more than {MAX_TRANSFER_ENTRIES:,}; lower n or the basis cutoff"
-            )
+        _check_size(f"the pairing transfer of {lam}", (caps, wcap))
         bounds.append((caps, wcap))
         rows.append(M)
         # every non-trivial pair type raises |a| + |b|, so P^K S = 0 for
@@ -294,15 +293,13 @@ def pairing_matrices(
         )
         groups.setdefault(classes[i][0][0], []).append(i)
 
-    batches = []
-    for length, members in groups.items():
-        union = _union([bounds[i] for i in members])
-        if len(_simplex(*union)) ** 2 < ELIDED_ENTRIES:
-            batches.append((length, members, union))
-        else:
-            batches += [(length, [i], bounds[i]) for i in members]
+    unions = [_union([bounds[i] for i in members]) for members in groups.values()]
+    for members, union in zip(groups.values(), unions):
+        # at d >= 3 a union can be larger than each of its simplices
+        names = ", ".join(str(lams[i]) for i in members)
+        _check_size(f"the shared pairing transfer of {names}", union)
     S = {}
-    for length, members, union in batches:
+    for (length, members), union in zip(groups.items(), unions):
         e0 = np.zeros(len(_simplex(*union)) ** 2, dtype=complex)
         e0[0] = 1.0
         series = [(*classes[i][0][1:], _restriction(union, bounds[i])) for i in members]

@@ -367,6 +367,19 @@ class TestTraceNormCurve:
         exact = np.array([mt.trace_distance(t * Phi, B) for t in ts])
         assert np.abs(curve(ts) - exact).max() <= 1e-12
 
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_zero_width_range_is_constant(self, side):
+        # every node of a box can have the same density (all of them
+        # underflow to 0 far out); the curve is then f at that one point
+        rng = np.random.default_rng(13)
+        Phi = random_density(4, rng)
+        G = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        B = G @ G.conj().T
+        isqrt, kinks = pencil_kinks(Phi, B)
+        t = 0.0 if side == "below" else 2.0 * kinks.max()
+        curve = mt.trace_norm_curve(Phi, isqrt, B, t, t, 1e-10)
+        assert curve(np.full(3, t)) == pytest.approx(mt.trace_distance(t * Phi, B), rel=1e-12)
+
     def test_each_node_solved_once(self):
         # the pieces share their ends, so a curve with p pieces of degrees
         # N_i keeps sum(N_i + 1) - (p - 1) distinct nodes

@@ -68,6 +68,14 @@ def haar_special_unitary(rng):
     return U / np.sqrt(np.linalg.det(U))
 
 
+def past_elision_batch():
+    """Three d=2 diagrams at a sweep's rotation whose first-class union holds
+    141 x 141 entries: (diagrams, U, m-vector lists)."""
+    lams = [(140, 60), (180, 40), (125, 75)]
+    U = md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j,), 200)
+    return lams, U, [tb.enumerate_m_vectors(lam, 2, max_weight=140) for lam in lams]
+
+
 class TestPairingEngine:
     @pytest.mark.parametrize("d,lam", SMALL_BLOCKS)
     def test_matches_direct_orbit_enumeration_identity(self, d, lam):
@@ -136,18 +144,31 @@ class TestPairingEngine:
 
     def test_batch_past_elision_size_matches_per_diagram_calls(self):
         # a union of 141 x 141 entries is past numpy's in-place size for
-        # temporaries, where `val * PKS[src]` rounds as `PKS[src] * val`;
-        # sharing it would change the last bit of the 81 x 81 and 51 x 51
-        # blocks, so the batch pairs each diagram on its own
-        lams = [(140, 60), (180, 40), (125, 75)]
-        U = md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j,), 200)
-        mss = [tb.enumerate_m_vectors(lam, 2, max_weight=140) for lam in lams]
+        # temporaries (2**14 complex entries), where `val * PKS[src]` would
+        # round as `PKS[src] * val`; the transfer's explicit operand order
+        # keeps the 81 x 81 and 51 x 51 blocks bit-identical to their own calls
+        lams, U, mss = past_elision_batch()
         sizes = [len(ms) ** 2 for ms in mss]
         assert sizes == [81**2, 141**2, 51**2]
-        assert sizes[1] >= sw.ELIDED_ENTRIES > sizes[0]
+        assert sizes[1] >= 2**14 > sizes[0]
         got = sw.pairing_matrices(lams, 2, U, mss)
         for lam, ms, W in zip(lams, mss, got):
             assert np.array_equal(W, sw.pairing_matrices([lam], 2, U, [ms])[0])
+
+    def test_batch_past_elision_size_shares_first_class(self, monkeypatch):
+        # the three diagrams start at the class of length 1, so its powers
+        # run once on the 141 x 141 union; each runs its class of length 2 alone
+        calls = []
+        apply_class = sw._apply_class
+
+        def counted(S, length, d, U, bounds, series):
+            calls.append((length, len(series)))
+            return apply_class(S, length, d, U, bounds, series)
+
+        monkeypatch.setattr(sw, "_apply_class", counted)
+        lams, U, mss = past_elision_batch()
+        sw.pairing_matrices(lams, 2, U, mss)
+        assert calls == [(1, 3), (2, 1), (2, 1), (2, 1)]
 
     def test_batch_bases_and_unitaries_match_single_calls(self):
         lams = [(9, 5), (12, 3), (20, 2), (6, 6)]
@@ -173,6 +194,22 @@ class TestPairingEngine:
         mss = [tb.enumerate_m_vectors(lam, 2, max_weight=8) for lam in lams]
         with pytest.raises(ResourceLimitError, match=r"\(7, 1\) needs 49 complex entries"):
             sw.pairing_matrices(lams, 2, np.eye(2), mss)
+
+    def test_oversized_union_refused_before_any_class(self, monkeypatch):
+        # at d=3, (3,) pairs on 10 x 10 positions and (4, 3) on 15 x 15, but
+        # their union simplex holds 20 points: every block fits, the union not
+        def never(*args):
+            raise AssertionError("a class transfer ran")
+
+        monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 300)
+        monkeypatch.setattr(sw, "_apply_class", never)
+        lams = [(3,), (4, 3)]
+        mss = [tb.enumerate_m_vectors(lam, 3, max_weight=3) for lam in lams]
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"shared pairing transfer of \(3,\), \(4, 3\) needs 400 complex entries",
+        ):
+            sw.pairing_matrices(lams, 3, np.eye(3), mss)
 
     @pytest.mark.parametrize(
         "lam,positions,admitted",
