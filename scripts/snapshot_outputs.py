@@ -9,10 +9,11 @@ JSON) and at n=64,128 (JSON), `converge` at mu=0.95,0.05, u=0, n=64,128
 quadrature node is solved), `converge` at fock cutoff 150 with n=320
 (JSON; its blocks share first-class unions of more than 2**14 entries),
 `converge` at a d=3 config (CSV and JSON),
-`decompose` at d=2 n=48 and at that d=3 config with n=10, and every
-`verify` lemma.  Two snapshots are identical iff `diff -r` of their
-directories is empty.  The script uses nothing but the CLI, so it runs on
-an older checkout too.
+`decompose` at d=2 n=48 and n=512 (a large batch of diagrams), at that d=3
+config with n=10 and at d=4 n=15 (mu=0.4,0.3,0.2,0.1, u and zeta zero: the
+largest d=4 blocks the bound admits), and every `verify` lemma.  Two
+snapshots are identical iff `diff -r` of their directories is empty.  The
+script uses nothing but the CLI, so it runs on an older checkout too.
 """
 
 import sys
@@ -25,6 +26,7 @@ D3 = [
     "--d", "3", "--mu", "0.5,0.3,0.2", "--u", "0.5,0",
     "--zeta", "0.5+0.3i,0.2-0.1i,0.1+0.2i",
 ]
+D4 = ["--d", "4", "--mu", "0.4,0.3,0.2,0.1", "--u", "0,0,0", "--zeta", "0,0,0,0,0,0"]
 
 RUNS = {
     "converge.csv": ["converge"],
@@ -41,7 +43,9 @@ RUNS = {
         "converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10", "--format", "json",
     ],
     "decompose_d2_n48.json": ["decompose", "--n-list", "48"],
+    "decompose_d2_n512.json": ["decompose", "--n-list", "512"],
     "decompose_d3_n10.json": ["decompose", *D3, "--n-list", "10"],
+    "decompose_d4_n15.json": ["decompose", *D4, "--n-list", "15"],
 }
 
 

@@ -6,21 +6,21 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 
 Prints a leading JSON line of provenance (see time_prepare_blocks.py), then
 one JSON line per size: d, n, the number of diagrams, the seconds of each
-repeat (default 9) and their median.  Each size is called once untimed
-first, so the repeats are warm.  The sizes are the two units of the
-decompose-full benchmark workload (d=2 n=48, d=3 n=10) and larger runs up to
-the block bound: d=2 n=1024 and 2048, d=3 n=41, d=4 n=15.  d=2 uses the
-defaults; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
+repeat (default 9), their median and peak_rss_mb, the largest resident set
+in MB of the new Python process that runs each size.  Each size is called
+once untimed first, so the repeats are warm.  The sizes are the two units
+of the decompose-full benchmark workload (d=2 n=48, d=3 n=10) and larger
+runs up to the block bound: d=2 n=1024 and 2048, d=3 n=41, d=4 n=15.  d=2
+uses the defaults; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
 zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i); d=4 uses mu=(0.4,0.3,0.2,0.1) with u
 and zeta zero.
 """
 
-import json
 import statistics
 import sys
 import time
 
-from time_prepare_blocks import D3, provenance
+from time_prepare_blocks import D3, run_sizes
 
 from qlan import experiments as ex
 
@@ -28,22 +28,18 @@ D4 = dict(d=4, mu=(0.4, 0.3, 0.2, 0.1), u=(0.0,) * 3, zeta=(0j,) * 6)
 SIZES = [(2, 48), (3, 10), (2, 1024), (2, 2048), (3, 41), (4, 15)]
 
 
-def main() -> int:
-    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 9
-    print(json.dumps(provenance()), flush=True)
-    for d, n in SIZES:
-        config = ex.ExperimentConfig(n_list=(n,), **{2: {}, 3: D3, 4: D4}[d])
-        blocks = len(ex.run_decompose(config)["blocks"])
-        seconds = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            ex.run_decompose(config)
-            seconds.append(round(time.perf_counter() - start, 4))
-        row = {"d": d, "n": n, "diagrams": blocks, "seconds": seconds,
-               "median_s": statistics.median(seconds)}
-        print(json.dumps(row), flush=True)
-    return 0
+def time_size(size: tuple[int, int], repeats: int) -> dict:
+    d, n = size
+    config = ex.ExperimentConfig(n_list=(n,), **{2: {}, 3: D3, 4: D4}[d])
+    blocks = len(ex.run_decompose(config)["blocks"])
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        ex.run_decompose(config)
+        seconds.append(round(time.perf_counter() - start, 4))
+    return {"d": d, "n": n, "diagrams": blocks, "seconds": seconds,
+            "median_s": statistics.median(seconds)}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_sizes(__file__, SIZES, 9, time_size))

@@ -8,9 +8,11 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 
 Prints a leading JSON line of provenance (the git SHA of the checkout and
 whether tracked files differ from it, the Python and numpy versions, and the
-BLAS thread variables), then one JSON line
-per size: d, n, the Fock cutoff, the block count and the seconds of each
-repeat (default 3).  The d=3 sizes use mu=(0.5,0.3,0.2),
+BLAS thread variables), then one JSON line per size: d, n, the Fock cutoff,
+the block count, the seconds of each repeat (default 3) and peak_rss_mb.
+Each size runs in a new Python process (the script itself, with `--size I`),
+so peak_rss_mb, the largest resident set of that process in MB, is the
+memory of that size alone.  The d=3 sizes use mu=(0.5,0.3,0.2),
 u=(0.5,0), zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i); d=2 uses the defaults.  The
 pairing caches are cleared before each repeat, so every repeat pays for
 building its index maps.
@@ -19,6 +21,7 @@ building its index maps.
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -61,24 +64,44 @@ def provenance() -> dict:
     }
 
 
-def main() -> int:
-    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    print(json.dumps(provenance()), flush=True)
-    for d, n, cutoff in SIZES:
-        config = ex.ExperimentConfig(fock_cutoff=cutoff, n_list=(n,), **(D3 if d == 3 else {}))
-        seconds = []
-        for _ in range(repeats):
-            sw._simplex.cache_clear()
-            sw._shift_map.cache_clear()
-            start = time.perf_counter()
-            blocks = ch.prepare_blocks(
-                config.spectrum(), config.theta(), n, config.fock(), config.alpha
-            )
-            seconds.append(round(time.perf_counter() - start, 3))
-        row = {"d": d, "n": n, "fock_cutoff": cutoff, "blocks": len(blocks), "seconds": seconds}
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process in MB (ru_maxrss is in KiB on
+    Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def run_sizes(script: str, sizes: list, repeats: int, time_size) -> int:
+    """The command line of a timing script: with `--size I [repeats]`, print
+    the row time_size(sizes[I], repeats) with this process's peak_rss_mb;
+    with `[repeats]`, print the provenance line and run the script once per
+    size, each in a new Python process."""
+    args = sys.argv[1:]
+    if args[:1] == ["--size"]:
+        row = time_size(sizes[int(args[1])], int(args[2]) if len(args) > 2 else repeats)
+        row["peak_rss_mb"] = round(peak_rss_mb(), 2)
         print(json.dumps(row), flush=True)
+        return 0
+    repeats = int(args[0]) if args else repeats
+    print(json.dumps(provenance()), flush=True)
+    for i in range(len(sizes)):
+        subprocess.run([sys.executable, script, "--size", str(i), str(repeats)], check=True)
     return 0
 
 
+def time_size(size: tuple[int, int, int], repeats: int) -> dict:
+    d, n, cutoff = size
+    config = ex.ExperimentConfig(fock_cutoff=cutoff, n_list=(n,), **(D3 if d == 3 else {}))
+    seconds = []
+    for _ in range(repeats):
+        sw._simplex.cache_clear()
+        sw._shift_map.cache_clear()
+        start = time.perf_counter()
+        blocks = ch.prepare_blocks(
+            config.spectrum(), config.theta(), n, config.fock(), config.alpha
+        )
+        seconds.append(round(time.perf_counter() - start, 3))
+    return {"d": d, "n": n, "fock_cutoff": cutoff, "blocks": len(blocks), "seconds": seconds}
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_sizes(__file__, SIZES, 3, time_size))

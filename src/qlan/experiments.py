@@ -180,28 +180,38 @@ def run_decompose(config: ExperimentConfig) -> dict:
     n = config.n_list[0]
     spec = config.spectrum()
     theta = config.theta()
+    d = config.d
     vals = md.perturbed_spectrum(spec, theta.u, n)
     # the window of run_converge, so both agree on every diagram
     typical = set(ch.typical_diagrams(n, spec, config.alpha))
-    blocks = []
-    total = 0.0
-    for lam in tb.enumerate_diagrams(n, config.d):
-        dim = tb.dim_irrep(lam, config.d)
+    lams = tb.enumerate_diagrams(n, d)
+    dims = [tb.dim_irrep(lam, d) for lam in lams]
+    for lam, dim in zip(lams, dims):
         if dim > MAX_BLOCK_DIM:
             raise ResourceLimitError(f"the block of {lam} has dimension {dim}, "
                                      f"more than {MAX_BLOCK_DIM}; lower n")
-        weight = md.block_weight(lam, spec, theta.u, n)
+    # one walk and one weight product for all diagrams; each log s_lambda
+    # serves the block's weight (as in md.block_weight) and its spectrum
+    log_s = [md.log_schur_poly(lam, vals) for lam in lams]
+    prefactors = md.log_weight_prefactors(lams, n, d)
+    evs = md.weight_eigenvalues(lams, *tb.m_vector_rows(lams, d), vals, log_s)
+    blocks = []
+    total = 0.0
+    for lam, dim, mult, prefactor, s, own in zip(
+        lams, dims, tb.multiplicities(lams, n, d), prefactors, log_s,
+        np.split(evs, np.cumsum(dims)[:-1]),
+    ):
+        weight = math.exp(prefactor + s)
         # the rotation by zeta leaves the spectrum of the diagonal block
-        evs = md.weight_eigenvalues(lam, tb.enumerate_m_vectors(lam, config.d), vals)
-        spectrum = np.sort(evs / evs.sum())[::-1]
+        spectrum = np.sort(own / own.sum())[::-1]
         total += weight
         blocks.append(
             {
                 "lam": list(lam),
                 "weight": weight,
                 "dim": dim,
-                "multiplicity": tb.multiplicity(lam, n, config.d),
-                "spectrum": [float(v) for v in spectrum],
+                "multiplicity": mult,
+                "spectrum": spectrum.tolist(),
                 "typical": lam in typical,
             }
         )

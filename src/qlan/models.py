@@ -112,18 +112,22 @@ def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.nd
 # block weights
 
 
-def log_weight_prefactor(lam: tb.Diagram, n: int, d: int) -> float:
-    """Natural log of the block multiplicity tb.multiplicity,
+def log_weight_prefactors(lams: list[tb.Diagram], n: int, d: int) -> list[float]:
+    """Natural log of the block multiplicity tb.multiplicity of each diagram,
     n! prod_{l<k} (l_l - l_k) / prod_l l_l! with l_l = lambda_l + d - l:
     log n! + sum_l [sum_{k>l} log(lambda_l - lambda_k + k - l)
-    - log (lambda_l + d - l)!]."""
-    rows = [tb.row(lam, i) for i in range(1, d + 1)]
-    out = math.lgamma(n + 1)
-    for l in range(1, d + 1):
-        ll = rows[l - 1]
-        for k in range(l + 1, d + 1):
-            out += math.log(ll - rows[k - 1] + k - l)
-        out -= math.lgamma(ll + d - l + 1)
+    - log (lambda_l + d - l)!], with log n! computed once."""
+    log_nfact = math.lgamma(n + 1)
+    out = []
+    for lam in lams:
+        rows = [tb.row(lam, i) for i in range(1, d + 1)]
+        acc = log_nfact
+        for l in range(1, d + 1):
+            ll = rows[l - 1]
+            for k in range(l + 1, d + 1):
+                acc += math.log(ll - rows[k - 1] + k - l)
+            acc -= math.lgamma(ll + d - l + 1)
+        out.append(acc)
     return out
 
 
@@ -158,22 +162,37 @@ def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) 
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     vals = perturbed_spectrum(spec, u, n)
-    return math.exp(log_weight_prefactor(lam, n, spec.d) + log_schur_poly(lam, vals))
+    (prefactor,) = log_weight_prefactors([lam], n, spec.d)
+    return math.exp(prefactor + log_schur_poly(lam, vals))
 
 
 # ---------------------------------------------------------------------------
 # block states
 
 
-def weight_eigenvalues(lam: tb.Diagram, ms: list[tb.MVector], vals: tuple[float, ...]) -> np.ndarray:
-    """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector of weight w: the
-    block spectrum of diag(vals)^(x n) over its trace, each at most 1."""
+def weight_eigenvalues(
+    lams: list[tb.Diagram],
+    owner: np.ndarray,
+    ms: np.ndarray,
+    vals: tuple[float, ...],
+    log_s: list[float] | None = None,
+) -> np.ndarray:
+    """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector row of ms, of
+    weight w on the diagram lams[owner[row]] (the rows of tb.m_vector_rows):
+    the block spectrum of diag(vals)^(x n) over its trace, each at most 1.
+    log_s holds log s_lambda(vals) per diagram when the caller has it."""
     d = len(vals)
+    if log_s is None:
+        log_s = [log_schur_poly(lam, vals) for lam in lams]
     # weight of m: the rows of lam, less each m[i,j] in entry i, plus it in j
     shift = [[(v == j) - (v == i) for v in range(1, d + 1)] for i, j in tb.pairs(d)]
-    rows = [tb.row(lam, v) for v in range(1, d + 1)]
-    weights = np.array(ms, dtype=np.int64).reshape(len(ms), len(shift)) @ shift + rows
-    return np.exp(weights @ np.log(vals) - log_schur_poly(lam, vals))
+    rows = np.array([[tb.row(lam, v) for v in range(1, d + 1)] for lam in lams],
+                    dtype=ms.dtype).reshape(len(lams), d)
+    weights = ms.reshape(len(owner), len(shift)) @ np.array(shift, dtype=ms.dtype)
+    weights += rows[owner]
+    out = weights @ np.log(vals)
+    out -= np.array(log_s)[owner]
+    return np.exp(out, out=out)
 
 
 def block_states(
@@ -190,9 +209,13 @@ def block_states(
     if any(theta.zeta):
         rotations = sw.block_unitaries(bases, rotation_unitary(spec, theta.zeta, n))
     vals = perturbed_spectrum(spec, theta.u, n)
+    sizes = np.array([basis.size for basis in bases], dtype=np.intp)
+    owner = np.repeat(np.arange(len(bases)), sizes)
+    ms = np.array([m for basis in bases for m in basis.mvectors], dtype=np.int64)
+    evss = np.split(weight_eigenvalues([b.lam for b in bases], owner, ms, vals),
+                    np.cumsum(sizes)[:-1])
     out = []
-    for basis, rotation in zip(bases, rotations):
-        evs = weight_eigenvalues(basis.lam, basis.mvectors, vals)
+    for evs, rotation in zip(evss, rotations):
         covered = float(evs.sum())
         loss = max(0.0, 1.0 - covered)
         rho = np.diag(evs / covered).astype(complex)

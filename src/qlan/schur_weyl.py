@@ -254,12 +254,12 @@ def pairing_matrices(
     lams: list[tb.Diagram],
     d: int,
     U: np.ndarray,
-    mss: list[list[tb.MVector]],
+    mss: list[list[tb.MVector] | np.ndarray],
 ) -> list[np.ndarray]:
-    """For every i, the matrix of orbit sums W(m, l; U) for m, l in mss[i] on
-    the diagram lams[i]: the coefficients of prod over L of
-    (v0_L + P_L)^ncols described in the module docstring, truncated to the
-    exponents that mss[i] can reach.
+    """For every i, the matrix of orbit sums W(m, l; U) for m, l in mss[i]
+    (tuples, or the rows of an array) on the diagram lams[i]: the
+    coefficients of prod over L of (v0_L + P_L)^ncols described in the
+    module docstring, truncated to the exponents that mss[i] can reach.
 
     A diagram's first non-empty column class acts on the unit vector e0, so
     its powers P^K e0 depend on U, the class length and the simplex only.
@@ -389,12 +389,14 @@ def block_bases(lams: list[tb.Diagram], d: int, max_weight: int) -> list[BlockBa
     """The basis of every diagram, truncated to total weight |m| <=
     max_weight, from one identity transfer."""
     lams = [tb.check_diagram(lam, d) for lam in lams]
-    mss = [tb.enumerate_m_vectors(lam, d, max_weight=max_weight) for lam in lams]
+    owner, ms = tb.m_vector_rows(lams, d, max_weight)
+    mss = np.split(ms, np.searchsorted(owner, np.arange(1, len(lams))))
     out = []
     for lam, ms, W in zip(lams, mss, pairing_matrices(lams, d, np.eye(d), mss)):
         G, norms = _gram_and_norms(W)
         sqrt, inv_sqrt = orthonormalize(G)
-        out.append(BlockBasis(lam, d, tuple(ms), G, inv_sqrt, sqrt, norms))
+        labels = tuple(map(tuple, ms.tolist()))
+        out.append(BlockBasis(lam, d, labels, G, inv_sqrt, sqrt, norms))
     return out
 
 

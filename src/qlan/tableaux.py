@@ -2,7 +2,8 @@
 
 Diagrams are tuples of non-increasing positive integers (trailing zeros
 stripped).  Basis labels are "m-vectors": occupation counts m[i,j] of entry j
-in row i (1 <= i < j <= d), stored as flat tuples aligned with `pairs(d)`.
+in row i (1 <= i < j <= d), stored as flat tuples aligned with `pairs(d)`,
+or as the rows of one integer array for a list of diagrams (`m_vector_rows`).
 Tableaux themselves, their orbits and gamma counts live in `qlan.oracle`.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from functools import cache
 from typing import Iterator
+
+import numpy as np
 
 Diagram = tuple[int, ...]
 MVector = tuple[int, ...]
@@ -67,18 +70,28 @@ def dim_irrep(lam: Diagram, d: int) -> int:
     return num // math.prod(j - i for i, j in pairs(d))
 
 
+def multiplicities(lams: list[Diagram], n: int, d: int) -> list[int]:
+    """Dimension of the S(n) multiplicity space of each diagram of n (as
+    check_diagram returns them), by Frobenius' form of n! / prod of hooks:
+    n! prod_{i<j} (l_i - l_j) / prod_i l_i!, with l_i = lambda_i + d - i;
+    n! is computed once."""
+    nfact = math.factorial(n)
+    out = []
+    for lam in lams:
+        ls = [row(lam, i) + d - i for i in range(1, d + 1)]
+        num = nfact * math.prod(ls[i - 1] - ls[j - 1] for i, j in pairs(d))
+        mult, rest = divmod(num, math.prod(math.factorial(li) for li in ls))
+        assert rest == 0
+        out.append(mult)
+    return out
+
+
 def multiplicity(lam: Diagram, n: int, d: int) -> int:
-    """Dimension of the S(n) multiplicity space, by Frobenius' form of
-    n! / prod of hooks: n! prod_{i<j} (l_i - l_j) / prod_i l_i!, with
-    l_i = lambda_i + d - i."""
+    """multiplicities of the one diagram lam."""
     lam = check_diagram(lam, d)
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    ls = [row(lam, i) + d - i for i in range(1, d + 1)]
-    num = math.factorial(n) * math.prod(ls[i - 1] - ls[j - 1] for i, j in pairs(d))
-    out, rest = divmod(num, math.prod(math.factorial(li) for li in ls))
-    assert rest == 0
-    return out
+    return multiplicities([lam], n, d)[0]
 
 
 def row_loads(m: MVector, d: int) -> tuple[int, ...]:
@@ -98,42 +111,56 @@ def total_multiplicities(lam: Diagram, m: MVector, d: int) -> tuple[int, ...]:
     return tuple(totals)
 
 
-def enumerate_m_vectors(
-    lam: Diagram, d: int, max_weight: int | None = None
-) -> list[MVector]:
-    """All m-vectors whose canonical filling is semistandard, optionally
-    restricted to total weight |m| <= max_weight; full count equals
-    dim_irrep(lam, d).
+def m_vector_rows(
+    lams: list[Diagram], d: int, max_weight: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The m-vectors of every diagram in lams (as check_diagram returns
+    them), from one walk: the index into lams that owns each row, and the
+    m-vectors as the rows of an integer array.  Each diagram's rows are
+    contiguous, in the order of lams, and in lexicographic order; they are
+    those whose canonical filling is semistandard, restricted to total
+    weight |m| <= max_weight if given (all dim_irrep(lam, d) of them if
+    not).
 
     Walks Gelfand-Tsetlin patterns: with lambda^(k)_i the number of entries
     <= k in row i (lambda^(d) = lam), the filling is semistandard iff each
     lambda^(k-1) interlaces lambda^(k), lambda^(k)_i >= lambda^(k-1)_i >=
-    lambda^(k)_(i+1), and then m[i,k] = lambda^(k)_i - lambda^(k-1)_i.  The
-    rows of lambda^(d-1), ..., lambda^(1) are chosen in turn, each within
-    those bounds and the weight left, so every branch ends in an m-vector."""
-    lam = check_diagram(lam, d)
+    lambda^(k)_(i+1), and then m[i,k] = lambda^(k)_i - lambda^(k-1)_i.  Each
+    of the d(d-1)/2 steps chooses one entry of lambda^(d-1), ..., lambda^(1)
+    for every partial pattern at once, within those bounds and the weight
+    left, so every branch ends in an m-vector.  Row i of a pattern is
+    overwritten in place: step i still reads lambda^(k)_(i+1)."""
     slot = {p: k for k, p in enumerate(pairs(d))}
-    m = [0] * len(slot)
-    out: list[MVector] = []
+    # int32 halves the walk's memory; an m-vector entry is at most n
+    owner = np.arange(len(lams), dtype=np.int32)
+    pattern = np.array([[row(lam, i) for i in range(1, d + 1)] for lam in lams],
+                       dtype=np.int32).reshape(len(lams), d)
+    # no m-vector of lam weighs more than |lam|
+    left = np.array([sum(lam) if max_weight is None else min(max_weight, sum(lam))
+                     for lam in lams], dtype=np.int32)
+    M = np.zeros((len(lams), len(slot)), dtype=np.int32)
+    for k in range(d, 1, -1):
+        for i in range(k - 1):
+            # m[i+1,k] = c for c = 0..min(lambda^(k)_i - lambda^(k)_(i+1), left)
+            count = np.maximum(np.minimum(pattern[:, i] - pattern[:, i + 1], left) + 1, 0)
+            parent = np.repeat(np.arange(len(owner), dtype=np.int32), count)
+            c = np.arange(len(parent), dtype=np.int32)
+            c -= np.repeat(np.cumsum(count, dtype=np.int32) - count, count)
+            owner, pattern, left, M = owner[parent], pattern[parent], left[parent], M[parent]
+            left -= c
+            pattern[:, i] -= c
+            M[:, slot[i + 1, k]] = c
+    if len(slot) == 1:
+        # one step: each diagram's rows already come in increasing order
+        return owner, M
+    order = np.lexsort((*M.T[::-1], owner))
+    return owner[order], M[order]
 
-    def rec(upper: tuple[int, ...], lower: list[int], left: int) -> None:
-        # choose row i of lambda^(k-1) below lambda^(k) = upper, k = len(upper)
-        k, i = len(upper), len(lower)
-        if k == 2:
-            # the last entry, m[1,2], is the first of the flat m-vector
-            rest = tuple(m[1:])
-            out.extend((c,) + rest for c in range(min(upper[0] - upper[1], left) + 1))
-            return
-        if i == k - 1:
-            rec(tuple(lower), [], left)
-            return
-        top = upper[i]
-        for v in range(top, max(upper[i + 1], top - left) - 1, -1):
-            m[slot[i + 1, k]] = top - v
-            lower.append(v)
-            rec(upper, lower, left - (top - v))
-            lower.pop()
 
-    rows = tuple(row(lam, i) for i in range(1, d + 1))
-    rec(rows, [], sum(lam) if max_weight is None else max_weight)
-    return sorted(out)
+def enumerate_m_vectors(
+    lam: Diagram, d: int, max_weight: int | None = None
+) -> list[MVector]:
+    """The m-vectors of one diagram as sorted tuples: m_vector_rows of
+    [lam]."""
+    lam = check_diagram(lam, d)
+    return [tuple(m) for m in m_vector_rows([lam], d, max_weight)[1].tolist()]

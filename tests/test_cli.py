@@ -119,6 +119,29 @@ class TestRunners:
             reference = np.linalg.eigvalsh(state.matrix)[::-1]
             np.testing.assert_allclose(b["spectrum"], reference, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            ({}, 48),
+            ({}, 512),
+            (dict(d=3, mu=(0.5, 0.3, 0.2), u=(0.5, 0.0),
+                  zeta=(0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j)), 10),
+            (dict(d=4, mu=(0.4, 0.3, 0.2, 0.1), u=(0.2, 0.1, -0.1), zeta=(0j,) * 6), 9),
+        ],
+        ids=["d2-n48", "d2-n512", "d3-n10", "d4-n9"],
+    )
+    def test_decompose_blocks_match_per_diagram_forms(self, model, n):
+        # the one array pass over all diagrams gives each block the bits of
+        # block_weight and of weight_eigenvalues on its diagram alone
+        cfg = ex.ExperimentConfig(n_list=(n,), **model)
+        spec, u = cfg.spectrum(), cfg.theta().u
+        vals = md.perturbed_spectrum(spec, u, n)
+        for b in ex.run_decompose(cfg)["blocks"]:
+            lam = tuple(b["lam"])
+            assert b["weight"] == md.block_weight(lam, spec, u, n)
+            evs = md.weight_eigenvalues([lam], *tb.m_vector_rows([lam], cfg.d), vals)
+            assert b["spectrum"] == np.sort(evs / evs.sum())[::-1].tolist()
+
     def test_decompose_typical_flags_match_converge_window(self):
         # 32**0.6 rounds to 7.999999999999999 while 16 + 32**0.6 rounds to
         # 24.0: the window converge prepares blocks from admits lambda_1 = 24
@@ -264,17 +287,28 @@ class TestCli:
         )
 
     def test_oversized_block_exit_2(self, monkeypatch, capsys):
-        # (4096,) is the first diagram at n=4096, one box past the bound
+        # every dimension is checked before the m-vector walk: (4096,) is the
+        # first diagram at d=2 n=4096, one box past the bound, while at d=3
+        # n=42 and d=4 n=16 the first oversized diagram comes after 12 and 4
+        # blocks within it
         def never(*args, **kwargs):
-            raise AssertionError("an oversized block must not be enumerated")
+            raise AssertionError("no block may be enumerated before the bound holds")
 
+        monkeypatch.setattr(tb, "m_vector_rows", never)
         monkeypatch.setattr(tb, "enumerate_m_vectors", never)
-        rc = cli.main(["decompose", "--n-list", "4096"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: the block of (4096,) has dimension 4097, more than 4096; "
-            "lower n\n"
-        )
+        cases = [
+            ([], 4096, "(4096,) has dimension 4097"),
+            (["--d", "3", "--mu", "0.5,0.3,0.2", "--u", "0,0", "--zeta", "0,0,0"],
+             42, "(36, 6) has dimension 4123"),
+            (["--d", "4", "--mu", "0.4,0.3,0.2,0.1", "--u", "0,0,0",
+              "--zeta", "0,0,0,0,0,0"], 16, "(13, 3) has dimension 4400"),
+        ]
+        for model, n, block in cases:
+            rc = cli.main(["decompose", *model, "--n-list", str(n)])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: the block of {block}, more than 4096; lower n\n"
+            )
 
     @pytest.mark.parametrize("d, n", [(3, 41), (4, 15)])
     def test_block_bound_admits_range(self, d, n):

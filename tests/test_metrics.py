@@ -17,6 +17,7 @@ from qlan import experiments as ex
 from qlan import gaussian as gs
 from qlan import metrics as mt
 from qlan import models as md
+from qlan import tableaux as tb
 from qlan.errors import ResourceLimitError
 
 SPEC2 = md.Spectrum((0.7, 0.3))
@@ -420,6 +421,26 @@ class TestSymmetry:
             n_list=(8, 10), fock_cutoff=3,
         )
         self.assert_same_rows(config, tuple(z.conjugate() for z in config.zeta))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the isometry completion places its vectors on spare number states "
+        "of other photon numbers, which breaks the phase symmetry at d=3",
+    )
+    def test_d3_diagonal_phase_turn(self):
+        # conjugation by diag(exp(i alpha)) turns zeta_jk by exp(i(alpha_j -
+        # alpha_k)) and commutes with diag(mu), the block weights and the
+        # weight classes, so the distances cannot see it
+        config = ex.ExperimentConfig(
+            d=3, mu=(0.5, 0.3, 0.2), u=(0.5, 0.0), zeta=(0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j),
+            n_list=(8,), fock_cutoff=3,
+        )
+        alpha = (0.3, -1.1, 0.4)
+        turned = tuple(
+            z * complex(np.exp(1j * (alpha[j - 1] - alpha[k - 1])))
+            for z, (j, k) in zip(config.zeta, tb.pairs(3))
+        )
+        self.assert_same_rows(config, turned)
 
     def test_d2_phase_turn(self):
         config = ex.ExperimentConfig(n_list=(64, 128))

@@ -1,5 +1,7 @@
+import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,21 @@ def brute_partition_count(n, d):
         )
 
     return rec(n, n, d)
+
+
+@functools.cache
+def semistandard(lam, d):
+    """The m-vectors of lam whose canonical tableau is semistandard, sorted:
+    every m-vector within the row capacities, filtered by the oracle."""
+    cands = [()]
+    for k, (i, _j) in enumerate(tb.pairs(d)):
+        rest = (0,) * (len(tb.pairs(d)) - k)
+        cands = [
+            m + (c,)
+            for m in cands
+            for c in range(tb.row(lam, i) - tb.row_loads(m + rest, d)[i - 1] + 1)
+        ]
+    return sorted(m for m in cands if orc.fits(lam, m, d))
 
 
 def diagrams(max_n=10, max_d=4):
@@ -187,15 +204,7 @@ class TestMVectors:
         for d in (2, 3, 4):
             for n in range(1, 11):
                 for lam in tb.enumerate_diagrams(n, d):
-                    cands = [()]
-                    for k, (i, _j) in enumerate(tb.pairs(d)):
-                        rest = (0,) * (len(tb.pairs(d)) - k)
-                        cands = [
-                            m + (c,)
-                            for m in cands
-                            for c in range(tb.row(lam, i) - tb.row_loads(m + rest, d)[i - 1] + 1)
-                        ]
-                    fitting = sorted(m for m in cands if orc.fits(lam, m, d))
+                    fitting = semistandard(lam, d)
                     ms = tb.enumerate_m_vectors(lam, d)
                     assert ms == fitting
                     assert len(ms) == tb.dim_irrep(lam, d)
@@ -203,6 +212,28 @@ class TestMVectors:
                         assert tb.enumerate_m_vectors(lam, d, max_weight) == [
                             m for m in fitting if sum(m) <= max_weight
                         ]
+
+    def test_batched_walk_matches_tableau_filter(self):
+        # one walk over all diagrams of n gives each diagram's semistandard
+        # m-vectors, contiguous and sorted, and the same arrays as one walk
+        # per diagram
+        for d in (2, 3, 4):
+            for n in range(1, 13):
+                lams = tb.enumerate_diagrams(n, d)
+                for max_weight in (None, -1, 0, 1, 2, 3, 5):
+                    owner, ms = tb.m_vector_rows(lams, d, max_weight)
+                    cap = n if max_weight is None else max_weight
+                    expect = [
+                        (i, m)
+                        for i, lam in enumerate(lams)
+                        for m in semistandard(lam, d)
+                        if sum(m) <= cap
+                    ]
+                    assert list(zip(owner.tolist(), map(tuple, ms.tolist()))) == expect
+                    for i, lam in enumerate(lams):
+                        one_owner, one = tb.m_vector_rows([lam], d, max_weight)
+                        assert not one_owner.any()
+                        np.testing.assert_array_equal(ms[owner == i], one)
 
     def test_max_weight_filter(self):
         full = tb.enumerate_m_vectors((6, 2), 2)
