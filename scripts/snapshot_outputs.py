@@ -8,7 +8,8 @@ JSON) and at n=64,128 (JSON), `converge` at mu=0.95,0.05, u=0, n=64,128
 (JSON; its limit state is not numerically positive definite, so every
 quadrature node is solved), `converge` at fock cutoff 150 with n=320
 (JSON; its blocks share first-class unions of more than 2**14 entries),
-`converge` at a d=3 config (CSV and JSON),
+`converge` at a d=3 config (CSV and JSON), `converge` at d=4 (CSV; the
+only path with six Fock modes),
 `decompose` at d=2 n=48 and n=512 (a large batch of diagrams), at that d=3
 config with n=10 and at d=4 n=15 (mu=0.4,0.3,0.2,0.1, u and zeta zero: the
 largest d=4 blocks the bound admits), and every `verify` lemma.  Two
@@ -41,6 +42,10 @@ RUNS = {
     "converge_d3.csv": ["converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10"],
     "converge_d3.json": [
         "converge", *D3, "--fock-cutoff", "3", "--n-list", "8,10", "--format", "json",
+    ],
+    "converge_d4.csv": [
+        "converge", "--d", "4", "--mu", "0.4,0.3,0.2,0.1", "--u", "0,0,0",
+        "--zeta", "0.2+0.1i,0,0.1i,0,0,0.1", "--fock-cutoff", "1", "--n-list", "8,12",
     ],
     "decompose_d2_n48.json": ["decompose", "--n-list", "48"],
     "decompose_d2_n512.json": ["decompose", "--n-list", "512"],

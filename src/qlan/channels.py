@@ -74,7 +74,7 @@ def build_isometry(basis: sw.BlockBasis, fock: gs.FockSpec) -> BlockIsometry:
     if basis.d != fock.d:
         raise ValueError("basis and Fock space dimension mismatch")
     K = basis.size
-    rows = [fock.index(m) for m in basis.mvectors]
+    rows = fock.index(basis.mvectors)
     s = max(1.0, float(np.linalg.eigvalsh(basis.gram).max()))
     A = np.zeros((fock.dim, K))
     A[rows, :] = basis.sqrt_gram / math.sqrt(s)
@@ -151,13 +151,11 @@ def prepare_blocks(
     shares."""
     lams = typical_diagrams(n, spec, alpha)
     bases = sw.block_bases(lams, spec.d, max_weight=fock.cutoff)
-    states = md.block_states(bases, spec, theta, n)
-    out = []
-    for lam, basis, state in zip(lams, bases, states):
-        iso = build_isometry(basis, fock)
-        weight = md.block_weight(lam, spec, theta.u, n)
-        out.append(BlockData(lam, weight, basis, iso, state))
-    return out
+    weights, states = md.block_states(bases, spec, theta, n)
+    return [
+        BlockData(lam, weight, basis, build_isometry(basis, fock), state)
+        for lam, weight, basis, state in zip(lams, weights, bases, states)
+    ]
 
 
 def forward_channel(
@@ -195,8 +193,7 @@ def reverse_block_map(
     left inverse of the forward block map."""
     out = iso.matrix.conj().T @ phi @ iso.matrix
     missing = 1.0 - float(np.trace(out).real)
-    zero = tuple([0] * len(tb.pairs(basis.d)))
-    v0 = basis.coords(zero).astype(complex)
+    v0 = basis.lowest_weight
     return out + missing * np.outer(v0, v0.conj())
 
 

@@ -191,17 +191,15 @@ def run_decompose(config: ExperimentConfig) -> dict:
             raise ResourceLimitError(f"the block of {lam} has dimension {dim}, "
                                      f"more than {MAX_BLOCK_DIM}; lower n")
     # one walk and one weight product for all diagrams; each log s_lambda
-    # serves the block's weight (as in md.block_weight) and its spectrum
-    log_s = [md.log_schur_poly(lam, vals) for lam in lams]
-    prefactors = md.log_weight_prefactors(lams, n, d)
+    # serves the block's weight and its spectrum
+    weights, log_s = md.block_weights(lams, vals, n)
     evs = md.weight_eigenvalues(lams, *tb.m_vector_rows(lams, d), vals, log_s)
     blocks = []
     total = 0.0
-    for lam, dim, mult, prefactor, s, own in zip(
-        lams, dims, tb.multiplicities(lams, n, d), prefactors, log_s,
+    for lam, dim, mult, weight, own in zip(
+        lams, dims, tb.multiplicities(lams, n, d), weights,
         np.split(evs, np.cumsum(dims)[:-1]),
     ):
-        weight = math.exp(prefactor + s)
         # the rotation by zeta leaves the spectrum of the diagonal block
         spectrum = np.sort(own / own.sum())[::-1]
         total += weight
@@ -320,15 +318,11 @@ def _verify_nonorth() -> dict:
     for _ in range(10):
         base = sorted(rng.integers(1, 12, size=3), reverse=True)
         lam = tuple(int(b) for b in base)
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=min(6, lam[0]))
-        G = sw.gram_matrix(lam, d, ms)
-        for i, mi in enumerate(ms):
-            for j, mj in enumerate(ms):
-                if tb.total_multiplicities(lam, mi, d) != tb.total_multiplicities(
-                    lam, mj, d
-                ):
-                    if G[i, j] != 0.0:
-                        exact_ok = False
+        owner, ms = tb.m_vector_rows([lam], d, max_weight=min(6, lam[0]))
+        weights = tb.m_vector_weights([lam], d, owner, ms)
+        cross = (weights[:, None] != weights[None, :]).any(axis=2)
+        if sw.gram_matrix(lam, d, ms)[cross].any():
+            exact_ok = False
     mu = (0.5, 0.3, 0.2)
     m_a = {(1, 2): 1, (2, 3): 1}
     m_b = {(1, 3): 1}
@@ -364,7 +358,7 @@ def _verify_len0() -> dict:
         lam = _most_probable_diagram(spec, n)
         (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
-        (state,) = md.block_states([basis], spec, theta, n)
+        _, (state,) = md.block_states([basis], spec, theta, n)
         phi = iso.matrix @ state.matrix @ iso.matrix.conj().T
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
@@ -384,8 +378,7 @@ def _verify_ldisplacement() -> dict:
         (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, zeta, n))
-        zero = (0,)
-        psi = iso.matrix @ (B.matrix @ basis.coords(zero).astype(complex))
+        psi = iso.matrix @ (B.matrix @ basis.lowest_weight)
         vals.append(1.0 - abs(target.conj() @ psi) ** 2)
     passed = vals[0] > vals[1] > vals[2] and vals[2] < 0.1
     return _report("ldisplacement", passed, {"defects": vals})
@@ -396,7 +389,7 @@ def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int) ->
     weight vector ||_1 on the most probable block."""
     lam = _most_probable_diagram(spec, n)
     (basis,) = sw.block_bases([lam], 2, max_weight=FOCK_CUTOFF)
-    e0 = basis.coords((0,)).astype(complex)
+    e0 = basis.lowest_weight
 
     def rotate(w):
         (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, (w,), n))

@@ -49,14 +49,13 @@ class FockSpec:
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.nmodes
 
-    def index(self, occupation: tuple[int, ...]) -> int:
-        """Flat index of a number state given per-mode occupations."""
-        idx = 0
-        for occ in occupation:
-            if not 0 <= occ <= self.cutoff:
-                raise ValueError(f"occupation {occupation} outside cutoff")
-            idx = idx * (self.cutoff + 1) + occ
-        return idx
+    def index(self, occupation) -> int | np.ndarray:
+        """Flat index of the number state of one occupation tuple, or of
+        each row of an array of them; ValueError for a wrong mode count or
+        an occupation outside 0..cutoff."""
+        occ = np.asarray(occupation)
+        idx = np.ravel_multi_index(occ.T, (self.cutoff + 1,) * self.nmodes)
+        return int(idx) if occ.ndim == 1 else idx
 
 
 def annihilation(N: int) -> np.ndarray:
@@ -121,8 +120,7 @@ def limit_quantum_state(
     if spec_mu.d != fock.d:
         raise ValueError("spectrum and Fock space dimension mismatch")
     mats = []
-    for idx, (j, k) in enumerate(fock.modes):
-        beta = math.log(spec_mu.mu[j - 1] / spec_mu.mu[k - 1])
+    for idx, ((j, k), beta) in enumerate(zip(fock.modes, mode_betas(spec_mu))):
         gap = spec_mu.mu[j - 1] - spec_mu.mu[k - 1]
         # displaced_thermal(beta, z) has first moment -z, so negate to put
         # the mean along +zeta, the direction the finite-n blocks rotate to

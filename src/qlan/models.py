@@ -154,16 +154,26 @@ def log_schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
     return out
 
 
+def block_weights(
+    lams: list[tb.Diagram], vals: tuple[float, ...], n: int
+) -> tuple[list[float], list[float]]:
+    """Probability of the block of each diagram of n at the spectrum vals,
+    and log s_lambda(vals), which its spectrum divides by (see
+    weight_eigenvalues).  Computed in log space, so each weight stays finite
+    at any n (far-atypical blocks underflow to 0)."""
+    log_s = [log_schur_poly(lam, vals) for lam in lams]
+    prefactors = log_weight_prefactors(lams, n, len(vals))
+    return [math.exp(p + s) for p, s in zip(prefactors, log_s)], log_s
+
+
 def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) -> float:
-    """Probability of the block at the perturbed spectrum; independent of the
-    off-diagonal parameters by construction.  Computed in log space, so it
-    stays finite at any n (far-atypical blocks underflow to 0)."""
+    """block_weights of the one diagram lam at the perturbed spectrum;
+    independent of the off-diagonal parameters by construction."""
     lam = tb.check_diagram(lam, spec.d)
     if sum(lam) != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    vals = perturbed_spectrum(spec, u, n)
-    (prefactor,) = log_weight_prefactors([lam], n, spec.d)
-    return math.exp(prefactor + log_schur_poly(lam, vals))
+    (weight,), _ = block_weights([lam], perturbed_spectrum(spec, u, n), n)
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +185,13 @@ def weight_eigenvalues(
     owner: np.ndarray,
     ms: np.ndarray,
     vals: tuple[float, ...],
-    log_s: list[float] | None = None,
+    log_s: list[float],
 ) -> np.ndarray:
     """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector row of ms, of
     weight w on the diagram lams[owner[row]] (the rows of tb.m_vector_rows):
     the block spectrum of diag(vals)^(x n) over its trace, each at most 1.
-    log_s holds log s_lambda(vals) per diagram when the caller has it."""
-    d = len(vals)
-    if log_s is None:
-        log_s = [log_schur_poly(lam, vals) for lam in lams]
-    # weight of m: the rows of lam, less each m[i,j] in entry i, plus it in j
-    shift = [[(v == j) - (v == i) for v in range(1, d + 1)] for i, j in tb.pairs(d)]
-    rows = np.array([[tb.row(lam, v) for v in range(1, d + 1)] for lam in lams],
-                    dtype=ms.dtype).reshape(len(lams), d)
-    weights = ms.reshape(len(owner), len(shift)) @ np.array(shift, dtype=ms.dtype)
-    weights += rows[owner]
+    log_s holds log s_lambda(vals) per diagram (see block_weights)."""
+    weights = tb.m_vector_weights(lams, len(vals), owner, ms)
     out = weights @ np.log(vals)
     out -= np.array(log_s)[owner]
     return np.exp(out, out=out)
@@ -197,24 +199,27 @@ def weight_eigenvalues(
 
 def block_states(
     bases: list[sw.BlockBasis], spec: Spectrum, theta: LocalParams, n: int
-) -> list[sw.BlockOperator]:
-    """Normalized block of the tensor-power state on every basis, in
-    orthonormal coordinates.
+) -> tuple[list[float], list[sw.BlockOperator]]:
+    """The block_weights of every basis's diagram, and the normalized block
+    of the tensor-power state on every basis, in orthonormal coordinates.
 
     The diagonal-parameter part is diagonal, weight_eigenvalues at the
     perturbed spectrum, as each weight class spans its own orthonormal
     coordinates (see BlockBasis).  The off-diagonal parameters enter by
     conjugation with the block rotation, all rotations from one transfer."""
+    if not bases:
+        return [], []
     rotations = [None] * len(bases)
     if any(theta.zeta):
         rotations = sw.block_unitaries(bases, rotation_unitary(spec, theta.zeta, n))
     vals = perturbed_spectrum(spec, theta.u, n)
-    sizes = np.array([basis.size for basis in bases], dtype=np.intp)
+    lams = [basis.lam for basis in bases]
+    weights, log_s = block_weights(lams, vals, n)
+    sizes = [basis.size for basis in bases]
     owner = np.repeat(np.arange(len(bases)), sizes)
-    ms = np.array([m for basis in bases for m in basis.mvectors], dtype=np.int64)
-    evss = np.split(weight_eigenvalues([b.lam for b in bases], owner, ms, vals),
-                    np.cumsum(sizes)[:-1])
-    out = []
+    ms = np.concatenate([basis.mvectors for basis in bases])
+    evss = np.split(weight_eigenvalues(lams, owner, ms, vals, log_s), np.cumsum(sizes)[:-1])
+    states = []
     for evs, rotation in zip(evss, rotations):
         covered = float(evs.sum())
         loss = max(0.0, 1.0 - covered)
@@ -224,8 +229,8 @@ def block_states(
             tr = float(np.trace(rho).real)
             loss = max(loss, 1.0 - tr)
             rho = rho / tr
-        out.append(sw.BlockOperator(rho, float(loss)))
-    return out
+        states.append(sw.BlockOperator(rho, float(loss)))
+    return weights, states
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,19 @@ def multiplicity_hooks(lam: tb.Diagram, n: int) -> int:
     return out
 
 
+def row_loads(m: tb.MVector, d: int) -> tuple[int, ...]:
+    """Number of off-diagonal entries sum_j m[i,j] carried by each row i."""
+    loads = [0] * d
+    for (i, _j), cnt in zip(tb.pairs(d), m):
+        loads[i - 1] += cnt
+    return tuple(loads)
+
+
 def canonical_tableau(lam: tb.Diagram, m: tb.MVector, d: int) -> Tableau:
     """Row-sorted filling: row i holds (lambda_i - load_i) copies of i followed
     by m[i,j] copies of each j > i in increasing order."""
     lam = tb.check_diagram(lam, d)
-    loads = tb.row_loads(m, d)
+    loads = row_loads(m, d)
     rows = []
     for i in range(1, len(lam) + 1):
         li = lam[i - 1]
@@ -105,7 +113,7 @@ def is_admissible(t: Tableau) -> bool:
 def fits(lam: tb.Diagram, m: tb.MVector, d: int) -> bool:
     """True iff the canonical filling of m is a semistandard tableau."""
     lam = tb.check_diagram(lam, d)
-    if any(load > tb.row(lam, i) for i, load in enumerate(tb.row_loads(m, d), 1)):
+    if any(load > tb.row(lam, i) for i, load in enumerate(row_loads(m, d), 1)):
         return False
     return is_semistandard(canonical_tableau(lam, m, d))
 
@@ -382,11 +390,13 @@ def brute_force_blocks(
 
 
 def schur_poly_enumerated(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
+    """s_lambda(vals) as the sum over semistandard fillings of prod_v
+    vals_v^(count of v), each filling's counts tallied on its tableau."""
     d = len(vals)
     total = 0.0
     for m in tb.enumerate_m_vectors(lam, d):
-        mult = tb.total_multiplicities(lam, m, d)
-        total += math.prod(v**k for v, k in zip(vals, mult))
+        entries = [v for trow in canonical_tableau(lam, m, d) for v in trow]
+        total += math.prod(x ** entries.count(v) for v, x in enumerate(vals, 1))
     return total
 
 

@@ -319,11 +319,13 @@ def pairing_matrices(
 # block basis, Gram matrix, block operators
 
 
-def gram_matrix(lam: tb.Diagram, d: int, basis: list[tb.MVector]) -> np.ndarray:
+def gram_matrix(
+    lam: tb.Diagram, d: int, basis: list[tb.MVector] | np.ndarray
+) -> np.ndarray:
     """Overlap matrix of the normalized symmetrizer-image vectors; the
     identity pairing makes entries across different total-multiplicity
     classes exactly zero (the selection rule)."""
-    (W,) = pairing_matrices([lam], d, np.eye(d), [list(basis)])
+    (W,) = pairing_matrices([lam], d, np.eye(d), [basis])
     return _gram_and_norms(W)[0]
 
 
@@ -354,10 +356,12 @@ def orthonormalize(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BlockBasis:
     """Truncated basis of one irreducible block with its Gram data.
 
-    Coordinates used everywhere downstream are the symmetrically
-    orthonormalized ones: the vector labelled m has coordinates
-    sqrt_gram[:, index[m]].  `norms` holds sqrt(W(m, m; I)), which turns
-    orbit sums into overlaps of the normalized vectors.
+    `mvectors` is the read-only slice of the tb.m_vector_rows walk that
+    labels the basis, in its lexicographic order, so the zero m-vector (the
+    lowest-weight vector) is row 0.  Coordinates used everywhere downstream
+    are the symmetrically orthonormalized ones: the vector labelled by row k
+    has coordinates sqrt_gram[:, k].  `norms` holds sqrt(W(m, m; I)), which
+    turns orbit sums into overlaps of the normalized vectors.
 
     Vectors of different total multiplicities (weights) are orthogonal, so
     gram, and with it sqrt_gram and inv_sqrt_gram, are block-diagonal over
@@ -367,7 +371,7 @@ class BlockBasis:
 
     lam: tb.Diagram
     d: int
-    mvectors: tuple[tb.MVector, ...]
+    mvectors: np.ndarray
     gram: np.ndarray
     inv_sqrt_gram: np.ndarray
     sqrt_gram: np.ndarray
@@ -377,12 +381,10 @@ class BlockBasis:
     def size(self) -> int:
         return len(self.mvectors)
 
-    def index(self, m: tb.MVector) -> int:
-        return self.mvectors.index(m)
-
-    def coords(self, m: tb.MVector) -> np.ndarray:
-        """Orthonormal coordinates of the basis vector labelled m."""
-        return self.sqrt_gram[:, self.index(m)].copy()
+    @property
+    def lowest_weight(self) -> np.ndarray:
+        """Orthonormal coordinates of the lowest-weight vector, as complex."""
+        return self.sqrt_gram[:, 0].astype(complex)
 
 
 def block_bases(lams: list[tb.Diagram], d: int, max_weight: int) -> list[BlockBasis]:
@@ -390,13 +392,13 @@ def block_bases(lams: list[tb.Diagram], d: int, max_weight: int) -> list[BlockBa
     max_weight, from one identity transfer."""
     lams = [tb.check_diagram(lam, d) for lam in lams]
     owner, ms = tb.m_vector_rows(lams, d, max_weight)
+    ms.flags.writeable = False
     mss = np.split(ms, np.searchsorted(owner, np.arange(1, len(lams))))
     out = []
     for lam, ms, W in zip(lams, mss, pairing_matrices(lams, d, np.eye(d), mss)):
         G, norms = _gram_and_norms(W)
         sqrt, inv_sqrt = orthonormalize(G)
-        labels = tuple(map(tuple, ms.tolist()))
-        out.append(BlockBasis(lam, d, labels, G, inv_sqrt, sqrt, norms))
+        out.append(BlockBasis(lam, d, ms, G, inv_sqrt, sqrt, norms))
     return out
 
 
@@ -415,9 +417,9 @@ def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[BlockOperato
     <m| pi(U) |l> of the normalized vectors between two inverse square
     roots of the Gram matrix.  Columns lose norm where the true image leaks
     outside the truncated basis."""
-    mss = [list(b.mvectors) for b in bases]
+    Ws = pairing_matrices([b.lam for b in bases], len(U), U, [b.mvectors for b in bases])
     out = []
-    for b, W in zip(bases, pairing_matrices([b.lam for b in bases], len(U), U, mss)):
+    for b, W in zip(bases, Ws):
         mat = b.inv_sqrt_gram @ (W / np.outer(b.norms, b.norms)) @ b.inv_sqrt_gram
         colnorms = np.linalg.norm(mat, axis=0) ** 2
         out.append(BlockOperator(mat, float(max(0.0, 1.0 - colnorms.min()))))

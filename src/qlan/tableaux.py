@@ -94,23 +94,6 @@ def multiplicity(lam: Diagram, n: int, d: int) -> int:
     return multiplicities([lam], n, d)[0]
 
 
-def row_loads(m: MVector, d: int) -> tuple[int, ...]:
-    """Number of off-diagonal entries sum_j m[i,j] carried by each row i."""
-    loads = [0] * d
-    for (i, _j), cnt in zip(pairs(d), m):
-        loads[i - 1] += cnt
-    return tuple(loads)
-
-
-def total_multiplicities(lam: Diagram, m: MVector, d: int) -> tuple[int, ...]:
-    """Total count of each entry value 1..d in the canonical filling."""
-    loads = row_loads(m, d)
-    totals = [row(lam, i) - loads[i - 1] for i in range(1, d + 1)]
-    for (i, j), cnt in zip(pairs(d), m):
-        totals[j - 1] += cnt
-    return tuple(totals)
-
-
 def m_vector_rows(
     lams: list[Diagram], d: int, max_weight: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,6 +138,21 @@ def m_vector_rows(
         return owner, M
     order = np.lexsort((*M.T[::-1], owner))
     return owner[order], M[order]
+
+
+def m_vector_weights(
+    lams: list[Diagram], d: int, owner: np.ndarray, ms: np.ndarray
+) -> np.ndarray:
+    """The weight of each m-vector row of ms on the diagram lams[owner[row]]
+    (the rows of m_vector_rows), as the rows of an integer array: the count
+    of each entry 1..d in the canonical filling, lambda_v less each m[v,j]
+    plus each m[i,v]."""
+    shift = [[(v == j) - (v == i) for v in range(1, d + 1)] for i, j in pairs(d)]
+    rows = np.array([[row(lam, v) for v in range(1, d + 1)] for lam in lams],
+                    dtype=ms.dtype).reshape(len(lams), d)
+    weights = ms.reshape(len(owner), len(shift)) @ np.array(shift, dtype=ms.dtype)
+    weights += rows[owner]
+    return weights
 
 
 def enumerate_m_vectors(

@@ -75,7 +75,7 @@ def test_criterion_02_oracle_equivalence():
                 w = md.block_weight(lam, spec, u, n)
                 worst = max(worst, abs(w - w_oracle))
                 (basis,) = sw.block_bases([lam], d, max_weight=n)
-                (state,) = md.block_states([basis], spec, theta, n)
+                _, (state,) = md.block_states([basis], spec, theta, n)
                 evs = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
                 worst = max(worst, np.abs(evs - spec_oracle).max())
     report(2, "oracle equivalence", worst < 1e-9, f"max deviation {worst:.2e}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qlan import channels as ch
+from qlan import experiments as ex
 from qlan import gaussian as gs
 from qlan import models as md
 from qlan import schur_weyl as sw
@@ -73,8 +74,8 @@ class TestIsometry:
         iso = ch.build_isometry(basis, fock)
         assert iso.contraction_scale == 1.0
         assert iso.completion_rank == 0
-        for m in basis.mvectors:
-            col = iso.matrix @ basis.coords(m)
+        for k, m in enumerate(basis.mvectors):
+            col = iso.matrix @ basis.sqrt_gram[:, k]
             expect = np.zeros(fock.dim)
             expect[fock.index(m)] = 1.0
             assert np.abs(col - expect).max() < 1e-10
@@ -154,10 +155,33 @@ class TestPrepareBlocks:
         n, fock = 40, gs.FockSpec(d, 4)
         for bd in ch.prepare_blocks(spec, theta, n, fock, alpha=0.6):
             (basis,) = sw.block_bases([bd.lam], d, max_weight=fock.cutoff)
-            (state,) = md.block_states([basis], spec, theta, n)
+            _, (state,) = md.block_states([basis], spec, theta, n)
             assert np.array_equal(bd.basis.sqrt_gram, basis.sqrt_gram)
             assert np.array_equal(bd.state.matrix, state.matrix)
             assert bd.state.truncation_defect == state.truncation_defect
+
+    def test_one_schur_poly_per_block(self, monkeypatch):
+        # at the default config's n=64, each block's log s_lambda serves
+        # both its weight and its spectrum
+        cfg, n = ex.ExperimentConfig(), 64
+        spec, theta, fock = cfg.spectrum(), cfg.theta(), cfg.fock()
+        calls = []
+        real = md.log_schur_poly
+
+        def counting(lam, vals):
+            calls.append(lam)
+            return real(lam, vals)
+
+        monkeypatch.setattr(md, "log_schur_poly", counting)
+        blocks = ch.prepare_blocks(spec, theta, n, fock, cfg.alpha)
+        monkeypatch.undo()
+        assert len(blocks) == 24
+        assert len(calls) == len(blocks)
+        for bd in blocks:
+            assert bd.weight == md.block_weight(bd.lam, spec, theta.u, n)
+            (basis,) = sw.block_bases([bd.lam], cfg.d, max_weight=fock.cutoff)
+            _, (state,) = md.block_states([basis], spec, theta, n)
+            assert np.array_equal(bd.state.matrix, state.matrix)
 
 
 class TestReverseChannel:

@@ -114,7 +114,7 @@ class TestRunners:
         blocks = ex.run_decompose(cfg)["blocks"]
         lams = [tuple(b["lam"]) for b in blocks]
         bases = [sw.block_bases([lam], 3, max_weight=n)[0] for lam in lams]
-        states = md.block_states(bases, cfg.spectrum(), cfg.theta(), n)
+        _, states = md.block_states(bases, cfg.spectrum(), cfg.theta(), n)
         for b, state in zip(blocks, states):
             reference = np.linalg.eigvalsh(state.matrix)[::-1]
             np.testing.assert_allclose(b["spectrum"], reference, rtol=0, atol=1e-12)
@@ -139,7 +139,8 @@ class TestRunners:
         for b in ex.run_decompose(cfg)["blocks"]:
             lam = tuple(b["lam"])
             assert b["weight"] == md.block_weight(lam, spec, u, n)
-            evs = md.weight_eigenvalues([lam], *tb.m_vector_rows([lam], cfg.d), vals)
+            evs = md.weight_eigenvalues([lam], *tb.m_vector_rows([lam], cfg.d), vals,
+                                        [md.log_schur_poly(lam, vals)])
             assert b["spectrum"] == np.sort(evs / evs.sum())[::-1].tolist()
 
     def test_decompose_typical_flags_match_converge_window(self):
@@ -261,6 +262,15 @@ class TestCli:
         rc = cli.main(["converge", "--n-list", "8,8", "--format", "json"])
         assert rc == 2
         assert capsys.readouterr().err == "error: n_list entries must be distinct\n"
+
+    def test_empty_window_exit_2(self, capsys):
+        # a window of n**-1 boxes holds no diagram: the forward channel
+        # reports the whole mass as neglected
+        rc = cli.main(["converge", "--alpha", "-1", "--override-exponents",
+                       "--n-list", "64"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: neglected diagram mass 1.000 exceeds 0.5")
 
     def test_d4_default_cutoff_exit_2(self, monkeypatch, capsys):
         # 31^6 Fock states at the default cutoff: refused before any block

@@ -86,6 +86,21 @@ class TestDisplacedThermal:
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
+class TestFockIndex:
+    def test_rows_and_wrong_occupations(self):
+        fock = gs.FockSpec(3, 3)
+        # a wrong mode count, and an occupation above the cutoff or below 0
+        for bad in [(1,), (1, 0, 0, 0), (0, 0, 4), (0, -1, 0)]:
+            with pytest.raises(ValueError):
+                fock.index(bad)
+        with pytest.raises(ValueError):
+            fock.index(np.array([[0, 0, 1, 0]]))
+        occs = [(0, 0, 0), (0, 0, 1), (1, 2, 3), (3, 3, 3)]
+        assert [fock.index(o) for o in occs] == [0, 1, 27, 63]
+        rows = np.array(occs, dtype=np.int32)
+        assert fock.index(rows).tolist() == [fock.index(o) for o in occs]
+
+
 class TestLimitState:
     def test_zeta_zero_is_thermal_product(self):
         spec = md.Spectrum((0.5, 0.3, 0.2))

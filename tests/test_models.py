@@ -127,7 +127,7 @@ class TestBlockState:
         theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
         lam = (60, 40)
         (basis,) = sw.block_bases([lam], 2, max_weight=15)
-        (state,) = md.block_states([basis], spec, theta, 100)
+        _, (state,) = md.block_states([basis], spec, theta, 100)
         assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(state.matrix).min() > -1e-12
 
@@ -137,7 +137,7 @@ class TestBlockState:
         theta = md.LocalParams((0.0,), (0j,))
         lam = (5, 1)
         (basis,) = sw.block_bases([lam], 2, max_weight=6)
-        (state,) = md.block_states([basis], spec, theta, 6)
+        _, (state,) = md.block_states([basis], spec, theta, 6)
         expect = np.array([0.7 ** (6 - k) * 0.3**k for k in range(5)])
         expect = np.sort(expect / expect.sum())
         got = np.sort(np.linalg.eigvalsh(state.matrix))
@@ -150,8 +150,9 @@ class TestBlockState:
         # block_states is diagonal because each weight class spans its own
         # orthonormal coordinates
         (basis,) = sw.block_bases([lam], d, max_weight=cutoff)
-        weights = [tb.total_multiplicities(lam, m, d) for m in basis.mvectors]
-        cross = np.array([[wr != wc for wc in weights] for wr in weights])
+        owner = np.zeros(basis.size, dtype=int)
+        weights = tb.m_vector_weights([lam], d, owner, basis.mvectors)
+        cross = (weights[:, None] != weights[None, :]).any(axis=2)
         assert cross.any()
         assert np.abs(basis.sqrt_gram[cross]).max() < 1e-12
 

@@ -36,7 +36,7 @@ def semistandard(lam, d):
         cands = [
             m + (c,)
             for m in cands
-            for c in range(tb.row(lam, i) - tb.row_loads(m + rest, d)[i - 1] + 1)
+            for c in range(tb.row(lam, i) - orc.row_loads(m + rest, d)[i - 1] + 1)
         ]
     return sorted(m for m in cands if orc.fits(lam, m, d))
 
@@ -240,12 +240,21 @@ class TestMVectors:
         cut = tb.enumerate_m_vectors((6, 2), 2, max_weight=2)
         assert cut == [m for m in full if sum(m) <= 2]
 
-    def test_total_multiplicities(self):
+    def test_m_vector_weights(self):
         # filling 11233/23/3 has totals (2, 2, 4)
         lam, d = (5, 2, 1), 3
         m_map = {(1, 2): 1, (1, 3): 2, (2, 3): 1}
         m = tuple(m_map.get(p, 0) for p in tb.pairs(d))
-        assert tb.total_multiplicities(lam, m, d) == (2, 2, 4)
+        weights = tb.m_vector_weights([lam], d, np.zeros(1, dtype=int), np.array([m]))
+        assert weights.tolist() == [[2, 2, 4]]
+        # every row of a batch counts the entries of its own canonical filling
+        for d in (2, 3, 4):
+            lams = tb.enumerate_diagrams(6, d)
+            owner, ms = tb.m_vector_rows(lams, d)
+            weights = tb.m_vector_weights(lams, d, owner, ms)
+            for i, m, w in zip(owner, ms.tolist(), weights.tolist()):
+                filling = [v for r in orc.canonical_tableau(lams[i], tuple(m), d) for v in r]
+                assert w == [filling.count(v) for v in range(1, d + 1)]
 
 
 class TestPredicates:
