@@ -57,20 +57,12 @@ def typical_diagrams(n: int, spec: md.Spectrum, alpha: float) -> list[tb.Diagram
 # block isometries
 
 
-@dataclass(frozen=True)
-class BlockIsometry:
-    """Isometry from orthonormal block coordinates into Fock coordinates.
+def build_isometry(basis: sw.BlockBasis, fock: gs.FockSpec) -> np.ndarray:
+    """Isometry V from orthonormal block coordinates into Fock coordinates.
 
     Built as a contraction A mapping the basis vector labelled m onto the
     number state |m> (scaled by 1/sqrt(s) so A*A = G/s <= 1), completed by
     R = I' sqrt(1 - A*A) on spare number states orthogonal to Range(A)."""
-
-    matrix: np.ndarray
-    contraction_scale: float
-    completion_rank: int
-
-
-def build_isometry(basis: sw.BlockBasis, fock: gs.FockSpec) -> BlockIsometry:
     if basis.d != fock.d:
         raise ValueError("basis and Fock space dimension mismatch")
     K = basis.size
@@ -98,7 +90,7 @@ def build_isometry(basis: sw.BlockBasis, fock: gs.FockSpec) -> BlockIsometry:
     err = np.abs(V.conj().T @ V - np.eye(K)).max()
     if err > 1e-10:
         raise AssertionError(f"isometry defect {err:.2e}")
-    return BlockIsometry(V, s, rank)
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +105,6 @@ COVERAGE_BOUND = 0.5
 class Cell:
     """One output cell: lattice box, classical weight, Fock-space state."""
 
-    lam: tb.Diagram
     lo: np.ndarray
     hi: np.ndarray
     weight: float
@@ -137,7 +128,7 @@ class BlockData:
     lam: tb.Diagram
     weight: float
     basis: sw.BlockBasis
-    isometry: BlockIsometry
+    isometry: np.ndarray
     state: sw.BlockOperator
 
 
@@ -169,8 +160,8 @@ def forward_channel(
     budget = 0.0
     for bd in blocks:
         lo, hi = box_of(bd.lam, n, spec)
-        phi = bd.isometry.matrix @ bd.state.matrix @ bd.isometry.matrix.conj().T
-        cells.append(Cell(bd.lam, lo, hi, bd.weight, phi))
+        phi = bd.isometry @ bd.state.matrix @ bd.isometry.conj().T
+        cells.append(Cell(lo, hi, bd.weight, phi))
         covered += bd.weight
         budget = max(budget, bd.state.truncation_defect)
     neglected = max(0.0, 1.0 - covered)
@@ -186,12 +177,10 @@ def forward_channel(
 # reverse channel
 
 
-def reverse_block_map(
-    phi: np.ndarray, basis: sw.BlockBasis, iso: BlockIsometry
-) -> np.ndarray:
+def reverse_block_map(phi: np.ndarray, basis: sw.BlockBasis, iso: np.ndarray) -> np.ndarray:
     """V* phi V plus the missing trace on the lowest-weight vector; exact
     left inverse of the forward block map."""
-    out = iso.matrix.conj().T @ phi @ iso.matrix
+    out = iso.conj().T @ phi @ iso
     missing = 1.0 - float(np.trace(out).real)
     v0 = basis.lowest_weight
     return out + missing * np.outer(v0, v0.conj())
@@ -202,25 +191,25 @@ def reverse_channel(
     spec: md.Spectrum,
     n: int,
     blocks: list[BlockData],
-) -> list[tuple[tb.Diagram, float, np.ndarray]]:
-    """Map the Gaussian limit state back to block form: Gaussian box masses
-    through the lattice kernel (the single-row fallback absorbing the tails)
-    and the reverse block map on the quantum part."""
+) -> tuple[list[tuple[float, np.ndarray]], float]:
+    """Map the Gaussian limit state back to block form: the Gaussian box mass
+    through the lattice kernel and the reverse block map on the quantum part,
+    one pair per prepared block, and the mass no box holds.  The single-row
+    block (n,) absorbs that mass when it is prepared; otherwise it is
+    returned unplaced."""
     out = []
     total = 0.0
     fallback_idx = None
-    for bd in blocks:
+    for idx, bd in enumerate(blocks):
         lo, hi = box_of(bd.lam, n, spec)
         w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
         total += w
-        rho = reverse_block_map(limit.quantum, bd.basis, bd.isometry)
-        out.append((bd.lam, w, rho))
+        out.append((w, reverse_block_map(limit.quantum, bd.basis, bd.isometry)))
         if bd.lam == (n,):
-            fallback_idx = len(out) - 1
+            fallback_idx = idx
     leftover = max(0.0, 1.0 - total)
     if fallback_idx is None:
-        out.append(((n,), leftover, np.ones((1, 1), dtype=complex)))
-    else:
-        lam, w, rho = out[fallback_idx]
-        out[fallback_idx] = (lam, w + leftover, rho)
-    return out
+        return out, leftover
+    w, rho = out[fallback_idx]
+    out[fallback_idx] = (w + leftover, rho)
+    return out, 0.0

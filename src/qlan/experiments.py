@@ -79,8 +79,8 @@ class ExperimentConfig:
         self.theta()  # validates u and zeta
         if not self.n_list:
             raise ValueError("n_list must not be empty")
-        if not all(n > 0 for n in self.n_list):
-            raise ValueError("n_list entries must be positive")
+        if not all(type(n) is int and n > 0 for n in self.n_list):
+            raise ValueError("n_list entries must be positive integers")
         if len(set(self.n_list)) != len(self.n_list):
             # a rate fitted through repeated n has no meaning
             raise ValueError("n_list entries must be distinct")
@@ -126,8 +126,8 @@ def _converge_point(config: ExperimentConfig, n: int) -> dict:
     out = ch.forward_channel(spec, n, blocks)
     limit = gs.limit_state(spec, theta, fock)
     rep = mt.cq_distance(out, limit)
-    recon = ch.reverse_channel(limit, spec, n, blocks)
-    sn_total = mt.sn_distance(recon, blocks)
+    recon, unplaced = ch.reverse_channel(limit, spec, n, blocks)
+    sn_total = mt.sn_distance(recon, unplaced, blocks)
     return {
         "n": n,
         "total": rep.total,
@@ -359,7 +359,7 @@ def _verify_len0() -> dict:
         (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         _, (state,) = md.block_states([basis], spec, theta, n)
-        phi = iso.matrix @ state.matrix @ iso.matrix.conj().T
+        phi = iso @ state.matrix @ iso.conj().T
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
     passed = dists[200] < dists[25] and dists[200] < 0.15
@@ -378,7 +378,7 @@ def _verify_ldisplacement() -> dict:
         (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
         iso = ch.build_isometry(basis, fock)
         (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, zeta, n))
-        psi = iso.matrix @ (B.matrix @ basis.lowest_weight)
+        psi = iso @ (B @ basis.lowest_weight)
         vals.append(1.0 - abs(target.conj() @ psi) ** 2)
     passed = vals[0] > vals[1] > vals[2] and vals[2] < 0.1
     return _report("ldisplacement", passed, {"defects": vals})
@@ -393,7 +393,7 @@ def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int) ->
 
     def rotate(w):
         (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, (w,), n))
-        return B.matrix
+        return B
 
     psi_sum = rotate(zeta + z) @ e0
     psi_seq = rotate(zeta) @ (rotate(z) @ e0)
@@ -438,7 +438,7 @@ def _verify_lclassical() -> dict:
             for lam in ch.typical_diagrams(n, spec, ALPHA):
                 lo, hi = ch.box_of(lam, n, spec)
                 w = md.block_weight(lam, spec, u, n)
-                cells.append(ch.Cell(lam, lo, hi, w, None))
+                cells.append(ch.Cell(lo, hi, w, None))
             vals.append(mt.classical_l1(cells, mean, cov))
         results[f"d{d}"] = vals
         passed = passed and vals[0] > vals[1] > vals[2]

@@ -119,6 +119,8 @@ def limit_quantum_state(
     DISPLACEMENT * zeta_jk / sqrt(mu_j - mu_k)."""
     if spec_mu.d != fock.d:
         raise ValueError("spectrum and Fock space dimension mismatch")
+    if len(zeta) != fock.nmodes:
+        raise ValueError(f"zeta needs {fock.nmodes} components, got {len(zeta)}")
     mats = []
     for idx, ((j, k), beta) in enumerate(zip(fock.modes, mode_betas(spec_mu))):
         gap = spec_mu.mu[j - 1] - spec_mu.mu[k - 1]

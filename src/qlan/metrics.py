@@ -11,7 +11,6 @@ import numpy as np
 
 from . import channels as ch
 from . import gaussian as gs
-from . import tableaux as tb
 from .errors import ResourceLimitError
 
 # Piecewise Chebyshev curves: the nested Chebyshev-Lobatto degrees a piece
@@ -283,24 +282,13 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
 
 
 def sn_distance(
-    recon: list[tuple[tb.Diagram, float, np.ndarray]],
-    blocks: list[ch.BlockData],
+    recon: list[tuple[float, np.ndarray]], unplaced: float, blocks: list[ch.BlockData]
 ) -> float:
     """Blockwise trace distance between the reconstructed state and the model:
-    sum over diagrams of || w_lambda block - p_lambda rho_lambda ||_1, the
-    multiplicity factors cancelling; diagrams absent from the enumerated set
-    contribute their weight."""
-    model = {bd.lam: (bd.weight, bd.state.matrix) for bd in blocks}
-    seen = set()
+    sum over the blocks, in order, of || w_lambda block - p_lambda rho_lambda ||_1,
+    the multiplicity factors cancelling, plus the reconstructed mass placed on
+    no prepared block (see reverse_channel)."""
     total = 0.0
-    for lam, w, rho in recon:
-        seen.add(lam)
-        if lam in model:
-            p, sigma = model[lam]
-            total += trace_distance(w * rho, p * sigma)
-        else:
-            total += w
-    for lam, (p, _sigma) in model.items():
-        if lam not in seen:
-            total += p
-    return total
+    for (w, rho), bd in zip(recon, blocks, strict=True):
+        total += trace_distance(w * rho, bd.weight * bd.state.matrix)
+    return total + unplaced

@@ -58,6 +58,8 @@ class LocalParams:
 
 def perturbed_spectrum(spec: Spectrum, u: tuple[float, ...], n: int) -> tuple[float, ...]:
     """Eigenvalues mu_i + u_i/sqrt(n), the last one absorbing -sum(u)."""
+    if len(u) != spec.d - 1:
+        raise ValueError(f"u needs {spec.d - 1} components, got {len(u)}")
     root = math.sqrt(n)
     vals = [m + ui / root for m, ui in zip(spec.mu, u)]
     vals.append(spec.mu[-1] - sum(u) / root)
@@ -69,24 +71,6 @@ def perturbed_spectrum(spec: Spectrum, u: tuple[float, ...], n: int) -> tuple[fl
     return vals
 
 
-def su_generators(d: int) -> list[np.ndarray]:
-    """Traceless Hermitian generators: the d-1 diagonal differences followed
-    by the two off-diagonal generators of each pair (j, k), j < k."""
-    gens = []
-    for j in range(d - 1):
-        H = np.zeros((d, d), dtype=complex)
-        H[j, j], H[j + 1, j + 1] = 1.0, -1.0
-        gens.append(H)
-    for j, k in tb.pairs(d):
-        T1 = np.zeros((d, d), dtype=complex)
-        T1[j - 1, k - 1], T1[k - 1, j - 1] = 1j, -1j
-        gens.append(T1)
-        T2 = np.zeros((d, d), dtype=complex)
-        T2[j - 1, k - 1], T2[k - 1, j - 1] = 1.0, 1.0
-        gens.append(T2)
-    return gens
-
-
 def hermitian_exp_i(H: np.ndarray) -> np.ndarray:
     """exp(iH) for Hermitian H, from its eigendecomposition."""
     vals, vecs = np.linalg.eigh(H)
@@ -94,17 +78,22 @@ def hermitian_exp_i(H: np.ndarray) -> np.ndarray:
 
 
 def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.ndarray:
-    """exp(i sum (Re zeta_jk T_jk + Im zeta_jk T_kj) / sqrt(n (mu_j - mu_k)))."""
-    d = spec.d
-    gens = su_generators(d)
-    H = np.zeros((d, d), dtype=complex)
-    for idx, (j, k) in enumerate(tb.pairs(d)):
-        gap = spec.mu[j - 1] - spec.mu[k - 1]
-        if gap <= 0:
-            raise ValueError("degenerate spectrum")
-        z = zeta[idx]
-        T1, T2 = gens[d - 1 + 2 * idx], gens[d + 2 * idx]
-        H += (z.real * T1 + z.imag * T2) / math.sqrt(gap)
+    """exp(i H / sqrt(n)) with H_jk = i conj(zeta_jk) / sqrt(mu_j - mu_k) and
+    H_kj its conjugate for each pair j < k: the generator
+    sum (Re zeta_jk T_jk + Im zeta_jk T_kj) / sqrt(mu_j - mu_k), where
+    T_jk = i (E_jk - E_kj) and T_kj = E_jk + E_kj."""
+    ps = tb.pairs(spec.d)
+    if len(zeta) != len(ps):
+        raise ValueError(f"zeta needs {len(ps)} components, got {len(zeta)}")
+    j, k = np.array(ps).T - 1
+    mu = np.array(spec.mu)
+    if (mu[j] <= mu[k]).any():
+        raise ValueError("degenerate spectrum")
+    h = 1j * np.conj(np.array(zeta, dtype=complex)) / np.sqrt(mu[j] - mu[k])
+    # added onto zeros, as a sum of generators would be, so no entry is -0.0
+    H = np.zeros((spec.d, spec.d), dtype=complex)
+    H[j, k] += h
+    H[k, j] += np.conj(h)
     return hermitian_exp_i(H / math.sqrt(n))
 
 
@@ -225,7 +214,7 @@ def block_states(
         loss = max(0.0, 1.0 - covered)
         rho = np.diag(evs / covered).astype(complex)
         if rotation is not None:
-            rho = rotation.matrix @ rho @ rotation.matrix.conj().T
+            rho = rotation @ rho @ rotation.conj().T
             tr = float(np.trace(rho).real)
             loss = max(loss, 1.0 - tr)
             rho = rho / tr

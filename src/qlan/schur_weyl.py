@@ -404,23 +404,21 @@ def block_bases(lams: list[tb.Diagram], d: int, max_weight: int) -> list[BlockBa
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Matrix of an operator in the orthonormal coordinates of a BlockBasis,
-    with the mass lost to basis truncation (for unitaries)."""
+    """A normalized block state in the orthonormal coordinates of a
+    BlockBasis, with the mass lost to basis truncation."""
 
     matrix: np.ndarray
     truncation_defect: float
 
 
-def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[BlockOperator]:
+def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[np.ndarray]:
     """Representation matrix of the d x d unitary U on every truncated
     block, in orthonormal coordinates, from one transfer at U: the overlaps
     <m| pi(U) |l> of the normalized vectors between two inverse square
     roots of the Gram matrix.  Columns lose norm where the true image leaks
     outside the truncated basis."""
     Ws = pairing_matrices([b.lam for b in bases], len(U), U, [b.mvectors for b in bases])
-    out = []
-    for b, W in zip(bases, Ws):
-        mat = b.inv_sqrt_gram @ (W / np.outer(b.norms, b.norms)) @ b.inv_sqrt_gram
-        colnorms = np.linalg.norm(mat, axis=0) ** 2
-        out.append(BlockOperator(mat, float(max(0.0, 1.0 - colnorms.min()))))
-    return out
+    return [
+        b.inv_sqrt_gram @ (W / np.outer(b.norms, b.norms)) @ b.inv_sqrt_gram
+        for b, W in zip(bases, Ws)
+    ]

@@ -100,23 +100,23 @@ def test_criterion_04_isometry_and_channel_contracts():
     blocks = ch.prepare_blocks(spec, theta, n, fock, alpha=0.6)
     iso_err = max(
         np.abs(
-            bd.isometry.matrix.conj().T @ bd.isometry.matrix - np.eye(bd.basis.size)
+            bd.isometry.conj().T @ bd.isometry - np.eye(bd.basis.size)
         ).max()
         for bd in blocks
     )
     out = ch.forward_channel(spec, n, blocks)
     mass_err = abs(sum(c.weight for c in out.cells) + out.neglected_mass - 1.0)
     limit = gs.limit_state(spec, theta, fock)
-    recon = ch.reverse_channel(limit, spec, n, blocks)
+    recon, _unplaced = ch.reverse_channel(limit, spec, n, blocks)
     state_ok = all(
         np.linalg.eigvalsh(rho).min() > -1e-10
         and abs(np.trace(rho).real - 1.0) < 1e-8
-        for _, _, rho in recon
+        for _, rho in recon
     )
     round_trip = max(
         np.abs(
             ch.reverse_block_map(
-                bd.isometry.matrix @ bd.state.matrix @ bd.isometry.matrix.conj().T,
+                bd.isometry @ bd.state.matrix @ bd.isometry.conj().T,
                 bd.basis,
                 bd.isometry,
             )

@@ -61,8 +61,7 @@ class TestIsometry:
     def test_exact_isometry(self, d, lam, cutoff):
         (basis,) = sw.block_bases([lam], d, max_weight=cutoff)
         fock = gs.FockSpec(d, cutoff)
-        iso = ch.build_isometry(basis, fock)
-        V = iso.matrix
+        V = ch.build_isometry(basis, fock)
         assert np.abs(V.conj().T @ V - np.eye(basis.size)).max() < 1e-10
 
     def test_number_basis_rows(self):
@@ -71,11 +70,12 @@ class TestIsometry:
         lam = (40, 20)
         (basis,) = sw.block_bases([lam], 2, max_weight=10)
         fock = gs.FockSpec(2, 10)
-        iso = ch.build_isometry(basis, fock)
-        assert iso.contraction_scale == 1.0
-        assert iso.completion_rank == 0
+        V = ch.build_isometry(basis, fock)
+        # no contraction and no completion: the columns are the number states
+        assert np.array_equal(basis.gram, np.eye(basis.size))
+        assert np.count_nonzero(V.any(axis=1)) == basis.size
         for k, m in enumerate(basis.mvectors):
-            col = iso.matrix @ basis.sqrt_gram[:, k]
+            col = V @ basis.sqrt_gram[:, k]
             expect = np.zeros(fock.dim)
             expect[fock.index(m)] = 1.0
             assert np.abs(col - expect).max() < 1e-10
@@ -190,7 +190,7 @@ class TestReverseChannel:
         theta = md.LocalParams((0.3,), (0.2 + 0.1j,))
         blocks = ch.prepare_blocks(SPEC2, theta, 60, gs.FockSpec(2, 25), alpha=0.6)
         for bd in blocks[:5]:
-            phi = bd.isometry.matrix @ bd.state.matrix @ bd.isometry.matrix.conj().T
+            phi = bd.isometry @ bd.state.matrix @ bd.isometry.conj().T
             back = ch.reverse_block_map(phi, bd.basis, bd.isometry)
             assert np.abs(back - bd.state.matrix).max() < 1e-10
 
@@ -200,15 +200,15 @@ class TestReverseChannel:
         fock = gs.FockSpec(2, 20)
         blocks = ch.prepare_blocks(SPEC2, theta, n, fock, alpha=0.6)
         limit = gs.limit_state(SPEC2, theta, fock)
-        recon = ch.reverse_channel(limit, SPEC2, n, blocks)
-        assert sum(w for _, w, _ in recon) == pytest.approx(1.0, abs=1e-9)
-        for _, w, rho in recon:
+        recon, unplaced = ch.reverse_channel(limit, SPEC2, n, blocks)
+        assert sum(w for w, _ in recon) + unplaced == pytest.approx(1.0, abs=1e-9)
+        for w, rho in recon:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(rho).min() > -1e-8
 
     def test_fallback_builds_no_basis(self, monkeypatch):
-        # (n,) is not typical here: the fallback block gets the leftover mass
-        # as a 1x1 state, with no block basis built for it
+        # (n,) is not typical here: the mass no box holds comes back
+        # unplaced, with no block basis built for it
         theta = md.LocalParams((0.5,), (0j,))
         n = 50
         fock = gs.FockSpec(2, 20)
@@ -223,9 +223,11 @@ class TestReverseChannel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sw, "block_bases", counting)
-        recon = ch.reverse_channel(limit, SPEC2, n, blocks)
+        recon, unplaced = ch.reverse_channel(limit, SPEC2, n, blocks)
         assert calls == []
-        assert recon[-1][0] == (n,)
+        assert len(recon) == len(blocks)
+        assert unplaced > 0.0
+        assert sum(w for w, _ in recon) + unplaced == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_box_mass_1d_matches_erf(self):
         lo, hi = np.array([0.1]), np.array([0.7])

@@ -45,11 +45,19 @@ class TestConfig:
             {"u": (float("inf"),)},
             {"zeta": (complex(float("nan"), 0.0),)},
             {"n_list": (8, 8)},
+            {"n_list": (8.0,)},
+            {"n_list": (8.5,)},
+            {"n_list": (True,)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ex.ExperimentConfig(**kwargs)
+
+    def test_non_integer_n_message(self):
+        for n_list in [(8.0,), (16, 8.5), (True,)]:
+            with pytest.raises(ValueError, match="^n_list entries must be positive integers$"):
+                ex.ExperimentConfig(n_list=n_list)
 
     def test_exponent_override(self):
         cfg = ex.ExperimentConfig(alpha=0.4, override_exponents=True)

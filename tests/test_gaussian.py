@@ -117,6 +117,13 @@ class TestLimitState:
         rho = gs.limit_quantum_state(spec, (0.2 + 0.1j, 0.1j, 0.3), fock)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
+    def test_zeta_length(self):
+        spec = md.Spectrum((0.5, 0.3, 0.2))
+        fock = gs.FockSpec(3, 2)
+        for zeta in [(0.2,), (0.2, 0.1j, 0.3, 0.1)]:
+            with pytest.raises(ValueError, match=f"zeta needs 3 components, got {len(zeta)}"):
+                gs.limit_quantum_state(spec, zeta, fock)
+
     def test_mean_points_along_zeta(self):
         # the limit displacement must match the direction the finite-n blocks
         # rotate toward: first moment = +zeta / sqrt(2 gap)

@@ -1,7 +1,8 @@
 """Source hygiene: every module in the package, the scripts and the tests
-uses each name it imports, and every module-level function and class of the
+uses each name it imports, every module-level function and class of the
 package, and every method and property of its classes, is read somewhere
-outside its own definition.  The reference code
+outside its own definition, and every dataclass field of the package is read
+as an attribute on the production path.  The reference code
 that only tests read lives in `qlan.oracle`: every other definition of the
 package has a reader on the production path, and only the lemma verifiers
 and the tests import the oracle."""
@@ -71,6 +72,34 @@ def unreferenced_definitions(module: ast.Module, trees: list[ast.AST]) -> list[s
     ]
 
 
+def dataclass_fields(module: ast.Module):
+    """(class, field) for the annotated fields of the module-level classes
+    decorated with `dataclass`, called or bare, plain or as an attribute."""
+    for node in module.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in read_names(dec) for dec in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target
+
+
+def unread_fields(module: ast.Module, trees: list[ast.AST]) -> list[str]:
+    """Dataclass fields of `module` that no attribute load in `trees` reads,
+    by name; reads inside the class's own methods count."""
+    loads = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {field.lineno}: {cls.name}.{field.id}"
+        for cls, field in dataclass_fields(module)
+        if field.id not in loads
+    ]
+
+
 def production_readers(trees: dict[Path, ast.AST]) -> list[ast.AST]:
     """The trees whose reads keep a definition on the production path: the
     package modules other than the oracle, and the scripts."""
@@ -129,6 +158,17 @@ def test_production_definitions_have_production_readers():
     assert {name: found for name, found in test_only.items() if found} == {}
 
 
+def test_dataclass_fields_have_production_readers():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    readers = production_readers(trees)
+    unread = {
+        p.name: unread_fields(tree, readers)
+        for p, tree in trees.items()
+        if p.parent.name == "qlan" and p.name != "oracle.py"
+    }
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
 def test_only_verifiers_and_tests_import_the_oracle():
     importers = {
         f"{p.parent.name}/{p.name}"
@@ -184,6 +224,39 @@ def test_production_scan_sees_methods():
         Path("tests/test_m.py"): ast.parse("from qlan import m\nm.Report().tested()\n"),
     }
     assert unreferenced_definitions(module, production_readers(trees)) == ["line 9: tested"]
+
+
+def test_field_scan_sees_attribute_loads():
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    shown: int\n"
+        "    checked: int\n"
+        "    stored: int\n"
+        "    tested: int\n"
+        "    LIMIT = 3\n"
+        "    def doubled(self):\n        return 2 * self.checked\n"
+        "@dataclasses.dataclass\n"
+        "class Row:\n"
+        "    kept: float\n"
+        "class Plain:\n"
+        "    hidden: int\n"
+    )
+    trees = {
+        Path("src/qlan/m.py"): module,
+        Path("src/qlan/n.py"): ast.parse(
+            "from .m import Report, Row\nr = Report(1, 2, 3, 4)\nprint(r.shown)\n"
+            "x = Row(0.5)\nx.stored = 1\n"
+        ),
+        Path("tests/test_m.py"): ast.parse("from qlan import m\nm.Report(1, 2, 3, 4).tested\n"),
+    }
+    assert unread_fields(module, production_readers(trees)) == [
+        "line 7: Report.stored",
+        "line 8: Report.tested",
+        "line 14: Row.kept",
+    ]
 
 
 def test_oracle_import_scan():

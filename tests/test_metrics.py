@@ -62,13 +62,13 @@ def make_cells(n, spec, u, alpha=0.6):
     for lam in ch.typical_diagrams(n, spec, alpha):
         lo, hi = ch.box_of(lam, n, spec)
         w = md.block_weight(lam, spec, u, n)
-        cells.append(ch.Cell(lam, lo, hi, w, None))
+        cells.append(ch.Cell(lo, hi, w, None))
     return cells
 
 
 class TestClassicalL1:
     def test_disjoint_supports(self):
-        cells = [ch.Cell((1,), np.array([100.0]), np.array([101.0]), 1.0, None)]
+        cells = [ch.Cell(np.array([100.0]), np.array([101.0]), 1.0, None)]
         mean, cov = np.array([0.0]), np.array([[1.0]])
         assert mt.classical_l1(cells, mean, cov) == pytest.approx(2.0, abs=1e-8)
 
@@ -81,13 +81,13 @@ class TestClassicalL1:
         for a, b in zip(edges[:-1], edges[1:]):
             lo, hi = np.array([a]), np.array([b])
             w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, mean, cov))
-            cells.append(ch.Cell((1,), lo, hi, w, None))
+            cells.append(ch.Cell(lo, hi, w, None))
         assert mt.classical_l1(cells, mean, cov) < 0.02
 
     def test_overlapping_boxes_rejected(self):
         cells = [
-            ch.Cell((2,), np.array([0.0]), np.array([1.0]), 0.5, None),
-            ch.Cell((1,), np.array([0.5]), np.array([1.5]), 0.5, None),
+            ch.Cell(np.array([0.0]), np.array([1.0]), 0.5, None),
+            ch.Cell(np.array([0.5]), np.array([1.5]), 0.5, None),
         ]
         with pytest.raises(ValueError):
             mt.classical_l1(cells, np.array([0.0]), np.array([[1.0]]))
@@ -137,7 +137,7 @@ class TestCqDistance:
         for lam in ch.typical_diagrams(n, spec, 0.6):
             lo, hi = ch.box_of(lam, n, spec)
             w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
-            cells.append(ch.Cell(lam, lo, hi, w, limit.quantum))
+            cells.append(ch.Cell(lo, hi, w, limit.quantum))
         out = ch.ClassicalQuantumState(tuple(cells), 0.0, 0.0)
         rep = mt.cq_distance(out, limit)
         assert rep.quantum_sup < 1e-10
@@ -451,16 +451,14 @@ class TestSnDistance:
     def test_identical_states_zero(self):
         theta = md.LocalParams((0.3,), (0.1j,))
         blocks = ch.prepare_blocks(SPEC2, theta, 30, gs.FockSpec(2, 15), alpha=0.6)
-        recon = [(bd.lam, bd.weight, bd.state.matrix) for bd in blocks]
-        assert mt.sn_distance(recon, blocks) < 1e-12
+        recon = [(bd.weight, bd.state.matrix) for bd in blocks]
+        assert mt.sn_distance(recon, 0.0, blocks) < 1e-12
 
     def test_unmatched_diagram_contributes_weight(self):
         theta = md.LocalParams((0.3,), (0j,))
         blocks = ch.prepare_blocks(SPEC2, theta, 30, gs.FockSpec(2, 15), alpha=0.6)
-        recon = [(bd.lam, bd.weight, bd.state.matrix) for bd in blocks]
-        recon.append(((30,), 0.25, np.eye(1, dtype=complex)))
-        if all(bd.lam != (30,) for bd in blocks):
-            assert mt.sn_distance(recon, blocks) == pytest.approx(0.25, abs=1e-12)
+        recon = [(bd.weight, bd.state.matrix) for bd in blocks]
+        assert mt.sn_distance(recon, 0.25, blocks) == pytest.approx(0.25, abs=1e-12)
 
     def test_decreasing_in_n(self):
         theta = md.LocalParams((0.5,), (0.5 + 0.3j,))
@@ -469,6 +467,5 @@ class TestSnDistance:
         for n in (16, 64):
             blocks = ch.prepare_blocks(SPEC2, theta, n, fock, alpha=0.6)
             limit = gs.limit_state(SPEC2, theta, fock)
-            recon = ch.reverse_channel(limit, SPEC2, n, blocks)
-            vals.append(mt.sn_distance(recon, blocks))
+            vals.append(mt.sn_distance(*ch.reverse_channel(limit, SPEC2, n, blocks), blocks))
         assert vals[1] < vals[0]

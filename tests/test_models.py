@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlan import channels as ch
+from qlan import gaussian as gs
 from qlan import models as md
 from qlan import oracle as orc
 from qlan import schur_weyl as sw
@@ -59,11 +60,55 @@ class TestRotation:
             (0.1 - 0.05j) * math.sqrt(gap) / math.sqrt(n), rel=1e-3
         )
 
-    def test_su_generators_traceless_hermitian(self):
-        for d in (2, 3, 4):
-            for G in md.su_generators(d):
-                assert abs(np.trace(G)) < 1e-14
-                assert np.allclose(G, G.conj().T)
+    @pytest.mark.parametrize(
+        "mu", [(0.7, 0.3), (0.55, 0.45), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]
+    )
+    def test_matches_generator_sum_bitwise(self, mu):
+        # the convention: exp(i H / sqrt(n)) with
+        # H = sum (Re zeta_jk T_jk + Im zeta_jk T_kj) / sqrt(mu_j - mu_k),
+        # T_jk = i (E_jk - E_kj) and T_kj = E_jk + E_kj, summed from explicit
+        # matrices; zero and -0.0 parts of zeta included
+        spec, d = md.Spectrum(mu), len(mu)
+        rng = np.random.default_rng(d)
+        parts = [0.0, -0.0, 0.3, -1.2, *rng.normal(size=4)]
+        for _ in range(40):
+            zeta = tuple(
+                complex(re, im)
+                for re, im in rng.choice(parts, size=(len(tb.pairs(d)), 2))
+            )
+            n = int(rng.choice([1, 64, 10**6]))
+            H = np.zeros((d, d), dtype=complex)
+            for (j, k), z in zip(tb.pairs(d), zeta):
+                T_jk = np.zeros((d, d), dtype=complex)
+                T_jk[j - 1, k - 1], T_jk[k - 1, j - 1] = 1j, -1j
+                T_kj = np.zeros((d, d), dtype=complex)
+                T_kj[j - 1, k - 1], T_kj[k - 1, j - 1] = 1.0, 1.0
+                H += (z.real * T_jk + z.imag * T_kj) / math.sqrt(mu[j - 1] - mu[k - 1])
+            expect = md.hermitian_exp_i(H / math.sqrt(n))
+            got = md.rotation_unitary(spec, zeta, n)
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), zeta
+
+
+class TestLocalParamLengths:
+    def test_u_length(self):
+        spec = md.Spectrum((0.7, 0.3))
+        with pytest.raises(ValueError, match="u needs 1 components, got 2"):
+            md.block_weight((40, 24), spec, (0.5, 0.1), 64)
+        with pytest.raises(ValueError, match="u needs 1 components, got 0"):
+            md.block_weight((40, 24), spec, (), 64)
+        with pytest.raises(ValueError, match="u needs 2 components, got 1"):
+            md.perturbed_spectrum(md.Spectrum((0.5, 0.3, 0.2)), (0.1,), 64)
+
+    def test_zeta_length(self):
+        # a length-1 zeta must not broadcast over the three pairs of d=3
+        spec3 = md.Spectrum((0.5, 0.3, 0.2))
+        with pytest.raises(ValueError, match="zeta needs 3 components, got 1"):
+            md.rotation_unitary(spec3, (0.1,), 64)
+        with pytest.raises(ValueError, match="zeta needs 1 components, got 2"):
+            md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j, 0.2), 64)
+        theta = md.LocalParams((0.5,), (0.5 + 0.3j, 0.2))
+        with pytest.raises(ValueError, match="zeta needs 1 components, got 2"):
+            ch.prepare_blocks(md.Spectrum((0.7, 0.3)), theta, 64, gs.FockSpec(2, 10), 0.6)
 
 
 class TestWeights:
