@@ -13,7 +13,8 @@ only path with six Fock modes),
 `decompose` at d=2 n=48 and n=512 (a large batch of diagrams), at that d=3
 config with n=10 and at d=4 n=15 (mu=0.4,0.3,0.2,0.1, u and zeta zero: the
 largest d=4 blocks the bound admits), and every `verify` lemma.  Two
-snapshots are identical iff `diff -r` of their directories is empty.  The
+snapshots are identical iff `diff -r` of their directories is empty;
+scripts/compare_snapshots.py sizes the difference when they are not.  The
 script uses nothing but the CLI, so it runs on an older checkout too.
 """
 
@@ -54,17 +55,22 @@ RUNS = {
 }
 
 
+def all_runs() -> dict[str, list[str]]:
+    """The CLI arguments of every file a snapshot holds, by file name."""
+    runs = dict(RUNS)
+    for lemma in sorted(ex.VERIFIERS):
+        runs[f"verify_{lemma}.json"] = ["verify", lemma]
+    return runs
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = dict(RUNS)
-    for lemma in sorted(ex.VERIFIERS):
-        runs[f"verify_{lemma}.json"] = ["verify", lemma]
     failed = 0
-    for name, argv in runs.items():
+    for name, argv in all_runs().items():
         code = cli.main([*argv, "--out", str(outdir / name)])
         print(f"{name}: exit {code}")
         failed += code != 0

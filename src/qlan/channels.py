@@ -34,7 +34,8 @@ def typical_diagrams(n: int, spec: md.Spectrum, alpha: float) -> list[tb.Diagram
     """All diagrams of n with every row within n^alpha of n mu_i, descending
     lexicographic."""
     d = spec.d
-    w = n**alpha
+    # no row is farther than n from n mu_i; n**alpha overflows at a huge alpha
+    w = n ** min(alpha, 1.0)
     out: list[tb.Diagram] = []
 
     def rec(i: int, prefix: list[int], remaining: int, prev: int) -> None:

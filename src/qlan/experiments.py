@@ -68,6 +68,8 @@ class ExperimentConfig:
     override_exponents: bool = False
 
     def __post_init__(self):
+        if type(self.d) is not int:
+            raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d != len(self.mu):
             raise ValueError(f"d={self.d} but mu has {len(self.mu)} entries")
         self.spectrum()  # validates mu
@@ -84,8 +86,10 @@ class ExperimentConfig:
         if len(set(self.n_list)) != len(self.n_list):
             # a rate fitted through repeated n has no meaning
             raise ValueError("n_list entries must be distinct")
-        if self.fock_cutoff < 1:
-            raise ValueError("fock_cutoff must be >= 1")
+        if type(self.fock_cutoff) is not int or self.fock_cutoff < 1:
+            raise ValueError(f"fock_cutoff must be an integer >= 1, got {self.fock_cutoff!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"exponent alpha must be finite, got {self.alpha}")
         lo, hi = ALPHA_RANGE
         if not self.override_exponents and not lo < self.alpha < hi:
             raise ValueError(
@@ -344,7 +348,9 @@ def _verify_nonorth() -> dict:
 
 def _most_probable_diagram(spec: md.Spectrum, n: int) -> tb.Diagram:
     cands = ch.typical_diagrams(n, spec, ALPHA)
-    return max(cands, key=lambda lam: md.block_weight(lam, spec, (0.0,) * (spec.d - 1), n))
+    vals = md.perturbed_spectrum(spec, (0.0,) * (spec.d - 1), n)
+    weights, _ = md.block_weights(cands, vals, n)
+    return cands[int(np.argmax(weights))]
 
 
 def _verify_len0() -> dict:
@@ -434,11 +440,9 @@ def _verify_lclassical() -> dict:
         cov = md.covariance(spec)
         vals = []
         for n in (25, 100, 400):
-            cells = []
-            for lam in ch.typical_diagrams(n, spec, ALPHA):
-                lo, hi = ch.box_of(lam, n, spec)
-                w = md.block_weight(lam, spec, u, n)
-                cells.append(ch.Cell(lo, hi, w, None))
+            lams = ch.typical_diagrams(n, spec, ALPHA)
+            weights, _ = md.block_weights(lams, md.perturbed_spectrum(spec, u, n), n)
+            cells = [ch.Cell(*ch.box_of(lam, n, spec), w, None) for lam, w in zip(lams, weights)]
             vals.append(mt.classical_l1(cells, mean, cov))
         results[f"d{d}"] = vals
         passed = passed and vals[0] > vals[1] > vals[2]
@@ -450,8 +454,9 @@ def _verify_lconcentration() -> dict:
     the Hoeffding bound."""
     spec = md.Spectrum((0.7, 0.3))
     n = 400
-    typ = set(ch.typical_diagrams(n, spec, ALPHA))
-    typical_mass = sum(md.block_weight(lam, spec, (0.0,), n) for lam in typ)
+    weights, _ = md.block_weights(ch.typical_diagrams(n, spec, ALPHA),
+                                  md.perturbed_spectrum(spec, (0.0,), n), n)
+    typical_mass = sum(weights)
     atypical = max(0.0, 1.0 - typical_mass)
     hoeffding_ok = True
     samples = []

@@ -101,58 +101,35 @@ def rotation_unitary(spec: Spectrum, zeta: tuple[complex, ...], n: int) -> np.nd
 # block weights
 
 
-def log_weight_prefactors(lams: list[tb.Diagram], n: int, d: int) -> list[float]:
-    """Natural log of the block multiplicity tb.multiplicity of each diagram,
-    n! prod_{l<k} (l_l - l_k) / prod_l l_l! with l_l = lambda_l + d - l:
-    log n! + sum_l [sum_{k>l} log(lambda_l - lambda_k + k - l)
-    - log (lambda_l + d - l)!], with log n! computed once."""
-    log_nfact = math.lgamma(n + 1)
-    out = []
-    for lam in lams:
-        rows = [tb.row(lam, i) for i in range(1, d + 1)]
-        acc = log_nfact
-        for l in range(1, d + 1):
-            ll = rows[l - 1]
-            for k in range(l + 1, d + 1):
-                acc += math.log(ll - rows[k - 1] + k - l)
-            acc -= math.lgamma(ll + d - l + 1)
-        out.append(acc)
-    return out
-
-
-def log_schur_poly(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
-    """Natural log of the Schur polynomial s_lambda(vals) for distinct
-    positive vals, by the ratio of alternants
-    det[vals_i^e_j] / prod_{i<j}(vals_i - vals_j), e_j = lambda_j + d - j,
-    with vals sorted decreasing (s_lambda is symmetric).  The determinant's
-    Leibniz terms are taken relative to the diagonal one, prod_i vals_i^e_i:
-    each ratio prod_i (vals_sigma(i) / vals_i)^e_i is at most 1, so no power
-    of vals over- or underflows for any n."""
-    d = len(vals)
-    lam = tb.check_diagram(lam, d)
-    vals = sorted(vals, reverse=True)
-    exps = [tb.row(lam, j) + d - j for j in range(1, d + 1)]
-    logs = [math.log(v) for v in vals]
-    rel = 0.0
-    for sign, p in sw.signed_permutations(d):
-        rel += sign * math.exp(sum(e * (logs[p[i]] - logs[i]) for i, e in enumerate(exps)))
-    out = sum(e * lv for e, lv in zip(exps, logs)) + math.log(rel)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out -= math.log(vals[i] - vals[j])
-    return out
-
-
 def block_weights(
     lams: list[tb.Diagram], vals: tuple[float, ...], n: int
-) -> tuple[list[float], list[float]]:
+) -> tuple[list[float], np.ndarray]:
     """Probability of the block of each diagram of n at the spectrum vals,
     and log s_lambda(vals), which its spectrum divides by (see
-    weight_eigenvalues).  Computed in log space, so each weight stays finite
-    at any n (far-atypical blocks underflow to 0)."""
-    log_s = [log_schur_poly(lam, vals) for lam in lams]
-    prefactors = log_weight_prefactors(lams, n, len(vals))
-    return [math.exp(p + s) for p, s in zip(prefactors, log_s)], log_s
+    weight_eigenvalues), in one array pass over all diagrams.
+
+    With l_i = lambda_i + d - i and vals sorted decreasing, the weight is
+    the multiplicity n! prod_{i<j} (l_i - l_j) / prod_i l_i! times
+    s_lambda(vals) = det[vals_i^l_j] / prod_{i<j} (vals_i - vals_j), in log
+    space, each Leibniz term relative to the diagonal one prod_i vals_i^l_i:
+    no ratio exceeds 1, so nothing overflows at any n (far-atypical weights
+    underflow to 0).  Each sum runs along one diagram's row (no matmul), so
+    a diagram gets the same bits in any batch."""
+    d = len(vals)
+    v = np.sort(vals)[::-1]
+    logs = np.log(v)
+    ls = tb.row_array(lams, d) + np.arange(d - 1, -1, -1)
+    signs, perms = zip(*sw.signed_permutations(d))
+    i, j = np.array(tb.pairs(d)).T - 1
+    # the log of each Leibniz ratio: sum_i l_i (log vals_sigma(i) - log vals_i)
+    rel = np.exp((ls[:, None, :] * (logs[np.array(perms)] - logs)).sum(axis=2))
+    log_s = (ls * logs).sum(axis=1) + np.log((rel * signs).sum(axis=1))
+    log_s -= np.log(v[i] - v[j]).sum()
+    # numpy has no lgamma: log l_i! is the one per-entry call
+    log_facts = np.array([math.lgamma(l + 1) for l in ls.ravel().tolist()])
+    log_mult = math.lgamma(n + 1) + np.log(ls[:, i] - ls[:, j]).sum(axis=1)
+    log_mult -= log_facts.reshape(ls.shape).sum(axis=1)
+    return np.exp(log_mult + log_s).tolist(), log_s
 
 
 def block_weight(lam: tb.Diagram, spec: Spectrum, u: tuple[float, ...], n: int) -> float:
@@ -174,7 +151,7 @@ def weight_eigenvalues(
     owner: np.ndarray,
     ms: np.ndarray,
     vals: tuple[float, ...],
-    log_s: list[float],
+    log_s: np.ndarray,
 ) -> np.ndarray:
     """prod_i vals_i^{w_i} / s_lambda(vals) for each m-vector row of ms, of
     weight w on the diagram lams[owner[row]] (the rows of tb.m_vector_rows):
@@ -182,7 +159,7 @@ def weight_eigenvalues(
     log_s holds log s_lambda(vals) per diagram (see block_weights)."""
     weights = tb.m_vector_weights(lams, len(vals), owner, ms)
     out = weights @ np.log(vals)
-    out -= np.array(log_s)[owner]
+    out -= log_s[owner]
     return np.exp(out, out=out)
 
 

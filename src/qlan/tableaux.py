@@ -38,6 +38,13 @@ def row(lam: Diagram, i: int) -> int:
     return lam[i - 1] if i <= len(lam) else 0
 
 
+def row_array(lams: list[Diagram], d: int) -> np.ndarray:
+    """The rows lambda_1..lambda_d of each diagram in lams, zero past its
+    last row, as the rows of an int32 array."""
+    return np.array([[row(lam, i) for i in range(1, d + 1)] for lam in lams],
+                    dtype=np.int32).reshape(len(lams), d)
+
+
 @cache
 def pairs(d: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), i < j, in lexicographic order; shared by m-vectors
@@ -116,8 +123,7 @@ def m_vector_rows(
     slot = {p: k for k, p in enumerate(pairs(d))}
     # int32 halves the walk's memory; an m-vector entry is at most n
     owner = np.arange(len(lams), dtype=np.int32)
-    pattern = np.array([[row(lam, i) for i in range(1, d + 1)] for lam in lams],
-                       dtype=np.int32).reshape(len(lams), d)
+    pattern = row_array(lams, d)
     # no m-vector of lam weighs more than |lam|
     left = np.array([sum(lam) if max_weight is None else min(max_weight, sum(lam))
                      for lam in lams], dtype=np.int32)
@@ -148,10 +154,8 @@ def m_vector_weights(
     of each entry 1..d in the canonical filling, lambda_v less each m[v,j]
     plus each m[i,v]."""
     shift = [[(v == j) - (v == i) for v in range(1, d + 1)] for i, j in pairs(d)]
-    rows = np.array([[row(lam, v) for v in range(1, d + 1)] for lam in lams],
-                    dtype=ms.dtype).reshape(len(lams), d)
     weights = ms.reshape(len(owner), len(shift)) @ np.array(shift, dtype=ms.dtype)
-    weights += rows[owner]
+    weights += row_array(lams, d)[owner]
     return weights
 
 

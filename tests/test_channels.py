@@ -52,6 +52,14 @@ class TestKernels:
         )
         assert best in ch.typical_diagrams(20, SPEC2, 0.6)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1e308])
+    def test_window_past_n_admits_every_diagram(self, alpha):
+        # every row lies within n of n mu_i, so a window of n or more holds
+        # every diagram; n**1e308 itself would overflow
+        spec4 = md.Spectrum((0.4, 0.3, 0.2, 0.1))
+        for n, spec in ((1, SPEC2), (8, SPEC2), (97, SPEC2), (12, SPEC3), (9, spec4)):
+            assert ch.typical_diagrams(n, spec, alpha) == tb.enumerate_diagrams(n, spec.d)
+
 
 class TestIsometry:
     @pytest.mark.parametrize(
@@ -161,22 +169,23 @@ class TestPrepareBlocks:
             assert bd.state.truncation_defect == state.truncation_defect
 
     def test_one_schur_poly_per_block(self, monkeypatch):
-        # at the default config's n=64, each block's log s_lambda serves
-        # both its weight and its spectrum
+        # at the default config's n=64, one block_weights call over every
+        # block's diagram gives each log s_lambda once, and it serves both
+        # the block's weight and its spectrum
         cfg, n = ex.ExperimentConfig(), 64
         spec, theta, fock = cfg.spectrum(), cfg.theta(), cfg.fock()
         calls = []
-        real = md.log_schur_poly
+        real = md.block_weights
 
-        def counting(lam, vals):
-            calls.append(lam)
-            return real(lam, vals)
+        def counting(lams, vals, n):
+            calls.append(list(lams))
+            return real(lams, vals, n)
 
-        monkeypatch.setattr(md, "log_schur_poly", counting)
+        monkeypatch.setattr(md, "block_weights", counting)
         blocks = ch.prepare_blocks(spec, theta, n, fock, cfg.alpha)
         monkeypatch.undo()
         assert len(blocks) == 24
-        assert len(calls) == len(blocks)
+        assert calls == [[bd.lam for bd in blocks]]
         for bd in blocks:
             assert bd.weight == md.block_weight(bd.lam, spec, theta.u, n)
             (basis,) = sw.block_bases([bd.lam], cfg.d, max_weight=fock.cutoff)

@@ -48,6 +48,13 @@ class TestConfig:
             {"n_list": (8.0,)},
             {"n_list": (8.5,)},
             {"n_list": (True,)},
+            {"d": 2.0},
+            {"fock_cutoff": 2.5},
+            {"fock_cutoff": 2.0},
+            {"fock_cutoff": True},
+            {"alpha": float("nan"), "override_exponents": True},
+            {"alpha": float("inf"), "override_exponents": True},
+            {"alpha": float("-inf"), "override_exponents": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -58,6 +65,14 @@ class TestConfig:
         for n_list in [(8.0,), (16, 8.5), (True,)]:
             with pytest.raises(ValueError, match="^n_list entries must be positive integers$"):
                 ex.ExperimentConfig(n_list=n_list)
+
+    def test_non_integer_d_and_cutoff_message(self):
+        with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.0$"):
+            ex.ExperimentConfig(d=2.0)
+        for cutoff in (2.5, True, 0):
+            with pytest.raises(ValueError, match=(
+                    rf"^fock_cutoff must be an integer >= 1, got {cutoff!r}$")):
+                ex.ExperimentConfig(fock_cutoff=cutoff)
 
     def test_exponent_override(self):
         cfg = ex.ExperimentConfig(alpha=0.4, override_exponents=True)
@@ -147,8 +162,8 @@ class TestRunners:
         for b in ex.run_decompose(cfg)["blocks"]:
             lam = tuple(b["lam"])
             assert b["weight"] == md.block_weight(lam, spec, u, n)
-            evs = md.weight_eigenvalues([lam], *tb.m_vector_rows([lam], cfg.d), vals,
-                                        [md.log_schur_poly(lam, vals)])
+            _, log_s = md.block_weights([lam], vals, n)
+            evs = md.weight_eigenvalues([lam], *tb.m_vector_rows([lam], cfg.d), vals, log_s)
             assert b["spectrum"] == np.sort(evs / evs.sum())[::-1].tolist()
 
     def test_decompose_typical_flags_match_converge_window(self):
@@ -279,6 +294,27 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "error: neglected diagram mass 1.000 exceeds 0.5")
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exit_2(self, alpha, monkeypatch, capsys):
+        # refused even under the override, before any block is prepared
+        def never(*args):
+            raise AssertionError("a block was prepared")
+
+        monkeypatch.setattr(ch, "prepare_blocks", never)
+        rc = cli.main(["converge", f"--alpha={alpha}", "--override-exponents",
+                       "--n-list", "8"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: exponent alpha must be finite, got {alpha}\n"
+
+    def test_huge_alpha_is_the_whole_window(self, capsys):
+        # a window of 8**1e308 boxes holds what a window of 8 does
+        for alpha in ("1", "1e308"):
+            rc = cli.main(["converge", "--alpha", alpha, "--override-exponents",
+                           "--n-list", "8", "--fock-cutoff", "4"])
+            assert rc == 0
+        whole, huge = capsys.readouterr().out.split("n,total")[1:]
+        assert whole == huge
 
     def test_d4_default_cutoff_exit_2(self, monkeypatch, capsys):
         # 31^6 Fock states at the default cutoff: refused before any block

@@ -5,7 +5,9 @@ outside its own definition, and every dataclass field of the package is read
 as an attribute on the production path.  The reference code
 that only tests read lives in `qlan.oracle`: every other definition of the
 package has a reader on the production path, and only the lemma verifiers
-and the tests import the oracle."""
+and the tests import the oracle.  The benchmark harness under `perfbench/`
+counts as a reader on the production path, but its own imports are not
+checked here."""
 
 import ast
 from collections import Counter
@@ -19,6 +21,7 @@ SOURCES = sorted(
     for folder in ("src/qlan", "scripts", "tests")
     for p in (ROOT / folder).glob("*.py")
 )
+BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
@@ -102,11 +105,11 @@ def unread_fields(module: ast.Module, trees: list[ast.AST]) -> list[str]:
 
 def production_readers(trees: dict[Path, ast.AST]) -> list[ast.AST]:
     """The trees whose reads keep a definition on the production path: the
-    package modules other than the oracle, and the scripts."""
+    package modules other than the oracle, the scripts and the benchmark."""
     return [
         tree
         for path, tree in trees.items()
-        if path.parent.name in ("qlan", "scripts") and path.name != "oracle.py"
+        if path.parent.name in ("qlan", "scripts", "perfbench") and path.name != "oracle.py"
     ]
 
 
@@ -129,6 +132,7 @@ def imports_oracle(tree: ast.AST) -> bool:
 def test_sources_found():
     folders = {p.parent.name for p in SOURCES}
     assert folders == {"qlan", "scripts", "tests"}
+    assert BENCHMARK_SOURCES
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -148,7 +152,7 @@ def test_no_unreferenced_definitions():
 
 
 def test_production_definitions_have_production_readers():
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES + BENCHMARK_SOURCES}
     readers = production_readers(trees)
     test_only = {
         p.name: unreferenced_definitions(tree, readers)
@@ -159,7 +163,7 @@ def test_production_definitions_have_production_readers():
 
 
 def test_dataclass_fields_have_production_readers():
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES + BENCHMARK_SOURCES}
     readers = production_readers(trees)
     unread = {
         p.name: unread_fields(tree, readers)
@@ -194,12 +198,14 @@ def test_production_scan_ignores_tests_and_oracle():
         "def tested():\n    return 2\n"
         "def checked():\n    return 3\n"
         "def used():\n    return 4\n"
+        "def measured():\n    return 5\n"
     )
     trees = {
         Path("src/qlan/m.py"): module,
         Path("src/qlan/oracle.py"): ast.parse("import m\nx = m.checked()\n"),
         Path("src/qlan/n.py"): ast.parse("from .m import used\nx = used()\n"),
         Path("scripts/run.py"): ast.parse("from qlan import m\nm.scripted()\n"),
+        Path("perfbench/run.py"): ast.parse("from qlan import m\nm.measured()\n"),
         Path("tests/test_m.py"): ast.parse("from qlan import m\nm.tested()\n"),
     }
     assert unreferenced_definitions(module, production_readers(trees)) == [

@@ -112,10 +112,13 @@ class TestLocalParamLengths:
 
 
 class TestWeights:
-    @pytest.mark.parametrize("d,lam", [(2, (3, 1)), (3, (3, 2, 1)), (3, (4, 2))])
+    @pytest.mark.parametrize(
+        "d,lam", [(2, (3, 1)), (3, (3, 2, 1)), (3, (4, 2)), (4, (4, 2, 1, 1))]
+    )
     def test_schur_poly_matches_enumeration(self, d, lam):
         vals = tuple(v / (d * (d + 1) / 2) for v in range(d, 0, -1))
-        assert math.exp(md.log_schur_poly(lam, vals)) == pytest.approx(
+        _, (log_s,) = md.block_weights([lam], vals, sum(lam))
+        assert math.exp(log_s) == pytest.approx(
             orc.schur_poly_enumerated(lam, vals), rel=1e-12
         )
 
@@ -130,10 +133,46 @@ class TestWeights:
 
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (4, 4), (2, 200), (3, 60)])
     def test_log_prefactor_matches_exact(self, d, n):
+        # every weight over its s_lambda is the multiplicity, and the weight
+        # is multiplicity x ratio of alternants in exact rational arithmetic
+        mu = tuple(v / (d * (d + 1) / 2) for v in range(d, 0, -1))
+        vals = md.perturbed_spectrum(md.Spectrum(mu), (0.1,) + (0.0,) * (d - 2), n)
+        xs = [Fraction(v) for v in vals]
+        vdm = math.prod(xs[i] - xs[j] for i in range(d) for j in range(i + 1, d))
         lams = tb.enumerate_diagrams(n, d)
-        for lam, got in zip(lams, md.log_weight_prefactors(lams, n, d), strict=True):
-            exact = math.log(tb.multiplicity(lam, n, d))
-            assert got == pytest.approx(exact, abs=1e-10)
+        weights, log_s = md.block_weights(lams, vals, n)
+        for lam, weight, ls, mult in zip(
+            lams, weights, log_s, tb.multiplicities(lams, n, d), strict=True
+        ):
+            assert math.log(weight) - ls == pytest.approx(math.log(mult), abs=1e-10)
+            exps = [tb.row(lam, j) + d - j for j in range(1, d + 1)]
+            alt = sum(
+                sign * math.prod(xs[i] ** exps[p[i]] for i in range(d))
+                for sign, p in sw.signed_permutations(d)
+            )
+            exact = mult * alt / vdm
+            log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+            assert math.log(weight) == pytest.approx(log_exact, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "d,n,mu,u",
+        [(2, 4096, (0.7, 0.3), (0.5,)), (3, 41, (0.5, 0.3, 0.2), (0.5, 0.0)),
+         (4, 40, (0.4, 0.3, 0.2, 0.1), (0.2, 0.1, -0.1))],
+    )
+    def test_batch_matches_single_bitwise(self, d, n, mu, u):
+        # each diagram's weight and log s_lambda reduce along its own row, so
+        # a batch, a reversed batch and the diagram alone agree bit for bit
+        spec = md.Spectrum(mu)
+        vals = md.perturbed_spectrum(spec, u, n)
+        lams = tb.enumerate_diagrams(n, d)
+        weights, log_s = md.block_weights(lams, vals, n)
+        back_w, back_s = md.block_weights(lams[::-1], vals, n)
+        assert weights == back_w[::-1]
+        assert np.array_equal(log_s, back_s[::-1])
+        for lam, weight, ls in zip(lams, weights, log_s, strict=True):
+            (alone,), (alone_s,) = md.block_weights([lam], vals, n)
+            assert alone == weight == md.block_weight(lam, spec, u, n)
+            assert alone_s == ls
 
     @pytest.mark.parametrize(
         "d,n,mu,u",
