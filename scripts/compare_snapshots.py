@@ -8,7 +8,9 @@ and otherwise the largest absolute difference between matching floats and
 where it occurs: a JSON path, or the row and column of a CSV.  A file
 differs in structure when its keys, lengths, strings, ints, booleans or nulls
 differ, or when one side is missing; the script then names the first such
-place and exits 1.  It takes no tolerance: a change that moves numbers
+place and exits 1.  A CSV cell that prints as an int against a float cell
+is compared as a number, since a float column prints a whole value such as
+0 without a point.  It takes no tolerance: a change that moves numbers
 states its own and checks the largest difference printed here against it.
 """
 
@@ -26,14 +28,20 @@ class StructureError(Exception):
     """The two files differ in something other than float values."""
 
 
+class CsvInt(int):
+    """A CSV cell that parses as an int.  CSV text carries no types, so a
+    float column prints a whole value such as 0 as an int; such a cell
+    meets a float cell as a number."""
+
+
 def parse(name: str, text: str):
     """A JSON file as loaded; a CSV file as one dict per row, keyed by the
-    header, with each cell an int, a float or a string as it parses."""
+    header, with each cell a CsvInt, a float or a string as it parses."""
     if not name.endswith(".csv"):
         return json.loads(text)
 
     def cell(s: str):
-        for kind in (int, float):
+        for kind in (CsvInt, float):
             try:
                 return kind(s)
             except ValueError:
@@ -47,8 +55,11 @@ def differences(old, new, where: str = ""):
     """(absolute difference, place, old, new) for every pair of matching
     floats; raises StructureError at the first place that differs
     otherwise.  Equal values differ by 0, two NaNs too, and a NaN against
-    a number by inf."""
+    a number by inf.  A CSV int cell against a float cell counts as two
+    floats."""
     place = where or "top"
+    if {type(old), type(new)} == {CsvInt, float}:
+        old, new = float(old), float(new)
     if type(old) is not type(new):
         raise StructureError(f"{place}: {old!r} against {new!r}")
     if isinstance(old, dict):

@@ -8,7 +8,8 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 Prints a leading JSON line of provenance (as scripts/time_prepare_blocks.py
 does), then one JSON line per size: d, n, the Fock cutoff, the box count,
 the eigvalsh calls of one cq_distance call and their mean per box
-(solves_per_box), the seconds of each repeat (default 9) and their median.
+(solves_per_box), the seconds of each repeat (default 9, to the
+microsecond) and their median.
 The blocks, the channel output and the limit state are built once per size,
 outside the timing.  The sizes are the converge units of perfbench (d=2 n=64
 and 128 at the default config, d=3 n=8 and 10 at fock_cutoff 3), d=2 n=1024
@@ -64,7 +65,7 @@ def main() -> int:
         for _ in range(repeats):
             start = time.perf_counter()
             mt.cq_distance(out, limit)
-            seconds.append(round(time.perf_counter() - start, 4))
+            seconds.append(round(time.perf_counter() - start, 6))
         row = {
             "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
             "eigvalsh_calls": calls, "solves_per_box": round(calls / len(out.cells), 2),

@@ -6,12 +6,12 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 
 Prints a leading JSON line of provenance (see time_prepare_blocks.py), then
 one JSON line per size: d, n, the number of diagrams, the seconds of each
-repeat (default 9), their median and peak_rss_mb, the largest resident set
-in MB of the new Python process that runs each size.  Each size is called
-once untimed first, so the repeats are warm.  The sizes are the two units
-of the decompose-full benchmark workload (d=2 n=48, d=3 n=10) and larger
-runs up to the block bound: d=2 n=1024 and 2048, d=3 n=41, d=4 n=15.  d=2
-uses the defaults; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
+repeat (default 9, to the microsecond), their median and peak_rss_mb, the
+largest resident set in MB of the new Python process that runs each size.
+Each size is called once untimed first, so the repeats are warm.  The sizes
+are the two units of the decompose-full benchmark workload (d=2 n=48, d=3
+n=10) and larger runs up to the block bound: d=2 n=1024 and 2048, d=3 n=41,
+d=4 n=15.  d=2 uses the defaults; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
 zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i); d=4 uses mu=(0.4,0.3,0.2,0.1) with u
 and zeta zero.
 """
@@ -36,7 +36,7 @@ def time_size(size: tuple[int, int], repeats: int) -> dict:
     for _ in range(repeats):
         start = time.perf_counter()
         ex.run_decompose(config)
-        seconds.append(round(time.perf_counter() - start, 4))
+        seconds.append(round(time.perf_counter() - start, 6))
     return {"d": d, "n": n, "diagrams": blocks, "seconds": seconds,
             "median_s": statistics.median(seconds)}
 

@@ -9,10 +9,10 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 Prints a leading JSON line of provenance (the git SHA of the checkout and
 whether tracked files differ from it, the Python and numpy versions, and the
 BLAS thread variables), then one JSON line per size: d, n, the Fock cutoff,
-the block count, the seconds of each repeat (default 3) and peak_rss_mb.
-Each size runs in a new Python process (the script itself, with `--size I`),
-so peak_rss_mb, the largest resident set of that process in MB, is the
-memory of that size alone.  The d=3 sizes use mu=(0.5,0.3,0.2),
+the block count, the seconds of each repeat (default 3, to the microsecond)
+and peak_rss_mb.  Each size runs in a new Python process (the script itself,
+with `--size I`), so peak_rss_mb, the largest resident set of that process
+in MB, is the memory of that size alone.  The d=3 sizes use mu=(0.5,0.3,0.2),
 u=(0.5,0), zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i); d=2 uses the defaults.  The
 pairing caches are cleared before each repeat, so every repeat pays for
 building its index maps.
@@ -99,7 +99,7 @@ def time_size(size: tuple[int, int, int], repeats: int) -> dict:
         blocks = ch.prepare_blocks(
             config.spectrum(), config.theta(), n, config.fock(), config.alpha
         )
-        seconds.append(round(time.perf_counter() - start, 3))
+        seconds.append(round(time.perf_counter() - start, 6))
     return {"d": d, "n": n, "fock_cutoff": cutoff, "blocks": len(blocks), "seconds": seconds}
 
 

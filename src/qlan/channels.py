@@ -115,11 +115,10 @@ class Cell:
 @dataclass(frozen=True)
 class ClassicalQuantumState:
     """Piecewise-constant classical density paired with per-cell quantum
-    states; weights of cells sum to 1 - neglected_mass."""
+    states, one cell per block in order; weights sum to 1 - neglected_mass."""
 
     cells: tuple[Cell, ...]
     neglected_mass: float
-    truncation_budget: float
 
 
 @dataclass(frozen=True)
@@ -158,20 +157,18 @@ def forward_channel(
     atypical mass."""
     cells = []
     covered = 0.0
-    budget = 0.0
     for bd in blocks:
         lo, hi = box_of(bd.lam, n, spec)
         phi = bd.isometry @ bd.state.matrix @ bd.isometry.conj().T
         cells.append(Cell(lo, hi, bd.weight, phi))
         covered += bd.weight
-        budget = max(budget, bd.state.truncation_defect)
     neglected = max(0.0, 1.0 - covered)
     if neglected > COVERAGE_BOUND:
         raise TruncationError(
             f"neglected diagram mass {neglected:.3f} exceeds {COVERAGE_BOUND}; "
             "increase alpha"
         )
-    return ClassicalQuantumState(tuple(cells), neglected, budget)
+    return ClassicalQuantumState(tuple(cells), neglected)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +185,20 @@ def reverse_block_map(phi: np.ndarray, basis: sw.BlockBasis, iso: np.ndarray) ->
 
 
 def reverse_channel(
-    limit: gs.LimitState,
-    spec: md.Spectrum,
-    n: int,
-    blocks: list[BlockData],
+    box_masses: tuple[float, ...], quantum: np.ndarray, blocks: list[BlockData]
 ) -> tuple[list[tuple[float, np.ndarray]], float]:
-    """Map the Gaussian limit state back to block form: the Gaussian box mass
-    through the lattice kernel and the reverse block map on the quantum part,
-    one pair per prepared block, and the mass no box holds.  The single-row
-    block (n,) absorbs that mass when it is prepared; otherwise it is
-    returned unplaced."""
+    """Map the Gaussian limit back to block form: each block's box mass, as
+    metrics.cq_distance integrated it (in block order), paired with the
+    reverse block map of the limit's quantum state, and the mass no box
+    holds.  The single-row block (n,) absorbs that mass when it is prepared;
+    otherwise it is returned unplaced."""
     out = []
     total = 0.0
     fallback_idx = None
-    for idx, bd in enumerate(blocks):
-        lo, hi = box_of(bd.lam, n, spec)
-        w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
+    for idx, (w, bd) in enumerate(zip(box_masses, blocks, strict=True)):
         total += w
-        out.append((w, reverse_block_map(limit.quantum, bd.basis, bd.isometry)))
-        if bd.lam == (n,):
+        out.append((w, reverse_block_map(quantum, bd.basis, bd.isometry)))
+        if len(bd.lam) == 1:
             fallback_idx = idx
     leftover = max(0.0, 1.0 - total)
     if fallback_idx is None:

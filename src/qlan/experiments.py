@@ -130,7 +130,7 @@ def _converge_point(config: ExperimentConfig, n: int) -> dict:
     out = ch.forward_channel(spec, n, blocks)
     limit = gs.limit_state(spec, theta, fock)
     rep = mt.cq_distance(out, limit)
-    recon, unplaced = ch.reverse_channel(limit, spec, n, blocks)
+    recon, unplaced = ch.reverse_channel(rep.box_masses, limit.quantum, blocks)
     sn_total = mt.sn_distance(recon, unplaced, blocks)
     return {
         "n": n,
@@ -139,7 +139,7 @@ def _converge_point(config: ExperimentConfig, n: int) -> dict:
         "quantum_sup": rep.quantum_sup,
         "atypical": rep.atypical,
         "sn_total": sn_total,
-        "trunc_budget": rep.truncation_budget,
+        "trunc_budget": max(bd.state.truncation_defect for bd in blocks),
     }
 
 

@@ -209,14 +209,15 @@ def classical_l1(cells, mean: np.ndarray, cov: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Total distance with its named diagnostic components; the components
-    dominate the total by the triangle inequality."""
+    """Total distance with its named diagnostic components, which dominate
+    the total by the triangle inequality, and the Gaussian mass of each
+    cell's box in cell order (what channels.reverse_channel places)."""
 
     total: float
     classical: float
     quantum_sup: float
     atypical: float
-    truncation_budget: float
+    box_masses: tuple[float, ...]
 
 
 def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> DistanceReport:
@@ -249,6 +250,7 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         Phi_isqrt = None
     total = 0.0
     inside = 0.0
+    masses = []
     classical = 0.0
     qsup = 0.0
     for c in out.cells:
@@ -268,6 +270,7 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         l1, mass = _cell_classical(c, rule)
         classical += l1
         inside += mass
+        masses.append(mass)
         qsup = max(qsup, trace_distance(Phi, c.quantum / float(np.trace(c.quantum).real)))
     outside = max(0.0, 1.0 - inside)
     total += outside + out.neglected_mass
@@ -277,7 +280,7 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         classical=classical,
         quantum_sup=qsup,
         atypical=out.neglected_mass,
-        truncation_budget=out.truncation_budget,
+        box_masses=tuple(masses),
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 from qlan import channels as ch
 from qlan import experiments as ex
 from qlan import gaussian as gs
+from qlan import metrics as mt
 from qlan import models as md
 from qlan import oracle as orc
 from qlan import schur_weyl as sw
@@ -107,7 +108,8 @@ def test_criterion_04_isometry_and_channel_contracts():
     out = ch.forward_channel(spec, n, blocks)
     mass_err = abs(sum(c.weight for c in out.cells) + out.neglected_mass - 1.0)
     limit = gs.limit_state(spec, theta, fock)
-    recon, _unplaced = ch.reverse_channel(limit, spec, n, blocks)
+    masses = mt.cq_distance(out, limit).box_masses
+    recon, _unplaced = ch.reverse_channel(masses, limit.quantum, blocks)
     state_ok = all(
         np.linalg.eigvalsh(rho).min() > -1e-10
         and abs(np.trace(rho).real - 1.0) < 1e-8

@@ -9,6 +9,7 @@ import pytest
 from qlan import channels as ch
 from qlan import experiments as ex
 from qlan import gaussian as gs
+from qlan import metrics as mt
 from qlan import models as md
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
@@ -209,7 +210,8 @@ class TestReverseChannel:
         fock = gs.FockSpec(2, 20)
         blocks = ch.prepare_blocks(SPEC2, theta, n, fock, alpha=0.6)
         limit = gs.limit_state(SPEC2, theta, fock)
-        recon, unplaced = ch.reverse_channel(limit, SPEC2, n, blocks)
+        masses = mt.cq_distance(ch.forward_channel(SPEC2, n, blocks), limit).box_masses
+        recon, unplaced = ch.reverse_channel(masses, limit.quantum, blocks)
         assert sum(w for w, _ in recon) + unplaced == pytest.approx(1.0, abs=1e-9)
         for w, rho in recon:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
@@ -224,6 +226,7 @@ class TestReverseChannel:
         blocks = ch.prepare_blocks(SPEC2, theta, n, fock, alpha=0.6)
         assert (n,) not in [bd.lam for bd in blocks]
         limit = gs.limit_state(SPEC2, theta, fock)
+        masses = mt.cq_distance(ch.forward_channel(SPEC2, n, blocks), limit).box_masses
         calls = []
         real = sw.block_bases
 
@@ -232,11 +235,54 @@ class TestReverseChannel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sw, "block_bases", counting)
-        recon, unplaced = ch.reverse_channel(limit, SPEC2, n, blocks)
+        recon, unplaced = ch.reverse_channel(masses, limit.quantum, blocks)
         assert calls == []
         assert len(recon) == len(blocks)
         assert unplaced > 0.0
         assert sum(w for w, _ in recon) + unplaced == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ex.ExperimentConfig(n_list=(64, 128)),
+            ex.ExperimentConfig(
+                d=3, mu=(0.5, 0.3, 0.2), u=(0.5, 0.0),
+                zeta=(0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j), fock_cutoff=3, n_list=(8, 10),
+            ),
+        ],
+        ids=["d2", "d3"],
+    )
+    def test_places_the_distance_box_masses(self, config, monkeypatch):
+        # one box rule per prepared block and sweep point: the reverse
+        # channel places the masses cq_distance integrated, bit for bit
+        seen = {"rules": 0, "blocks": [], "reports": [], "recons": []}
+
+        def recorded(fn, key):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen[key].append(result)
+                return result
+            return wrapper
+
+        box_rule = gs.box_rule
+
+        def counted(*args):
+            seen["rules"] += 1
+            return box_rule(*args)
+
+        monkeypatch.setattr(gs, "box_rule", counted)
+        monkeypatch.setattr(ch, "prepare_blocks", recorded(ch.prepare_blocks, "blocks"))
+        monkeypatch.setattr(mt, "cq_distance", recorded(mt.cq_distance, "reports"))
+        monkeypatch.setattr(ch, "reverse_channel", recorded(ch.reverse_channel, "recons"))
+        ex.run_converge(config)
+        assert seen["rules"] == sum(len(blocks) for blocks in seen["blocks"])
+        assert seen["rules"] == {2: 60, 3: 21}[config.d]
+        for rep, (recon, unplaced) in zip(seen["reports"], seen["recons"], strict=True):
+            assert tuple(w for w, _ in recon) == rep.box_masses
+            inside = 0.0
+            for mass in rep.box_masses:  # summed in order, as both channels do
+                inside += mass
+            assert unplaced == max(0.0, 1.0 - inside)
 
     def test_gaussian_box_mass_1d_matches_erf(self):
         lo, hi = np.array([0.1]), np.array([0.7])

@@ -66,6 +66,21 @@ def test_nan_against_number(cs):
     assert gaps == [0.0, float("inf"), 0.5]
 
 
+def test_csv_int_against_float_is_a_number(cs, monkeypatch, capsys, tmp_path):
+    # a float column prints an exact zero as "0", which parses as an int
+    old = cs.parse("x.csv", "n,atypical\n8,0\n")
+    new = cs.parse("x.csv", "n,atypical\n8,1.2e-17\n")
+    assert list(cs.differences(old, new)) == [(1.2e-17, "[0].atypical", 0.0, 1.2e-17)]
+    assert [gap for gap, *_ in cs.differences(new, old)] == [1.2e-17]
+    with pytest.raises(cs.StructureError, match=r"\[0\]\.n: 8 against 9"):
+        list(cs.differences(old, cs.parse("x.csv", "n,atypical\n9,0\n")))
+    code, lines = run(cs, monkeypatch, capsys,
+                      snapshot(tmp_path / "old", cs, table="n,atypical\n8,0\n"),
+                      snapshot(tmp_path / "new", cs, table="n,atypical\n8,1.2e-17\n"))
+    assert code == 0
+    assert lines["converge.csv"] == "max abs diff 1.2e-17 at [0].atypical (0.0 against 1.2e-17)"
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

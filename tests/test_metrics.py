@@ -138,7 +138,7 @@ class TestCqDistance:
             lo, hi = ch.box_of(lam, n, spec)
             w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, limit.mean, limit.cov))
             cells.append(ch.Cell(lo, hi, w, limit.quantum))
-        out = ch.ClassicalQuantumState(tuple(cells), 0.0, 0.0)
+        out = ch.ClassicalQuantumState(tuple(cells), 0.0)
         rep = mt.cq_distance(out, limit)
         assert rep.quantum_sup < 1e-10
         assert rep.total < bound  # in-box density variation + window tail
@@ -162,9 +162,7 @@ class TestCqDistance:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rep = mt.cq_distance(out, limit)
         monkeypatch.undo()
-        for field in dataclasses.fields(rep):
-            got, want = getattr(rep, field.name), getattr(expected, field.name)
-            assert abs(got - want) <= 1e-10, field.name
+        assert_reports_close(rep, expected, 1e-10)
         assert len(calls) < 300  # one solve per node takes about 2,960
 
     @pytest.mark.parametrize(
@@ -191,9 +189,7 @@ class TestCqDistance:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rep = mt.cq_distance(out, limit)
         monkeypatch.undo()
-        for field in dataclasses.fields(rep):
-            got, want = getattr(rep, field.name), getattr(expected, field.name)
-            assert abs(got - want) <= 1e-12, field.name
+        assert_reports_close(rep, expected, 1e-12)
         if bound is not None:
             assert len(calls) < bound
 
@@ -278,12 +274,26 @@ def fine_gauss_cq_distance(out, limit, xs, ws) -> tuple[float, float]:
     return total + outside + out.neglected_mass, classical + outside
 
 
+def assert_reports_close(rep, expected, bound) -> None:
+    """Every field of two DistanceReports within bound, box_masses element by
+    element."""
+    for field in dataclasses.fields(rep):
+        got, want = getattr(rep, field.name), getattr(expected, field.name)
+        if field.name == "box_masses":
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= bound, field.name
+        else:
+            assert abs(got - want) <= bound, field.name
+
+
 def per_node_cq_distance(out, limit) -> mt.DistanceReport:
     """Oracle for cq_distance: one eigensolve of t Phi - B per quadrature node
     of the box rule, on boxes of any dimension."""
     Phi = limit.quantum
     total = 0.0
     inside = 0.0
+    masses = []
     qsup = 0.0
     for c in out.cells:
         B = c.weight / float(np.prod(c.hi - c.lo)) * c.quantum
@@ -293,14 +303,15 @@ def per_node_cq_distance(out, limit) -> mt.DistanceReport:
             return np.array([mt.trace_distance(t * Phi, B) for t in dens])
 
         total += gs.box_integral(integrand, rule)
-        inside += gs.box_integral(lambda t: t, rule)
+        masses.append(gs.box_integral(lambda t: t, rule))
+        inside += masses[-1]
         qsup = max(qsup, mt.trace_distance(Phi, c.quantum / np.trace(c.quantum).real))
     return mt.DistanceReport(
         total=total + max(0.0, 1.0 - inside) + out.neglected_mass,
         classical=mt.classical_l1(out.cells, limit.mean, limit.cov),
         quantum_sup=qsup,
         atypical=out.neglected_mass,
-        truncation_budget=out.truncation_budget,
+        box_masses=tuple(masses),
     )
 
 
@@ -467,5 +478,6 @@ class TestSnDistance:
         for n in (16, 64):
             blocks = ch.prepare_blocks(SPEC2, theta, n, fock, alpha=0.6)
             limit = gs.limit_state(SPEC2, theta, fock)
-            vals.append(mt.sn_distance(*ch.reverse_channel(limit, SPEC2, n, blocks), blocks))
+            masses = mt.cq_distance(ch.forward_channel(SPEC2, n, blocks), limit).box_masses
+            vals.append(mt.sn_distance(*ch.reverse_channel(masses, limit.quantum, blocks), blocks))
         assert vals[1] < vals[0]
