@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time channels.prepare_blocks at the sizes of the ROADMAP baseline table,
-and at two larger cutoffs (d=2 n=320 at 150, d=3 n=32 at 8) whose shared
-first-class unions hold more than 2**14 complex entries.
+at the d=2 target size (n=4096 at cutoff 30), and at two larger cutoffs
+(d=2 n=320 at 150, d=3 n=32 at 8) whose shared first-class unions hold more
+than 2**14 complex entries.
 
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
        PYTHONPATH=src python scripts/time_prepare_blocks.py [repeats]
@@ -36,6 +37,8 @@ from qlan import schur_weyl as sw
 D3 = dict(d=3, mu=(0.5, 0.3, 0.2), u=(0.5, 0.0), zeta=(0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j))
 SIZES = [
     (2, 64, 30), (2, 256, 30), (2, 1024, 30), (3, 16, 4), (3, 32, 4), (3, 64, 4),
+    # the d=2 target size
+    (2, 4096, 30),
     # cutoffs whose first-class unions hold more than 2**14 entries
     (2, 320, 150), (3, 32, 8),
 ]

@@ -30,23 +30,28 @@ the non-trivial pair types, and
 `pairing_matrices` evaluates this product, per diagram, on one flat complex
 vector S over the positions a * |simplex| + b, with a and b running over
 the exponent vectors at most the largest requested m (per pair and in total
-weight), applying each class as the binomial sum of C(ncols, K)
-v0^(ncols-K) P^K S over K.  Each term of P is a gather and scatter between
-flat positions, built from one shift map per side; the simplex and its
-shift maps depend only on the caps, so they are cached and shared,
-read-only, by a block's Gram and rotation pairings and by every block with
-the same caps.  A simplex pair of more than MAX_TRANSFER_ENTRIES positions
-is refused before anything is allocated.
+weight).  Each term of P is a gather and scatter between flat positions,
+built from one shift map per side; the simplex and its shift maps depend
+only on the caps, so they are cached and shared, read-only, by a block's
+Gram and rotation pairings and by every block with the same caps.  A
+simplex pair of more than MAX_TRANSFER_ENTRIES positions is refused before
+anything is allocated.
 
 The first non-empty class acts on the unit vector e0 (S before any class),
-so its powers P^K e0 depend on U, the class length and the simplex, and not
-on lambda: only the weights C(ncols, K) v0^(ncols-K) differ between blocks.
-`pairing_matrices` therefore pairs a list of diagrams at one U (all blocks
-of a sweep point share the local unitary) and runs that sequence once on
-the union simplex, whose caps are the largest of the list; a block reads
-the powers at its own simplex, which is down-closed in the union (bricks
-only raise exponents, so nothing outside it feeds into it), sums its own
-binomial series, and runs its remaining classes on its own simplex.  Each
+so (v0 + P)^ncols e0 depends on U, the class length, the simplex and
+ncols, and on lambda through ncols alone.  `pairing_matrices` therefore
+pairs a list of diagrams at one U (all blocks of a sweep point share the
+local unitary) and steps that class once on the union simplex, whose caps
+are the largest of the list: S <- v0 S + P S, one column at a time, each
+block reading S at its own simplex after its own ncols steps.  Its simplex
+is down-closed in the union (bricks only raise exponents), so nothing
+outside it feeds into it.  A step multiplies by the factor itself, so no
+terms cancel; the expanded sum of C(ncols, K) v0^(ncols-K) P^K e0 over K
+loses up to 1e-6 to cancellation at a Haar-random U and n=256, and every
+block would sum its own series.  A block's remaining classes act on its
+own vector, on its own simplex, and keep that binomial sum: at d >= 3
+their ncols grows with n, while P is nilpotent and the sum stops at
+K = 2 min(wcap, sum of caps), far fewer transfers than ncols steps.  Each
 entry sees the operations of a block on its own, in the same order, and
 every scalar-array product is an explicit `np.multiply(scalar, array)`,
 whose operand order numpy keeps at every size, so a block gets the same
@@ -196,33 +201,47 @@ def _class_terms(length: int, d: int, U: np.ndarray, bounds):
     return v0, terms
 
 
-def _apply_class(S, length: int, d: int, U: np.ndarray, bounds, series) -> list[np.ndarray]:
+def _step_class(S, length: int, d: int, U: np.ndarray, bounds, reads) -> list[np.ndarray]:
     """(v0 + P)^ncols S for the columns of length L on the simplex pair of
-    `bounds`, as the binomial sum of C(ncols, K) v0^(ncols-K) P^K S over K,
-    for each (ncols, limit, pos) of the series: one sequence of powers
-    P^K S, each sum stopping at K = limit and read at the flat positions
-    pos (None: all of them).  A term's destinations are distinct, so
-    `np.add.at` adds exactly what `nxt[dst] += ...` would, without the
-    gathered copy of nxt[dst]."""
+    `bounds`, for each (ncols, pos) of `reads` in increasing ncols: S steps
+    to v0 S + P S once per column, and after ncols steps is read at the flat
+    positions pos (None: all of them).  A step never changes S in place, so
+    a read shares nothing that a later step writes.  A term's destinations
+    are distinct, so `np.add.at` adds exactly what `nxt[dst] += ...` would,
+    without the gathered copy of nxt[dst]."""
     v0, terms = _class_terms(length, d, U, bounds)
-    # np.multiply(scalar, array) keeps its operand order at every size
-    outs = [np.multiply(v0**ncols, S if pos is None else S[pos]) for ncols, _, pos in series]
+    outs, steps = [], 0
+    for ncols, pos in reads:
+        for _ in range(steps, ncols):
+            # np.multiply(scalar, array) keeps its operand order at every size
+            nxt = np.multiply(v0, S)
+            for src, dst, val in terms:
+                np.add.at(nxt, dst, np.multiply(val, S[src]))
+            S = nxt
+        steps = ncols
+        outs.append(S if pos is None else S[pos])
+    return outs
+
+
+def _apply_class(S, length: int, d: int, U: np.ndarray, bounds, ncols: int, limit: int) -> np.ndarray:
+    """(v0 + P)^ncols S for the columns of length L on the simplex pair of
+    `bounds`, as the binomial sum of C(ncols, K) v0^(ncols-K) P^K S over
+    K <= limit; P is nilpotent, so the sum stops at the first P^K S = 0.
+    A block's classes after the first use this, not steps: at d >= 3 their
+    ncols grows with n, while the sum needs at most 2 min(wcap, sum of
+    caps) transfers."""
+    v0, terms = _class_terms(length, d, U, bounds)
+    out = np.multiply(v0**ncols, S)
     PKS = S
-    for K in range(1, max(limit for _, limit, _ in series) + 1):
+    for K in range(1, limit + 1):
         nxt = np.zeros_like(S)
         for src, dst, val in terms:
             np.add.at(nxt, dst, np.multiply(val, PKS[src]))
         PKS = nxt
         if not PKS.any():
             break
-        for out, (ncols, limit, pos) in zip(outs, series):
-            if K > limit:
-                continue
-            own = PKS if pos is None else PKS[pos]
-            # the early stop of a sum on its own positions
-            if pos is None or own.any():
-                out += np.multiply(math.comb(ncols, K) * v0 ** (ncols - K), own)
-    return outs
+        out += np.multiply(math.comb(ncols, K) * v0 ** (ncols - K), PKS)
+    return out
 
 
 def _union(bounds):
@@ -262,14 +281,16 @@ def pairing_matrices(
     module docstring, truncated to the exponents that mss[i] can reach.
 
     A diagram's first non-empty column class acts on the unit vector e0, so
-    its powers P^K e0 depend on U, the class length and the simplex only.
-    The diagrams whose first class has the same length share one sequence of
-    powers on the union of their simplices; each reads it on its own simplex
-    (down-closed in the union, and bricks only raise exponents, so the rest
-    of the union never feeds into it) and sums its own binomial series.  The
-    remaining classes run per diagram on its own simplex.  A diagram whose
-    simplex pair, or a union whose pair, has more than MAX_TRANSFER_ENTRIES
-    positions raises ResourceLimitError before any transfer runs."""
+    (v0 + P)^ncols e0 depends on U, the class length, the simplex and ncols
+    only.  The diagrams whose first class has the same length, in
+    increasing ncols, share one sequence of steps S <- v0 S + P S on the
+    union of their simplices; each copies S at its own simplex (down-closed
+    in the union, and bricks only raise exponents, so the rest of the union
+    never feeds into it) once the steps reach its ncols.  The remaining
+    classes run per diagram on its own simplex, as binomial sums.  A
+    diagram whose simplex pair, or a union whose pair, has more than
+    MAX_TRANSFER_ENTRIES positions raises ResourceLimitError before any
+    transfer runs."""
     npairs = len(tb.pairs(d))
     lams = [tb.check_diagram(lam, d) for lam in lams]
     bounds, rows, classes, groups = [], [], [], {}
@@ -302,14 +323,15 @@ def pairing_matrices(
     for (length, members), union in zip(groups.items(), unions):
         e0 = np.zeros(len(_simplex(*union)) ** 2, dtype=complex)
         e0[0] = 1.0
-        series = [(*classes[i][0][1:], _restriction(union, bounds[i])) for i in members]
-        S.update(zip(members, _apply_class(e0, length, d, U, union, series)))
+        members.sort(key=lambda i: classes[i][0][1])
+        reads = [(classes[i][0][1], _restriction(union, bounds[i])) for i in members]
+        S.update(zip(members, _step_class(e0, length, d, U, union, reads)))
         del e0  # the remaining classes run without it
 
     out = []
     for i, (own, M) in enumerate(zip(bounds, rows)):
         for length, ncols, limit in classes[i][1:]:
-            S[i] = _apply_class(S[i], length, d, U, own, [(ncols, limit, None)])[0]
+            S[i] = _apply_class(S[i], length, d, U, own, ncols, limit)
         pos = _positions(*own, M)
         out.append(S[i].reshape(-1, len(_simplex(*own)))[np.ix_(pos, pos)])
     return out
