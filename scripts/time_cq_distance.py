@@ -7,9 +7,9 @@ Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
 
 Prints a leading JSON line of provenance (as scripts/time_prepare_blocks.py
 does), then one JSON line per size: d, n, the Fock cutoff, the box count,
-the eigvalsh calls of one cq_distance call and their mean per box
-(solves_per_box), the seconds of each repeat (default 9, to the
-microsecond) and their median.
+the eigvalsh calls of one cq_distance call, how many of them got a real
+matrix (real_solves), their mean per box (solves_per_box), the seconds of
+each repeat (default 9, to the microsecond) and their median.
 The blocks, the channel output and the limit state are built once per size,
 outside the timing.  The sizes are the converge units of perfbench (d=2 n=64
 and 128 at the default config, d=3 n=8 and 10 at fock_cutoff 3), d=2 n=1024
@@ -33,22 +33,24 @@ from time_prepare_blocks import D3, provenance
 SIZES = [(2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (2, 4096, 30), (3, 16, 4)]
 
 
-def eigvalsh_calls(fn) -> int:
-    """Number of np.linalg.eigvalsh calls made by fn()."""
+def eigvalsh_calls(fn) -> tuple[int, int]:
+    """Number of np.linalg.eigvalsh calls made by fn(), and how many of them
+    got a real matrix."""
     eigvalsh = np.linalg.eigvalsh
-    calls = 0
+    calls = real = 0
 
-    def counted(*args, **kwargs):
-        nonlocal calls
+    def counted(A, *args, **kwargs):
+        nonlocal calls, real
         calls += 1
-        return eigvalsh(*args, **kwargs)
+        real += not np.iscomplexobj(A)
+        return eigvalsh(A, *args, **kwargs)
 
     np.linalg.eigvalsh = counted
     try:
         fn()
     finally:
         np.linalg.eigvalsh = eigvalsh
-    return calls
+    return calls, real
 
 
 def main() -> int:
@@ -60,7 +62,7 @@ def main() -> int:
         blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
         out = ch.forward_channel(spec, n, blocks)
         limit = gs.limit_state(spec, theta, fock)
-        calls = eigvalsh_calls(lambda: mt.cq_distance(out, limit))
+        calls, real = eigvalsh_calls(lambda: mt.cq_distance(out, limit))
         seconds = []
         for _ in range(repeats):
             start = time.perf_counter()
@@ -68,7 +70,7 @@ def main() -> int:
             seconds.append(round(time.perf_counter() - start, 6))
         row = {
             "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
-            "eigvalsh_calls": calls, "solves_per_box": round(calls / len(out.cells), 2),
+            "eigvalsh_calls": calls, "real_solves": real, "solves_per_box": round(calls / len(out.cells), 2),
             "seconds": seconds,
             "median_s": statistics.median(seconds),
         }

@@ -70,6 +70,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if type(self.d) is not int:
             raise ValueError(f"d must be an integer, got {self.d!r}")
+        if isinstance(self.alpha, (bool, np.bool_)):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
+        for name in ("mu", "u", "zeta"):
+            if any(isinstance(x, (bool, np.bool_)) for x in getattr(self, name)):
+                raise ValueError(f"{name} entries must be numbers, got {getattr(self, name)!r}")
         if self.d != len(self.mu):
             raise ValueError(f"d={self.d} but mu has {len(self.mu)} entries")
         self.spectrum()  # validates mu
@@ -109,10 +114,10 @@ class ExperimentConfig:
     def metadata(self) -> dict:
         return {
             "d": self.d,
-            "mu": list(self.mu),
-            "u": list(self.u),
-            "zeta": [[z.real, z.imag] for z in self.zeta],
-            "alpha": self.alpha,
+            "mu": [float(x) for x in self.mu],
+            "u": [float(x) for x in self.u],
+            "zeta": [[z.real, z.imag] for z in map(complex, self.zeta)],
+            "alpha": float(self.alpha),
             "fock_cutoff": self.fock_cutoff,
             "override_exponents": self.override_exponents,
         }

@@ -22,6 +22,10 @@ CURVE_DEGREES = (4, 8, 16, 32)
 CURVE_SHARE = 1e-2
 CURVE_MIN_WIDTH = 1e-12
 
+# A phase-turned matrix whose imaginary part is at most this share of its
+# largest entry is solved in real arithmetic (_phase_turn).
+REAL_TOL = 1e-12
+
 
 def _trace_norm(A: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(A)).sum())
@@ -123,6 +127,25 @@ def _inverse_sqrt(Phi: np.ndarray) -> np.ndarray:
             f"limit state is not positive definite (smallest eigenvalue {w[0]:.3g})"
         )
     return (V / np.sqrt(w)) @ V.conj().T
+
+
+def _phase_turn(Phi: np.ndarray):
+    """The map A -> g^dag A g with g = diag(exp(i m phi)), m = 0..cutoff, and
+    phi the phase of the one-mode limit state's first moment Tr(Phi a) (0
+    when it vanishes): the oscillator rotation that turns the displacement of
+    Phi onto the real axis.  A turned matrix whose imaginary part is at most
+    REAL_TOL of its largest entry is returned real; any other stays complex.
+    The map is unitary, so it keeps every trace norm."""
+    first = np.sqrt(np.arange(1, len(Phi))) @ np.diagonal(Phi, -1)
+    g = np.exp(1j * np.angle(first) * np.arange(len(Phi)))
+
+    def turn(A: np.ndarray) -> np.ndarray:
+        A = g.conj()[:, None] * A * g
+        if np.abs(A.imag).max() <= REAL_TOL * np.abs(A).max():
+            return np.ascontiguousarray(A.real)
+        return A
+
+    return turn
 
 
 def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
@@ -231,7 +254,14 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     with one axis (d = 2) the quantum term takes one Hermitian eigensolve per
     quadrature point below the top kink and none above it, since a 1-D rule
     already samples t along a line; when Phi is not numerically positive
-    definite no kink is known, and every point is solved.  On boxes with more
+    definite no kink is known, and every point is solved.  There Phi, its
+    inverse square root and every box's state are first turned by the
+    oscillator rotation that makes the limit's displacement real
+    (_phase_turn): Phi is a displaced thermal state and the block states are
+    rotated along the same zeta, so the turned matrices are real symmetric up
+    to rounding, and every solve of the call (kinks, integrand, quantum_sup)
+    runs in real arithmetic.  The turn is unitary, so no trace norm changes;
+    a state it does not make real stays complex.  On boxes with more
     axes, the curve f(t) = ||t Phi - B||_1 is built once per box over the
     density's range on every point of the rule (trace_norm_curve), and every
     point is read from it; they need a positive definite Phi.  The curve is
@@ -248,6 +278,10 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         if not one_axis:
             raise
         Phi_isqrt = None
+    turn = _phase_turn(Phi) if one_axis else (lambda A: A)
+    Phi = turn(Phi)
+    if Phi_isqrt is not None:
+        Phi_isqrt = turn(Phi_isqrt)
     total = 0.0
     inside = 0.0
     masses = []
@@ -255,7 +289,8 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     qsup = 0.0
     for c in out.cells:
         rule = gs.box_rule(c.lo, c.hi, mean, cov)
-        B = _height(c) * c.quantum
+        state = turn(c.quantum)
+        B = _height(c) * state
         if one_axis:
             f, _kinks = trace_norm_fn(Phi, Phi_isqrt, B)
 
@@ -271,7 +306,7 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         classical += l1
         inside += mass
         masses.append(mass)
-        qsup = max(qsup, trace_distance(Phi, c.quantum / float(np.trace(c.quantum).real)))
+        qsup = max(qsup, trace_distance(Phi, state / float(np.trace(state).real)))
     outside = max(0.0, 1.0 - inside)
     total += outside + out.neglected_mass
     classical += outside

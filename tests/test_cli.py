@@ -52,6 +52,9 @@ class TestConfig:
             {"fock_cutoff": 2.5},
             {"fock_cutoff": 2.0},
             {"fock_cutoff": True},
+            {"alpha": True, "override_exponents": True},
+            {"u": (True,)},
+            {"zeta": (True,)},
             {"alpha": float("nan"), "override_exponents": True},
             {"alpha": float("inf"), "override_exponents": True},
             {"alpha": float("-inf"), "override_exponents": True},
@@ -73,6 +76,24 @@ class TestConfig:
             with pytest.raises(ValueError, match=(
                     rf"^fock_cutoff must be an integer >= 1, got {cutoff!r}$")):
                 ex.ExperimentConfig(fock_cutoff=cutoff)
+
+    def test_bool_entries_message(self):
+        with pytest.raises(ValueError, match=r"^alpha must be a number, got True$"):
+            ex.ExperimentConfig(alpha=True, override_exponents=True)
+        with pytest.raises(ValueError, match=r"^u entries must be numbers, got \(False,\)$"):
+            ex.ExperimentConfig(u=(False,))
+
+    def test_metadata_writes_floats(self):
+        # one model gives the same JSON bytes however its numbers are typed
+        typed = [
+            ex.ExperimentConfig(mu=(0.75, 0.25), u=(0,), zeta=(1,), alpha=1, override_exponents=True),
+            ex.ExperimentConfig(mu=(0.75, 0.25), u=(0.0,), zeta=(1 + 0j,), alpha=1.0,
+                                override_exponents=True),
+        ]
+        texts = [json.dumps(cfg.metadata(), sort_keys=True) for cfg in typed]
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["zeta"] == [[1.0, 0.0]]
+        assert '"u": [0.0]' in texts[0] and '"alpha": 1.0' in texts[0]
 
     def test_exponent_override(self):
         cfg = ex.ExperimentConfig(alpha=0.4, override_exponents=True)

@@ -111,6 +111,22 @@ def small_run():
     return mt.cq_distance(out, limit)
 
 
+def eigvalsh_dtypes(monkeypatch, fn):
+    """fn()'s result and the dtype of every matrix np.linalg.eigvalsh
+    receives during it."""
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        return eigvalsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    result = fn()
+    monkeypatch.undo()
+    return result, dtypes
+
+
 class TestCqDistance:
     def test_total_bounded_by_components(self, small_run):
         rep = small_run
@@ -192,6 +208,52 @@ class TestCqDistance:
         assert_reports_close(rep, expected, 1e-12)
         if bound is not None:
             assert len(calls) < bound
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_list": (64,)},
+            {"n_list": (128,)},
+            {"n_list": (1024,)},
+            {"mu": (0.95, 0.05), "u": (0.0,), "n_list": (64,)},  # every node solved
+        ],
+    )
+    def test_d2_solves_are_real(self, kwargs, monkeypatch):
+        # the phase turn makes the limit and every block state real, so each
+        # eigensolve of a one-axis call (kinks, integrand, quantum_sup) is real
+        config = ex.ExperimentConfig(**kwargs)
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        n = config.n_list[0]
+        blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
+        out = ch.forward_channel(spec, n, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        _rep, dtypes = eigvalsh_dtypes(monkeypatch, lambda: mt.cq_distance(out, limit))
+        assert dtypes and all(dt == np.float64 for dt in dtypes)
+
+    @pytest.mark.parametrize("zeta", [0.5 + 0.3j, -0.4 + 0.2j, -0.3 - 0.5j, 0.2 - 0.6j, 0j])
+    def test_d2_zeta_phase_matches_per_node_oracle(self, zeta):
+        config = ex.ExperimentConfig(zeta=(zeta,), n_list=(64,))
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
+        out = ch.forward_channel(spec, 64, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        assert_reports_close(mt.cq_distance(out, limit), per_node_cq_distance(out, limit), 1e-12)
+
+    def test_d2_state_no_turn_makes_real(self, monkeypatch):
+        # a random complex density is not real after any diagonal turn: its
+        # solves stay complex and the distance is still the oracle's
+        rng = np.random.default_rng(17)
+        fock = gs.FockSpec(2, 10)
+        limit = gs.limit_state(SPEC2, md.LocalParams((0.5,), (0.5 + 0.3j,)), fock)
+        cells = [
+            ch.Cell(c.lo, c.hi, c.weight, random_density(fock.dim, rng))
+            for c in make_cells(64, SPEC2, (0.5,))
+        ]
+        out = ch.ClassicalQuantumState(tuple(cells), 0.01)
+        expected = per_node_cq_distance(out, limit)
+        rep, dtypes = eigvalsh_dtypes(monkeypatch, lambda: mt.cq_distance(out, limit))
+        assert_reports_close(rep, expected, 1e-12)
+        assert np.complex128 in dtypes
 
     def test_d2_singular_limit_runs(self, tmp_path):
         # at mu = (0.95, 0.05), u = 0 the cutoff-30 limit state is not
