@@ -5,11 +5,12 @@ sizes.
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
        PYTHONPATH=src python scripts/time_cq_distance.py [repeats]
 
-Prints a leading JSON line of provenance (as scripts/time_prepare_blocks.py
-does), then one JSON line per size: d, n, the Fock cutoff, the box count,
-the eigvalsh calls of one cq_distance call, how many of them got a real
-matrix (real_solves), their mean per box (solves_per_box), the seconds of
-each repeat (default 9, to the microsecond) and their median.
+Prints a leading JSON line of provenance (see time_prepare_blocks.py), then
+one JSON line per size: d, n, the Fock cutoff, the box count, the eigvalsh
+calls of one cq_distance call, how many of them got a real matrix
+(real_solves), their mean per box (solves_per_box), the seconds of each
+repeat (default 9, to the microsecond), their median and peak_rss_mb, the
+largest resident set in MB of the new Python process that runs each size.
 The blocks, the channel output and the limit state are built once per size,
 outside the timing.  The sizes are the converge units of perfbench (d=2 n=64
 and 128 at the default config, d=3 n=8 and 10 at fock_cutoff 3), d=2 n=1024
@@ -17,7 +18,6 @@ and 4096, and d=3 n=16 at fock_cutoff 4; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
 zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i).
 """
 
-import json
 import statistics
 import sys
 import time
@@ -28,7 +28,7 @@ from qlan import channels as ch
 from qlan import experiments as ex
 from qlan import gaussian as gs
 from qlan import metrics as mt
-from time_prepare_blocks import D3, provenance
+from time_prepare_blocks import D3, run_sizes
 
 SIZES = [(2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (2, 4096, 30), (3, 16, 4)]
 
@@ -53,30 +53,26 @@ def eigvalsh_calls(fn) -> tuple[int, int]:
     return calls, real
 
 
-def main() -> int:
-    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 9
-    print(json.dumps(provenance()), flush=True)
-    for d, n, cutoff in SIZES:
-        config = ex.ExperimentConfig(fock_cutoff=cutoff, n_list=(n,), **(D3 if d == 3 else {}))
-        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
-        blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
-        out = ch.forward_channel(spec, n, blocks)
-        limit = gs.limit_state(spec, theta, fock)
-        calls, real = eigvalsh_calls(lambda: mt.cq_distance(out, limit))
-        seconds = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            mt.cq_distance(out, limit)
-            seconds.append(round(time.perf_counter() - start, 6))
-        row = {
-            "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
-            "eigvalsh_calls": calls, "real_solves": real, "solves_per_box": round(calls / len(out.cells), 2),
-            "seconds": seconds,
-            "median_s": statistics.median(seconds),
-        }
-        print(json.dumps(row), flush=True)
-    return 0
+def time_size(size: tuple[int, int, int], repeats: int) -> dict:
+    d, n, cutoff = size
+    config = ex.ExperimentConfig(fock_cutoff=cutoff, n_list=(n,), **(D3 if d == 3 else {}))
+    spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+    blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
+    out = ch.forward_channel(spec, n, blocks)
+    limit = gs.limit_state(spec, theta, fock)
+    calls, real = eigvalsh_calls(lambda: mt.cq_distance(out, limit))
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        mt.cq_distance(out, limit)
+        seconds.append(round(time.perf_counter() - start, 6))
+    return {
+        "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
+        "eigvalsh_calls": calls, "real_solves": real, "solves_per_box": round(calls / len(out.cells), 2),
+        "seconds": seconds,
+        "median_s": statistics.median(seconds),
+    }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_sizes(__file__, SIZES, 9, time_size))

@@ -90,8 +90,12 @@ def chebyshev_curve(f, lo: float, hi: float, kinks, tol: float) -> ChebyshevCurv
     """Piecewise Chebyshev interpolant of the scalar function f on [lo, hi],
     cut at the kinks inside the range, a piece accepted once its last three
     coefficients are at most the absolute tol and bisected if none is; f is
-    evaluated once at each end two pieces share.  Raises ResourceLimitError
-    when a piece narrower than CURVE_MIN_WIDTH of the range still fails."""
+    evaluated once at each end two pieces share.  A zero-width range
+    (lo == hi) is one constant piece f(lo), from one evaluation.  Raises
+    ResourceLimitError when a piece narrower than CURVE_MIN_WIDTH of the
+    range still fails."""
+    if lo == hi:
+        return ChebyshevCurve(np.array([lo, hi]), (np.array([f(lo)]),))
     min_width = CURVE_MIN_WIDTH * (hi - lo)
     edges = [lo]
     for k in np.sort(kinks):
@@ -151,11 +155,14 @@ def _phase_turn(Phi: np.ndarray):
 def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
     """f(t) = ||t Phi - B||_1 and the kinks of f, the generalised eigenvalues
     of the pencil (B, Phi) (where an eigenvalue of t Phi - B crosses zero),
-    ascending, from one eigensolve.  At and above the top kink t Phi - B is
-    positive semidefinite (Sylvester's inertia), so there f is the trace
-    t Tr Phi - Tr B and takes no solve; below it, f takes one.  Phi_isqrt is
-    the inverse square root of Phi, or None when Phi is not numerically
-    positive definite: then no kink is known and f solves at every t."""
+    ascending, from one eigensolve.  f is convex, and analytic between its
+    kinks.  At and above the top kink t Phi - B is positive semidefinite
+    (Sylvester's inertia), so there f reads the linear region from its closed
+    form, the trace t Tr Phi - Tr B, with no solve; below it, f takes one.
+    A curve of f cut at the kinks (chebyshev_curve) reads its pieces above
+    the top kink from that closed form too.  Phi_isqrt is the inverse square
+    root of Phi, or None when Phi is not numerically positive definite: then
+    no kink is known and f solves at every t."""
     if Phi_isqrt is None:
         kinks, top = np.empty(0), math.inf
     else:
@@ -167,28 +174,6 @@ def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
         return t * slope - offset if t >= top else _trace_norm(t * Phi - B)
 
     return f, kinks
-
-
-def trace_norm_curve(
-    Phi: np.ndarray, Phi_isqrt: np.ndarray, B: np.ndarray, lo: float, hi: float, tol: float
-) -> ChebyshevCurve:
-    """f(t) = ||t Phi - B||_1 (trace_norm_fn) on [lo, hi] for positive
-    definite Phi with inverse square root Phi_isqrt, its pieces accepted at
-    the absolute tol (chebyshev_curve).  f is convex and analytic between its
-    kinks.  At and above the top kink f is linear, so that range is stored
-    as one degree-1 piece with no solve (and none at the top kink itself).
-    A zero-width range (lo == hi) is one constant piece f(lo)."""
-    f, kinks = trace_norm_fn(Phi, Phi_isqrt, B)
-    top = min(max(lo, float(kinks[-1])), hi)
-    breaks, coeffs = [lo], ()
-    if top > lo:
-        curve = chebyshev_curve(f, lo, top, kinks, tol)
-        breaks, coeffs = list(curve.breaks), curve.coeffs
-    if top < hi or lo == hi:
-        breaks.append(hi)
-        slope = float(np.trace(Phi).real)
-        coeffs += (np.array([f(0.5 * (top + hi)), 0.5 * (hi - top) * slope]),)
-    return ChebyshevCurve(np.array(breaks), coeffs)
 
 
 def _check_disjoint(cells) -> None:
@@ -262,12 +247,15 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     to rounding, and every solve of the call (kinks, integrand, quantum_sup)
     runs in real arithmetic.  The turn is unitary, so no trace norm changes;
     a state it does not make real stays complex.  On boxes with more
-    axes, the curve f(t) = ||t Phi - B||_1 is built once per box over the
-    density's range on every point of the rule (trace_norm_curve), and every
-    point is read from it; they need a positive definite Phi.  The curve is
-    resolved only as far as the box rule can use: its pieces are accepted at
-    CURVE_SHARE * gaussian.BOX_TOL / volume, so its error integrated over the
-    box is a hundredth of the tolerance the rule itself accepts."""
+    axes, the curve of that same f is built once per box over the density's
+    range on every point of the rule, cut at the pencil's kinks
+    (chebyshev_curve), and every point is read from it; they need a positive
+    definite Phi.  The top kink is an ordinary edge of the curve, and the
+    pieces above it read the linear region from f's closed form, so they take
+    no solve.  The curve is resolved only as far as the box rule can use: its
+    pieces are accepted at CURVE_SHARE * gaussian.BOX_TOL / volume, so its
+    error integrated over the box is a hundredth of the tolerance the rule
+    itself accepts."""
     _check_disjoint(out.cells)
     mean, cov = limit.mean, limit.cov
     Phi = limit.quantum
@@ -291,16 +279,15 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         rule = gs.box_rule(c.lo, c.hi, mean, cov)
         state = turn(c.quantum)
         B = _height(c) * state
+        f, kinks = trace_norm_fn(Phi, Phi_isqrt, B)
         if one_axis:
-            f, _kinks = trace_norm_fn(Phi, Phi_isqrt, B)
-
             def integrand(dens):
                 return np.array([f(t) for t in dens])
         else:
             tmin = min(dens.min() for dens, _ in rule)
             tmax = max(dens.max() for dens, _ in rule)
             tol = CURVE_SHARE * gs.BOX_TOL / rule[0][1].sum()  # the weights sum to the volume
-            integrand = trace_norm_curve(Phi, Phi_isqrt, B, tmin, tmax, tol)
+            integrand = chebyshev_curve(f, tmin, tmax, kinks, tol)
         total += gs.box_integral(integrand, rule)
         l1, mass = _cell_classical(c, rule)
         classical += l1

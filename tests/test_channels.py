@@ -217,6 +217,21 @@ class TestReverseChannel:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(rho).min() > -1e-8
 
+    def test_single_row_block_absorbs_leftover(self):
+        # at the default model with n=16, (n,) is typical: the mass no box
+        # holds is placed on its block and nothing is returned unplaced
+        n = 16
+        config = ex.ExperimentConfig(n_list=(n,))
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
+        idx = [bd.lam for bd in blocks].index((n,))
+        limit = gs.limit_state(spec, theta, fock)
+        masses = mt.cq_distance(ch.forward_channel(spec, n, blocks), limit).box_masses
+        recon, unplaced = ch.reverse_channel(masses, limit.quantum, blocks)
+        assert unplaced == 0.0
+        assert recon[idx][0] == masses[idx] + max(0.0, 1.0 - sum(masses))
+        assert sum(w for w, _ in recon) == pytest.approx(1.0, abs=1e-12)
+
     def test_fallback_builds_no_basis(self, monkeypatch):
         # (n,) is not typical here: the mass no box holds comes back
         # unplaced, with no block basis built for it

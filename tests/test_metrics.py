@@ -1,6 +1,6 @@
 """Tests for the distance computations: trace norm, classical L1 quadrature,
-the piecewise Chebyshev trace-norm curve, and the combined classical-quantum
-distance report."""
+the piecewise Chebyshev curve of the trace-norm integrand, and the combined
+classical-quantum distance report."""
 
 import dataclasses
 import json
@@ -383,6 +383,12 @@ def pencil_kinks(Phi, B):
     return isqrt, np.linalg.eigvalsh(isqrt @ B @ isqrt)
 
 
+def pencil_curve(Phi, isqrt, B, lo, hi, tol):
+    # the curve cq_distance builds on a box with more than one axis
+    f, kinks = mt.trace_norm_fn(Phi, isqrt, B)
+    return mt.chebyshev_curve(f, lo, hi, kinks, tol)
+
+
 class TestTraceNormCurve:
     def test_matches_trace_norm_low_rank(self):
         rng = np.random.default_rng(7)
@@ -396,7 +402,7 @@ class TestTraceNormCurve:
         ts = np.concatenate([np.linspace(lo, hi, 197), positive])
         exact = np.array([mt.trace_distance(t * Phi, B) for t in ts])
         # f is convex, so its largest value on the range is at an end
-        curve = mt.trace_norm_curve(Phi, isqrt, B, lo, hi, 1e-10 * max(exact[0], exact[196]))
+        curve = pencil_curve(Phi, isqrt, B, lo, hi, 1e-10 * max(exact[0], exact[196]))
         assert np.abs(curve(ts) - exact).max() <= 1e-9 * exact.max()
 
     def test_multiple_of_phi_is_abs(self):
@@ -404,7 +410,7 @@ class TestTraceNormCurve:
         Phi = random_density(8, rng)
         h = 0.3
         isqrt, _kinks = pencil_kinks(Phi, h * Phi)
-        curve = mt.trace_norm_curve(Phi, isqrt, h * Phi, 0.0, 1.0, 1e-13)
+        curve = pencil_curve(Phi, isqrt, h * Phi, 0.0, 1.0, 1e-13)
         # the pencil's eigenvalues all sit at h and count as one kink
         assert len(curve.coeffs) == 2
         assert curve.breaks[1] == pytest.approx(h, abs=1e-10)
@@ -432,7 +438,7 @@ class TestTraceNormCurve:
             return eigvalsh(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        curve = mt.trace_norm_curve(Phi, isqrt, B, lo, hi, 1e-10)
+        curve = pencil_curve(Phi, isqrt, B, lo, hi, 1e-10)
         monkeypatch.undo()
         assert len(solved) > 1 and max(solved[1:]) < top
         ts = np.linspace(top, hi, 101)
@@ -451,8 +457,20 @@ class TestTraceNormCurve:
         B = G @ G.conj().T
         isqrt, kinks = pencil_kinks(Phi, B)
         t = 0.0 if side == "below" else 2.0 * kinks.max()
-        curve = mt.trace_norm_curve(Phi, isqrt, B, t, t, 1e-10)
+        curve = pencil_curve(Phi, isqrt, B, t, t, 1e-10)
         assert curve(np.full(3, t)) == pytest.approx(mt.trace_distance(t * Phi, B), rel=1e-12)
+
+    def test_zero_width_range_one_evaluation(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 2.0 * t + 1.0
+
+        curve = mt.chebyshev_curve(f, 0.25, 0.25, (0.1, 0.25, 0.3), 1e-10)
+        assert calls == [0.25]
+        assert len(curve.coeffs) == 1
+        assert curve(np.full(3, 0.25)).tolist() == [1.5] * 3
 
     def test_each_node_solved_once(self):
         # the pieces share their ends, so a curve with p pieces of degrees

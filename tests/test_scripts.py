@@ -1,0 +1,36 @@
+"""Smoke tests for the timing scripts: each one's smallest size, one repeat,
+in a new Python process, as the scripts run their sizes themselves."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ROW_KEYS = {
+    "time_prepare_blocks.py": {"d", "n", "fock_cutoff", "blocks", "seconds"},
+    "time_decompose.py": {"d", "n", "diagrams", "seconds", "median_s"},
+    "time_cq_distance.py": {
+        "d", "n", "fock_cutoff", "boxes", "eigvalsh_calls", "real_solves",
+        "solves_per_box", "seconds", "median_s",
+    },
+}
+
+
+@pytest.mark.parametrize("script", sorted(ROW_KEYS))
+def test_first_size_row(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--size", "0", "1"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    row = json.loads(lines[0])
+    assert set(row) == ROW_KEYS[script] | {"peak_rss_mb"}
+    assert len(row["seconds"]) == 1
