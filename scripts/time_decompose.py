@@ -10,10 +10,10 @@ repeat (default 9, to the microsecond), their median and peak_rss_mb, the
 largest resident set in MB of the new Python process that runs each size.
 Each size is called once untimed first, so the repeats are warm.  The sizes
 are the two units of the decompose-full benchmark workload (d=2 n=48, d=3
-n=10) and larger runs up to the block bound: d=2 n=1024 and 2048, d=3 n=41,
-d=4 n=15.  d=2 uses the defaults; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
-zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i); d=4 uses mu=(0.4,0.3,0.2,0.1) with u
-and zeta zero.
+n=10) and larger runs up to the block bound: d=2 n=1024, 2048 and 4095 (the
+largest n whose blocks MAX_BLOCK_DIM admits), d=3 n=41, d=4 n=15.  d=2 uses
+the defaults; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0), zeta=(0.5+0.3i,
+0.2-0.1i, 0.1+0.2i); d=4 uses mu=(0.4,0.3,0.2,0.1) with u and zeta zero.
 """
 
 import statistics
@@ -25,7 +25,7 @@ from time_prepare_blocks import D3, run_sizes
 from qlan import experiments as ex
 
 D4 = dict(d=4, mu=(0.4, 0.3, 0.2, 0.1), u=(0.0,) * 3, zeta=(0j,) * 6)
-SIZES = [(2, 48), (3, 10), (2, 1024), (2, 2048), (3, 41), (4, 15)]
+SIZES = [(2, 48), (3, 10), (2, 1024), (2, 2048), (2, 4095), (3, 41), (4, 15)]
 
 
 def time_size(size: tuple[int, int], repeats: int) -> dict:

@@ -30,28 +30,26 @@ def box_of(lam: tb.Diagram, n: int, spec: md.Spectrum) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def typical_diagrams(n: int, spec: md.Spectrum, alpha: float) -> list[tb.Diagram]:
-    """All diagrams of n with every row within n^alpha of n mu_i, descending
-    lexicographic."""
-    d = spec.d
+def typical_mask(lams: list[tb.Diagram], n: int, spec: md.Spectrum, alpha: float) -> np.ndarray:
+    """Whether each diagram of n in lams lies in the typical window: every
+    row i has ceil(n mu_i - w) <= lambda_i <= floor(n mu_i + w), with
+    w = n^min(alpha, 1)."""
     # no row is farther than n from n mu_i; n**alpha overflows at a huge alpha
     w = n ** min(alpha, 1.0)
-    out: list[tb.Diagram] = []
+    lo = [math.ceil(n * m - w) for m in spec.mu]
+    hi = [math.floor(n * m + w) for m in spec.mu]
+    rows = tb.row_array(lams, spec.d)
+    return ((rows >= lo) & (rows <= hi)).all(axis=1)
 
-    def rec(i: int, prefix: list[int], remaining: int, prev: int) -> None:
-        target = n * spec.mu[i - 1]
-        if i == d:
-            if abs(remaining - target) <= w and 0 <= remaining <= prev:
-                rows = prefix + [remaining]
-                out.append(tuple(r for r in rows if r > 0))
-            return
-        lo = max(0, math.ceil(target - w))
-        hi = min(prev, remaining, math.floor(target + w))
-        for li in range(hi, lo - 1, -1):
-            rec(i + 1, prefix + [li], remaining - li, li)
 
-    rec(1, [], n, n)
-    return out
+def typical_diagrams(n: int, spec: md.Spectrum, alpha: float) -> list[tb.Diagram]:
+    """The diagrams of n that typical_mask admits, descending lexicographic.
+    Each bound is rounded before the rows are compared: at mu = (0.5, 0.3,
+    0.2), alpha = 0.6, n = 32, w = 32**0.6 = 7.999999999999999 and
+    floor(16 + w) = 24 admits lambda_1 = 24, which |lambda_1 - 16| <= w
+    would not."""
+    lams = tb.enumerate_diagrams(n, spec.d)
+    return [lam for lam, typical in zip(lams, typical_mask(lams, n, spec, alpha)) if typical]
 
 
 # ---------------------------------------------------------------------------

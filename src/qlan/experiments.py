@@ -191,9 +191,9 @@ def run_decompose(config: ExperimentConfig) -> dict:
     theta = config.theta()
     d = config.d
     vals = md.perturbed_spectrum(spec, theta.u, n)
-    # the window of run_converge, so both agree on every diagram
-    typical = set(ch.typical_diagrams(n, spec, config.alpha))
     lams = tb.enumerate_diagrams(n, d)
+    # the window of run_converge, so both agree on every diagram
+    typical = ch.typical_mask(lams, n, spec, config.alpha).tolist()
     dims = [tb.dim_irrep(lam, d) for lam in lams]
     for lam, dim in zip(lams, dims):
         if dim > MAX_BLOCK_DIM:
@@ -205,9 +205,9 @@ def run_decompose(config: ExperimentConfig) -> dict:
     evs = md.weight_eigenvalues(lams, *tb.m_vector_rows(lams, d), vals, log_s)
     blocks = []
     total = 0.0
-    for lam, dim, mult, weight, own in zip(
+    for lam, dim, mult, weight, own, flag in zip(
         lams, dims, tb.multiplicities(lams, n, d), weights,
-        np.split(evs, np.cumsum(dims)[:-1]),
+        np.split(evs, np.cumsum(dims)[:-1]), typical,
     ):
         # the rotation by zeta leaves the spectrum of the diagonal block
         spectrum = np.sort(own / own.sum())[::-1]
@@ -219,7 +219,7 @@ def run_decompose(config: ExperimentConfig) -> dict:
                 "dim": dim,
                 "multiplicity": mult,
                 "spectrum": spectrum.tolist(),
-                "typical": lam in typical,
+                "typical": flag,
             }
         )
     return {

@@ -127,10 +127,7 @@ def limit_quantum_state(
         # displaced_thermal(beta, z) has first moment -z, so negate to put
         # the mean along +zeta, the direction the finite-n blocks rotate to
         z = -DISPLACEMENT * zeta[idx] / math.sqrt(gap)
-        if z == 0:
-            mats.append(thermal(beta, fock.cutoff))
-        else:
-            mats.append(displaced_thermal(beta, z, fock.cutoff))
+        mats.append(displaced_thermal(beta, z, fock.cutoff))
     return tensor_modes(mats)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -53,7 +54,8 @@ def pairs(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def enumerate_diagrams(n: int, d: int) -> list[Diagram]:
-    """All partitions of n into at most d parts, descending lexicographic."""
+    """All partitions of n into at most d parts, in the descending
+    lexicographic order the recursion yields them."""
     if n <= 0 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
 
@@ -66,7 +68,7 @@ def enumerate_diagrams(n: int, d: int) -> list[Diagram]:
             for tail in rec(rest - first, first, nparts - 1):
                 yield (first, *tail)
 
-    return sorted(rec(n, n, d), reverse=True)
+    return list(rec(n, n, d))
 
 
 def dim_irrep(lam: Diagram, d: int) -> int:
@@ -80,14 +82,16 @@ def dim_irrep(lam: Diagram, d: int) -> int:
 def multiplicities(lams: list[Diagram], n: int, d: int) -> list[int]:
     """Dimension of the S(n) multiplicity space of each diagram of n (as
     check_diagram returns them), by Frobenius' form of n! / prod of hooks:
-    n! prod_{i<j} (l_i - l_j) / prod_i l_i!, with l_i = lambda_i + d - i;
-    n! is computed once."""
-    nfact = math.factorial(n)
+    n! prod_{i<j} (l_i - l_j) / prod_i l_i!, with l_i = lambda_i + d - i.
+    The l_i sum to n + D, D = d(d-1)/2, so that is prod_{i<j} (l_i - l_j)
+    prod_k C(l_1 + ... + l_k, l_k) / ((n+1)...(n+D)): no factorials."""
+    rising = math.prod(range(n + 1, n + len(pairs(d)) + 1))
     out = []
     for lam in lams:
         ls = [row(lam, i) + d - i for i in range(1, d + 1)]
-        num = nfact * math.prod(ls[i - 1] - ls[j - 1] for i, j in pairs(d))
-        mult, rest = divmod(num, math.prod(math.factorial(li) for li in ls))
+        num = math.prod(ls[i - 1] - ls[j - 1] for i, j in pairs(d))
+        num *= math.prod(math.comb(top, li) for top, li in zip(accumulate(ls), ls))
+        mult, rest = divmod(num, rising)
         assert rest == 0
         out.append(mult)
     return out

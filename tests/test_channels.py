@@ -53,6 +53,27 @@ class TestKernels:
         )
         assert best in ch.typical_diagrams(20, SPEC2, 0.6)
 
+    @pytest.mark.parametrize("mu,n,alpha", [
+        ((0.7, 0.3), n, alpha) for n in (1, 7, 49, 100, 257) for alpha in (0.51, 0.6, 0.99)
+    ] + [
+        ((0.5, 0.3, 0.2), 32, 0.6), ((0.5, 0.3, 0.2), 60, 0.55),
+        ((0.8, 0.15, 0.05), 45, 0.75), ((0.4, 0.3, 0.2, 0.1), 24, 0.6),
+    ])
+    def test_window_is_the_row_rule(self, mu, n, alpha):
+        # the window admits exactly the diagrams of n whose every row lies in
+        # [ceil(n mu_i - w), floor(n mu_i + w)]; at d=3 n=32 alpha=0.6, w is
+        # 7.999999999999999 and floor(16 + w) = 24 admits lambda_1 = 24
+        spec = md.Spectrum(mu)
+        w = n ** min(alpha, 1.0)
+        expected = [
+            lam for lam in tb.enumerate_diagrams(n, spec.d)
+            if all(math.ceil(n * m - w) <= tb.row(lam, i) <= math.floor(n * m + w)
+                   for i, m in enumerate(mu, start=1))
+        ]
+        assert ch.typical_diagrams(n, spec, alpha) == expected
+        assert ch.typical_mask(tb.enumerate_diagrams(n, spec.d), n, spec, alpha).sum() \
+            == len(expected)
+
     @pytest.mark.parametrize("alpha", [1.0, 1e308])
     def test_window_past_n_admits_every_diagram(self, alpha):
         # every row lies within n of n mu_i, so a window of n or more holds

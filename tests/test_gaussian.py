@@ -62,6 +62,18 @@ class TestDisplacedThermal:
     def test_zero_displacement(self):
         assert np.allclose(gs.displaced_thermal(1.0, 0.0, 20), gs.thermal(1.0, 20))
 
+    @pytest.mark.parametrize("beta", [0.3, 0.8473, 2.0])
+    @pytest.mark.parametrize("N", [1, 3, 5, 30])
+    def test_zero_displacement_is_thermal_bitwise(self, beta, N):
+        # limit_quantum_state displaces every mode, a zero zeta_jk by
+        # -DISPLACEMENT * 0j, so its zero modes are thermal to the last bit
+        expect = gs.thermal(beta, N)
+        for z in (0j, -gs.DISPLACEMENT * 0j):
+            rho = gs.displaced_thermal(beta, z, N)
+            assert np.array_equal(rho, expect)
+            assert np.array_equal(np.signbit(rho.real), np.signbit(expect.real))
+            assert np.array_equal(np.signbit(rho.imag), np.signbit(expect.imag))
+
     def test_mean_is_minus_z(self):
         # the W* rho W convention shifts the mode amplitude to -z
         beta, z, N = 0.8, 0.4 + 0.2j, 50

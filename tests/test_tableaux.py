@@ -94,6 +94,24 @@ class TestEnumerateDiagrams:
                 )
                 assert tb.enumerate_diagrams(n, d) == expected, (n, d)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_strictly_descending(self, d):
+        # partitions of n into parts of size at most k, by the recurrence
+        # p(n, k) = p(n, k - 1) + p(n - k, k); conjugation makes that the
+        # count into at most k parts
+        @functools.cache
+        def count(n, k):
+            if n == 0:
+                return 1
+            if k == 0:
+                return 0
+            return count(n, k - 1) + (count(n - k, k) if n >= k else 0)
+
+        for n in range(1, 61):
+            out = tb.enumerate_diagrams(n, d)
+            assert all(a > b for a, b in zip(out, out[1:])), (n, d)
+            assert len(out) == count(n, d), (n, d)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             tb.enumerate_diagrams(0, 2)
