@@ -5,7 +5,8 @@ sizes.
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
        PYTHONPATH=src python scripts/time_cq_distance.py [repeats]
 
-Prints a leading JSON line of provenance (see time_prepare_blocks.py), then
+Prints a leading JSON line of provenance (of the imported qlan's checkout;
+see time_prepare_blocks.py), then
 one JSON line per size: d, n, the Fock cutoff, the box count, the eigvalsh
 calls of one cq_distance call, how many of them got a real matrix
 (real_solves), their mean per box (solves_per_box), the seconds of each

@@ -4,7 +4,8 @@
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
        PYTHONPATH=src python scripts/time_decompose.py [repeats]
 
-Prints a leading JSON line of provenance (see time_prepare_blocks.py), then
+Prints a leading JSON line of provenance (of the imported qlan's checkout;
+see time_prepare_blocks.py), then
 one JSON line per size: d, n, the number of diagrams, the seconds of each
 repeat (default 9, to the microsecond), their median and peak_rss_mb, the
 largest resident set in MB of the new Python process that runs each size.

@@ -7,9 +7,11 @@ than 2**14 complex entries.
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
        PYTHONPATH=src python scripts/time_prepare_blocks.py [repeats]
 
-Prints a leading JSON line of provenance (the git SHA of the checkout and
-whether tracked files differ from it, the Python and numpy versions, and the
-BLAS thread variables), then one JSON line per size: d, n, the Fock cutoff,
+Prints a leading JSON line of provenance (the git SHA of the checkout that
+holds the imported qlan, null outside any git tree, and whether its tracked
+files differ from that commit, the Python and numpy versions, and the BLAS
+thread variables), so a run with PYTHONPATH at another checkout's src records
+the code it timed, then one JSON line per size: d, n, the Fock cutoff,
 the block count, the seconds of each repeat (default 3, to the microsecond)
 and peak_rss_mb.  Each size runs in a new Python process (the script itself,
 with `--size I`), so peak_rss_mb, the largest resident set of that process
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+import qlan
 from qlan import channels as ch
 from qlan import experiments as ex
 from qlan import schur_weyl as sw
@@ -46,9 +49,10 @@ BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git(*args: str) -> str | None:
+    """git's output in the directory of the imported qlan, or None."""
     try:
         return subprocess.run(
-            ["git", *args], cwd=Path(__file__).resolve().parent,
+            ["git", *args], cwd=Path(qlan.__file__).resolve().parent,
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
@@ -56,6 +60,8 @@ def git(*args: str) -> str | None:
 
 
 def provenance() -> dict:
+    """The commit and dirty flag of the imported qlan's checkout, and the
+    Python, numpy and BLAS thread settings."""
     status = git("status", "--porcelain", "--untracked-files=no")
     return {
         "git_sha": git("rev-parse", "HEAD"),

@@ -76,6 +76,26 @@ def past_elision_batch():
     return lams, U, [tb.enumerate_m_vectors(lam, 2, max_weight=140) for lam in lams]
 
 
+def stepped_reference(lam, d, U, ms):
+    """W(m, l; U) on one diagram with every column class stepped in long
+    double, from the transfer's own terms: a check of rounding, not of the
+    terms, which the orbit and tensor oracles check."""
+    M = np.array(ms, dtype=np.intp).reshape(len(ms), -1)
+    bounds = (tuple(int(c) for c in M.max(axis=0)), int(M.sum(axis=1).max()))
+    ns = len(sw._simplex(*bounds))
+    S = np.zeros(ns**2, dtype=np.clongdouble)
+    S[0] = 1
+    for L in range(1, d + 1):
+        v0, terms = sw._class_terms(L, d, U, bounds)
+        for _ in range(tb.row(lam, L) - tb.row(lam, L + 1)):
+            nxt = np.clongdouble(v0) * S
+            for src, dst, val in terms:
+                np.add.at(nxt, dst, np.clongdouble(val) * S[src])
+            S = nxt
+    pos = sw._positions(*bounds, M)
+    return S.reshape(ns, ns)[np.ix_(pos, pos)]
+
+
 class TestPairingEngine:
     @pytest.mark.parametrize("d,lam", SMALL_BLOCKS)
     def test_matches_direct_orbit_enumeration_identity(self, d, lam):
@@ -126,8 +146,8 @@ class TestPairingEngine:
         [
             # caps below the cutoff and at it; (6, 6) has no columns of length 1
             (2, [(9, 5), (12, 3), (20, 2), (6, 6), (7,)], 10),
-            # first classes of more columns than the binomial power's limit
-            # of 2 * 10, one of them read below the union's caps
+            # first classes of more columns than twice the cutoff of 10, one
+            # of them read below the union's caps
             (2, [(40, 6), (33, 10), (61, 2), (30,), (12, 5)], 10),
             # (4, 4, 3) starts at the class of length 2, (4, 4, 4) at 3
             (3, [(6, 3, 1), (5, 4, 2), (4, 4, 3), (7, 2), (4, 4, 4)], 3),
@@ -163,23 +183,18 @@ class TestPairingEngine:
         # on the 141 x 141 union, read by all three; each runs its class of
         # length 2 alone, on its own simplex
         calls = []
-        step_class, apply_class = sw._step_class, sw._apply_class
+        step_class = sw._step_class
 
         def counted_step(S, length, d, U, bounds, reads):
             calls.append(("step", length, len(S), len(reads)))
             return step_class(S, length, d, U, bounds, reads)
 
-        def counted_apply(S, length, d, U, bounds, ncols, limit):
-            calls.append(("apply", length, len(S)))
-            return apply_class(S, length, d, U, bounds, ncols, limit)
-
         monkeypatch.setattr(sw, "_step_class", counted_step)
-        monkeypatch.setattr(sw, "_apply_class", counted_apply)
         lams, U, mss = past_elision_batch()
         sw.pairing_matrices(lams, 2, U, mss)
         assert calls == [
             ("step", 1, 141**2, 3),
-            *[("apply", 2, len(ms) ** 2) for ms in mss],
+            *[("step", 2, len(ms) ** 2, 1) for ms in mss],
         ]
 
     def test_batch_bases_and_unitaries_match_single_calls(self):
@@ -202,7 +217,6 @@ class TestPairingEngine:
 
         monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 40)
         monkeypatch.setattr(sw, "_step_class", never)
-        monkeypatch.setattr(sw, "_apply_class", never)
         lams = [(5, 2), (7, 1)]
         mss = [tb.enumerate_m_vectors(lam, 2, max_weight=8) for lam in lams]
         with pytest.raises(ResourceLimitError, match=r"\(7, 1\) needs 49 complex entries"):
@@ -216,7 +230,6 @@ class TestPairingEngine:
 
         monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 300)
         monkeypatch.setattr(sw, "_step_class", never)
-        monkeypatch.setattr(sw, "_apply_class", never)
         lams = [(3,), (4, 3)]
         mss = [tb.enumerate_m_vectors(lam, 3, max_weight=3) for lam in lams]
         with pytest.raises(
@@ -242,6 +255,35 @@ class TestPairingEngine:
         expect = Reached if admitted else ResourceLimitError
         with pytest.raises(expect, match=None if admitted else f"{positions**2:,} complex"):
             sw.pairing_matrices([lam], 3, np.eye(3), [ms])
+
+    def test_class_without_modifiers_is_one_power(self):
+        # the class of length d has no modifiers, so its 1,200 columns are
+        # the one product det(U)^1200 S, the bits d=2 blocks have always had
+        rng = np.random.default_rng(2)
+        U = orc.haar_unitary(2, rng)
+        bounds = ((10,), 10)
+        v0, terms = sw._class_terms(2, 2, U, bounds)
+        assert terms == []
+        S = rng.standard_normal(11**2) + 1j * rng.standard_normal(11**2)
+        (got,) = sw._step_class(S, 2, 2, U, bounds, [(1200, None)])
+        assert np.array_equal(got, np.multiply(v0**1200, S))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is no wider than double here",
+    )
+    def test_later_class_at_d3_haar(self):
+        # after 100 columns of length 1 come 180 of length 2; summed as the
+        # binomial power (v0 + P)^180 they lose 1.5e-14 of the largest entry
+        # at these draws, stepped at most 2e-15, a quarter of the bound
+        lam, d = (300, 200, 20), 3
+        ms = tb.enumerate_m_vectors(lam, d, max_weight=6)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            U = orc.haar_unitary(d, rng)
+            ref = stepped_reference(lam, d, U, ms)
+            (W,) = sw.pairing_matrices([lam], d, U, [ms])
+            assert np.abs(W - ref).max() < 8e-15 * np.abs(ref).max()
 
 
 class TestMinorDetProduct:

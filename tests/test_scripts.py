@@ -1,8 +1,10 @@
 """Smoke tests for the timing scripts: each one's smallest size, one repeat,
-in a new Python process, as the scripts run their sizes themselves."""
+in a new Python process, as the scripts run their sizes themselves; and the
+commit their provenance line names."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,21 @@ def test_first_size_row(script):
     row = json.loads(lines[0])
     assert set(row) == ROW_KEYS[script] | {"peak_rss_mb"}
     assert len(row["seconds"]) == 1
+
+
+def test_provenance_follows_imported_qlan(tmp_path):
+    # a copy of src outside any git tree has no commit, whatever checkout
+    # the script itself lives in
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    code = (
+        f"import sys, json; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
+        "import time_prepare_blocks as t; print(json.dumps(t.provenance()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    row = json.loads(done.stdout)
+    assert row["git_sha"] is None
+    assert row["git_dirty"] is None
