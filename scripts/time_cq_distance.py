@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time metrics.cq_distance at the benchmark's converge units and three larger
+"""Time metrics.cq_distance at the benchmark's converge units and four larger
 sizes.
 
 Usage: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \\
@@ -9,13 +9,15 @@ Prints a leading JSON line of provenance (of the imported qlan's checkout;
 see time_prepare_blocks.py), then
 one JSON line per size: d, n, the Fock cutoff, the box count, the eigvalsh
 calls of one cq_distance call, how many of them got a real matrix
-(real_solves), their mean per box (solves_per_box), the seconds of each
+(real_solves), their mean per box (solves_per_box), the pieces of the
+trace-norm curves it builds (curve_pieces; 0 at d=2, whose boxes read no
+curve), the seconds of each
 repeat (default 9, to the microsecond), their median and peak_rss_mb, the
 largest resident set in MB of the new Python process that runs each size.
 The blocks, the channel output and the limit state are built once per size,
 outside the timing.  The sizes are the converge units of perfbench (d=2 n=64
 and 128 at the default config, d=3 n=8 and 10 at fock_cutoff 3), d=2 n=1024
-and 4096, and d=3 n=16 at fock_cutoff 4; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
+and 4096, and d=3 n=16 and 32 at fock_cutoff 4; d=3 uses mu=(0.5,0.3,0.2), u=(0.5,0),
 zeta=(0.5+0.3i, 0.2-0.1i, 0.1+0.2i).
 """
 
@@ -31,14 +33,18 @@ from qlan import gaussian as gs
 from qlan import metrics as mt
 from time_prepare_blocks import D3, run_sizes
 
-SIZES = [(2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (2, 4096, 30), (3, 16, 4)]
+SIZES = [
+    (2, 64, 30), (2, 128, 30), (3, 8, 3), (3, 10, 3), (2, 1024, 30), (2, 4096, 30), (3, 16, 4),
+    (3, 32, 4),
+]
 
 
-def eigvalsh_calls(fn) -> tuple[int, int]:
-    """Number of np.linalg.eigvalsh calls made by fn(), and how many of them
-    got a real matrix."""
-    eigvalsh = np.linalg.eigvalsh
-    calls = real = 0
+def work_counts(fn) -> tuple[int, int, int]:
+    """Number of np.linalg.eigvalsh calls made by fn(), how many of them got
+    a real matrix, and the pieces of the metrics.chebyshev_curve curves it
+    builds."""
+    eigvalsh, chebyshev_curve = np.linalg.eigvalsh, mt.chebyshev_curve
+    calls = real = pieces = 0
 
     def counted(A, *args, **kwargs):
         nonlocal calls, real
@@ -46,12 +52,18 @@ def eigvalsh_calls(fn) -> tuple[int, int]:
         real += not np.iscomplexobj(A)
         return eigvalsh(A, *args, **kwargs)
 
-    np.linalg.eigvalsh = counted
+    def counted_curve(*args, **kwargs):
+        nonlocal pieces
+        curve = chebyshev_curve(*args, **kwargs)
+        pieces += len(curve.coeffs)
+        return curve
+
+    np.linalg.eigvalsh, mt.chebyshev_curve = counted, counted_curve
     try:
         fn()
     finally:
-        np.linalg.eigvalsh = eigvalsh
-    return calls, real
+        np.linalg.eigvalsh, mt.chebyshev_curve = eigvalsh, chebyshev_curve
+    return calls, real, pieces
 
 
 def time_size(size: tuple[int, int, int], repeats: int) -> dict:
@@ -61,7 +73,7 @@ def time_size(size: tuple[int, int, int], repeats: int) -> dict:
     blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
     out = ch.forward_channel(spec, n, blocks)
     limit = gs.limit_state(spec, theta, fock)
-    calls, real = eigvalsh_calls(lambda: mt.cq_distance(out, limit))
+    calls, real, pieces = work_counts(lambda: mt.cq_distance(out, limit))
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -70,6 +82,7 @@ def time_size(size: tuple[int, int, int], repeats: int) -> dict:
     return {
         "d": d, "n": n, "fock_cutoff": cutoff, "boxes": len(out.cells),
         "eigvalsh_calls": calls, "real_solves": real, "solves_per_box": round(calls / len(out.cells), 2),
+        "curve_pieces": pieces,
         "seconds": seconds,
         "median_s": statistics.median(seconds),
     }

@@ -30,26 +30,30 @@ def box_of(lam: tb.Diagram, n: int, spec: md.Spectrum) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def typical_mask(lams: list[tb.Diagram], n: int, spec: md.Spectrum, alpha: float) -> np.ndarray:
-    """Whether each diagram of n in lams lies in the typical window: every
-    row i has ceil(n mu_i - w) <= lambda_i <= floor(n mu_i + w), with
-    w = n^min(alpha, 1)."""
+def typical_bounds(n: int, spec: md.Spectrum, alpha: float) -> tuple[list[int], list[int]]:
+    """The typical window's row rule: each row i of a typical diagram of n
+    has lo[i-1] = ceil(n mu_i - w) <= lambda_i <= floor(n mu_i + w) =
+    hi[i-1], with w = n^min(alpha, 1).  Each bound is rounded before the
+    rows are compared: at mu = (0.5, 0.3, 0.2), alpha = 0.6, n = 32, w =
+    32**0.6 = 7.999999999999999 and floor(16 + w) = 24 admits lambda_1 = 24,
+    which |lambda_1 - 16| <= w would not."""
     # no row is farther than n from n mu_i; n**alpha overflows at a huge alpha
     w = n ** min(alpha, 1.0)
-    lo = [math.ceil(n * m - w) for m in spec.mu]
-    hi = [math.floor(n * m + w) for m in spec.mu]
+    return [math.ceil(n * m - w) for m in spec.mu], [math.floor(n * m + w) for m in spec.mu]
+
+
+def typical_mask(lams: list[tb.Diagram], n: int, spec: md.Spectrum, alpha: float) -> np.ndarray:
+    """Whether each diagram of n in lams lies in the typical window
+    (typical_bounds)."""
+    lo, hi = typical_bounds(n, spec, alpha)
     rows = tb.row_array(lams, spec.d)
     return ((rows >= lo) & (rows <= hi)).all(axis=1)
 
 
 def typical_diagrams(n: int, spec: md.Spectrum, alpha: float) -> list[tb.Diagram]:
-    """The diagrams of n that typical_mask admits, descending lexicographic.
-    Each bound is rounded before the rows are compared: at mu = (0.5, 0.3,
-    0.2), alpha = 0.6, n = 32, w = 32**0.6 = 7.999999999999999 and
-    floor(16 + w) = 24 admits lambda_1 = 24, which |lambda_1 - 16| <= w
-    would not."""
-    lams = tb.enumerate_diagrams(n, spec.d)
-    return [lam for lam, typical in zip(lams, typical_mask(lams, n, spec, alpha)) if typical]
+    """The diagrams of n in the typical window (typical_bounds), descending
+    lexicographic: enumerate_diagrams walks only the window's rows."""
+    return tb.enumerate_diagrams(n, spec.d, *typical_bounds(n, spec, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ from .errors import ResourceLimitError
 # is sampled at (each level reuses the previous level's points), the share of
 # gaussian.BOX_TOL a box's curve error may take once integrated over the box,
 # and the width, relative to the curve's range, below which a failing piece
-# is not bisected again.
+# is not bisected again.  A piece is accepted once its last two coefficients,
+# summed, are within that share per unit volume: two consecutive coefficients
+# hold one of each parity, so a piece odd or even about its midpoint, whose
+# every other coefficient vanishes, cannot pass on a zero alone.
 CURVE_DEGREES = (4, 8, 16, 32)
-CURVE_SHARE = 1e-2
+CURVE_SHARE = 1e-1
 CURVE_MIN_WIDTH = 1e-12
 
 # A phase-turned matrix whose imaginary part is at most this share of its
@@ -60,9 +63,12 @@ class ChebyshevCurve:
 
 def _chebyshev_piece(f, a: float, b: float, tol: float, fa, fb):
     """Chebyshev coefficients of f on [a, b] at the first CURVE_DEGREES level
-    whose last three coefficients are at most tol (None if none is), and the
-    values at that level's points, f(b) first and f(a) last.  fa and fb are
-    f(a) and f(b) when already known, else None."""
+    whose last two coefficients sum in absolute value to at most tol (None if
+    none does), and the values at that level's points, f(b) first and f(a)
+    last.  Only the tail is tested, so a quadratic passes at degree 4; it is
+    two coefficients, not one, because a piece odd or even about its
+    midpoint has every other coefficient zero.  fa and fb are f(a) and f(b)
+    when already known, else None."""
     vals = None
     for N in CURVE_DEGREES:
         j = np.arange(N + 1)
@@ -81,15 +87,16 @@ def _chebyshev_piece(f, a: float, b: float, tol: float, fa, fb):
         halved[[0, N]] *= 0.5
         coeffs = (2.0 / N) * (np.cos(np.pi * np.outer(j, j) / N) @ halved)
         coeffs[[0, N]] *= 0.5
-        if np.abs(coeffs[-3:]).max() <= tol:
+        if np.abs(coeffs[-2:]).sum() <= tol:
             return coeffs, vals
     return None, vals
 
 
 def chebyshev_curve(f, lo: float, hi: float, kinks, tol: float) -> ChebyshevCurve:
     """Piecewise Chebyshev interpolant of the scalar function f on [lo, hi],
-    cut at the kinks inside the range, a piece accepted once its last three
-    coefficients are at most the absolute tol and bisected if none is; f is
+    cut at the kinks inside the range, a piece accepted once its last two
+    coefficients sum in absolute value to at most the absolute tol (two, so
+    that one of each parity is tested) and bisected if no level does; f is
     evaluated once at each end two pieces share.  A zero-width range
     (lo == hi) is one constant piece f(lo), from one evaluation.  Raises
     ResourceLimitError when a piece narrower than CURVE_MIN_WIDTH of the
@@ -252,10 +259,12 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     (chebyshev_curve), and every point is read from it; they need a positive
     definite Phi.  The top kink is an ordinary edge of the curve, and the
     pieces above it read the linear region from f's closed form, so they take
-    no solve.  The curve is resolved only as far as the box rule can use: its
-    pieces are accepted at CURVE_SHARE * gaussian.BOX_TOL / volume, so its
-    error integrated over the box is a hundredth of the tolerance the rule
-    itself accepts."""
+    no solve.  The curve is resolved only as far as the box rule can use: a
+    piece is accepted once its last two Chebyshev coefficients sum to at most
+    CURVE_SHARE * gaussian.BOX_TOL / volume (two, one of each parity, so a
+    piece symmetric about its midpoint cannot pass on a vanishing one), so
+    the curve's error integrated over the box is about a tenth of the
+    tolerance the rule itself accepts."""
     _check_disjoint(out.cells)
     mean, cov = limit.mean, limit.cov
     Phi = limit.quantum

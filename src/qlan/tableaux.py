@@ -53,22 +53,30 @@ def pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, d) for j in range(i + 1, d + 1))
 
 
-def enumerate_diagrams(n: int, d: int) -> list[Diagram]:
+def enumerate_diagrams(
+    n: int, d: int, lo: list[int] | None = None, hi: list[int] | None = None
+) -> list[Diagram]:
     """All partitions of n into at most d parts, in the descending
-    lexicographic order the recursion yields them."""
+    lexicographic order the recursion yields them; with per-row bounds, only
+    those whose every row lambda_i (zero past the last row) has
+    lo[i-1] <= lambda_i <= hi[i-1], walking no row outside its bounds."""
     if n <= 0 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    lo = [0] * d if lo is None else lo
+    hi = [n] * d if hi is None else hi
 
-    def rec(rest: int, maxpart: int, nparts: int) -> Iterator[tuple[int, ...]]:
-        if rest == 0:
-            yield ()
+    def rec(i: int, rest: int, maxpart: int) -> Iterator[tuple[int, ...]]:
+        if i == d:
+            if rest == 0:
+                yield ()
             return
-        # the nparts rows left, each at most first, must hold rest
-        for first in range(min(rest, maxpart), -(-rest // nparts) - 1, -1):
-            for tail in rec(rest - first, first, nparts - 1):
-                yield (first, *tail)
+        # the d - i rows left, each at most first, must hold rest
+        for first in range(min(rest, maxpart, hi[i]), max(-(-rest // (d - i)), lo[i]) - 1, -1):
+            for tail in rec(i + 1, rest - first, first):
+                # a zero row is followed by zero rows only, which are stripped
+                yield (first, *tail) if first else tail
 
-    return list(rec(n, n, d))
+    return list(rec(0, n, n))
 
 
 def dim_irrep(lam: Diagram, d: int) -> int:

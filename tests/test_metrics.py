@@ -181,6 +181,39 @@ class TestCqDistance:
         assert_reports_close(rep, expected, 1e-10)
         assert len(calls) < 300  # one solve per node takes about 2,960
 
+    def test_d3_curve_matches_tight_curve(self, monkeypatch):
+        # the budgeted curve moves the distance far less than the box rule's
+        # own tolerance: within 1e-8 of a curve resolved a thousand times
+        # finer, at higher degrees
+        theta = md.LocalParams((0.5, 0.0), (0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j))
+        fock = gs.FockSpec(3, 3)
+        blocks = ch.prepare_blocks(SPEC3, theta, 8, fock, alpha=0.6)
+        out = ch.forward_channel(SPEC3, 8, blocks)
+        limit = gs.limit_state(SPEC3, theta, fock)
+        rep = mt.cq_distance(out, limit)
+        monkeypatch.setattr(mt, "CURVE_SHARE", mt.CURVE_SHARE * 1e-3)
+        monkeypatch.setattr(mt, "CURVE_DEGREES", (8, 16, 32, 64))
+        assert_reports_close(rep, mt.cq_distance(out, limit), 1e-8)
+
+    def test_d2_reads_no_curve(self, monkeypatch):
+        # one-axis boxes solve per point: the default config at n=64 builds
+        # no trace-norm curve
+        config = ex.ExperimentConfig(n_list=(64,))
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
+        out = ch.forward_channel(spec, 64, blocks)
+        limit = gs.limit_state(spec, theta, fock)
+        calls = []
+        chebyshev_curve = mt.chebyshev_curve
+
+        def counted(*args):
+            calls.append(1)
+            return chebyshev_curve(*args)
+
+        monkeypatch.setattr(mt, "chebyshev_curve", counted)
+        mt.cq_distance(out, limit)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "mu, u, bound",
         [
@@ -421,6 +454,34 @@ class TestTraceNormCurve:
         rng = np.random.default_rng(0)
         with pytest.raises(ResourceLimitError):
             mt.chebyshev_curve(lambda t: rng.random(), 0.0, 1.0, (), 1e-10)
+
+    def test_quadratic_is_one_degree_four_piece(self):
+        # only the tail is tested: t^2 has c2 = 1/8 and nothing past it, so
+        # it is accepted at degree 4, from 5 evaluations
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t * t
+
+        curve = mt.chebyshev_curve(f, 0.0, 1.0, (), 1e-10)
+        assert len(calls) == 5
+        assert len(curve.coeffs) == 1
+        ts = np.linspace(0.0, 1.0, 101)
+        assert np.abs(curve(ts) - ts**2).max() <= 1e-14
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-11])
+    def test_odd_about_midpoint_within_budget(self, tol):
+        # sin(40(t - 1/2)) is odd about the range's midpoint, so every even
+        # coefficient of its one-piece series vanishes, the last one among
+        # them: a rule reading only the last coefficient would accept the
+        # degree-4 interpolant, which is off by about 1
+        def f(t):
+            return math.sin(40.0 * (t - 0.5))
+
+        curve = mt.chebyshev_curve(f, 0.0, 1.0, (), tol)
+        ts = np.linspace(0.0, 1.0, 1001)
+        assert np.abs(curve(ts) - np.sin(40.0 * (ts - 0.5))).max() <= tol
 
     def test_no_solve_above_top_kink(self, monkeypatch):
         rng = np.random.default_rng(11)

@@ -18,7 +18,7 @@ ROW_KEYS = {
     "time_decompose.py": {"d", "n", "diagrams", "seconds", "median_s"},
     "time_cq_distance.py": {
         "d", "n", "fock_cutoff", "boxes", "eigvalsh_calls", "real_solves",
-        "solves_per_box", "seconds", "median_s",
+        "solves_per_box", "curve_pieces", "seconds", "median_s",
     },
 }
 

@@ -112,6 +112,22 @@ class TestEnumerateDiagrams:
             assert all(a > b for a, b in zip(out, out[1:])), (n, d)
             assert len(out) == count(n, d), (n, d)
 
+    def test_bounds_equal_row_filter(self):
+        # bounds keep exactly the diagrams whose every row, zeros past the
+        # last included, lies inside them; lo > 0 on the last row drops the
+        # shorter diagrams, negative or past-n bounds drop nothing
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4):
+            for n in range(1, 25):
+                for _ in range(6):
+                    lo = rng.integers(-3, n // d + 3, size=d).tolist()
+                    hi = rng.integers(n // d - 2, n + 3, size=d).tolist()
+                    expected = [
+                        lam for lam in tb.enumerate_diagrams(n, d)
+                        if all(lo[i - 1] <= tb.row(lam, i) <= hi[i - 1] for i in range(1, d + 1))
+                    ]
+                    assert tb.enumerate_diagrams(n, d, lo, hi) == expected, (n, d, lo, hi)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             tb.enumerate_diagrams(0, 2)
