@@ -4,7 +4,9 @@
 Usage: python scripts/snapshot_outputs.py OUTDIR
 
 Runs, through `qlan.cli.main`: `converge` at the default config (CSV and
-JSON) and at n=64,128 (JSON), `converge` at mu=0.95,0.05, u=0, n=64,128
+JSON) and at n=64,128 (JSON), `converge` at zeta=0 with n=64,128 (JSON; the
+only converge run with unrotated block states and an undisplaced limit,
+whose phase turn is by angle 0), `converge` at mu=0.95,0.05, u=0, n=64,128
 (JSON; its limit state is not numerically positive definite, so every
 quadrature node is solved), `converge` at fock cutoff 150 with n=320
 (JSON; its blocks share first-class unions of more than 2**14 entries),
@@ -34,6 +36,7 @@ RUNS = {
     "converge.csv": ["converge"],
     "converge.json": ["converge", "--format", "json"],
     "converge_n64_128.json": ["converge", "--n-list", "64,128", "--format", "json"],
+    "converge_zeta0.json": ["converge", "--zeta", "0", "--n-list", "64,128", "--format", "json"],
     "converge_singular_limit.json": [
         "converge", "--mu", "0.95,0.05", "--u", "0", "--n-list", "64,128", "--format", "json",
     ],

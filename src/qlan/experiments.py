@@ -359,18 +359,19 @@ def _most_probable_diagram(spec: md.Spectrum, n: int) -> tb.Diagram:
 
 
 def _verify_len0() -> dict:
-    """Unperturbed typical blocks approach the thermal equilibrium state."""
+    """Unperturbed typical blocks approach the thermal equilibrium state: the
+    forward channel's cell of the most probable diagram against the limit's
+    quantum state at zeta = 0."""
     spec = md.Spectrum((0.7, 0.3))
     theta = md.LocalParams((0.5,), (0j,))
     fock = gs.FockSpec(2, FOCK_CUTOFF)
-    th = gs.tensor_modes([gs.thermal(b, fock.cutoff) for b in gs.mode_betas(spec)])
+    th = gs.limit_state(spec, theta, fock).quantum
     dists = {}
     for n in (25, 200):
+        blocks = ch.prepare_blocks(spec, theta, n, fock, ALPHA)
+        cells = ch.forward_channel(spec, n, blocks).cells
         lam = _most_probable_diagram(spec, n)
-        (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
-        iso = ch.build_isometry(basis, fock)
-        _, (state,) = md.block_states([basis], spec, theta, n)
-        phi = iso @ state.matrix @ iso.conj().T
+        phi = cells[[bd.lam for bd in blocks].index(lam)].quantum
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
     passed = dists[200] < dists[25] and dists[200] < 0.15
@@ -448,7 +449,8 @@ def _verify_lclassical() -> dict:
             lams = ch.typical_diagrams(n, spec, ALPHA)
             weights, _ = md.block_weights(lams, md.perturbed_spectrum(spec, u, n), n)
             cells = [ch.Cell(*ch.box_of(lam, n, spec), w, None) for lam, w in zip(lams, weights)]
-            vals.append(mt.classical_l1(cells, mean, cov))
+            rules = [gs.box_rule(c.lo, c.hi, mean, cov) for c in cells]
+            vals.append(mt.classical_l1(cells, rules)[0])
         results[f"d{d}"] = vals
         passed = passed and vals[0] > vals[1] > vals[2]
     return _report("lclassical", passed, results)

@@ -200,33 +200,29 @@ def _height(c) -> float:
     return c.weight / math.prod(float(h - l) for l, h in zip(c.lo, c.hi))
 
 
-def _cell_classical(c, rule) -> tuple[float, float]:
-    """|height - density| integrated over one cell's box, and the box's
-    Gaussian mass, both by the box's rule."""
-    height = _height(c)
-    l1 = gs.box_integral(lambda t: np.abs(height - t), rule)
-    return l1, gs.box_integral(lambda t: t, rule)
-
-
-def classical_l1(cells, mean: np.ndarray, cov: np.ndarray) -> float:
+def classical_l1(cells, rules) -> tuple[float, tuple[float, ...]]:
     """L1 distance between the piecewise-constant box mixture and the
-    Gaussian: per-box quadrature of |height - density| plus the Gaussian mass
-    outside all boxes."""
+    Gaussian, and the Gaussian mass of each cell's box in cell order.  rules
+    holds one gaussian.box_rule per cell, in cell order; each box's
+    |height - density| and mass are integrated by its rule, and the L1 adds
+    the Gaussian mass outside all boxes.  Raises ValueError when two boxes
+    overlap."""
     _check_disjoint(cells)
     total = 0.0
-    inside = 0.0
-    for c in cells:
-        l1, mass = _cell_classical(c, gs.box_rule(c.lo, c.hi, mean, cov))
-        total += l1
-        inside += mass
-    return total + max(0.0, 1.0 - inside)
+    masses = []
+    for c, rule in zip(cells, rules, strict=True):
+        height = _height(c)
+        total += gs.box_integral(lambda t: np.abs(height - t), rule)
+        masses.append(gs.box_integral(lambda t: t, rule))
+    return total + max(0.0, 1.0 - sum(masses)), tuple(masses)
 
 
 @dataclass(frozen=True)
 class DistanceReport:
     """Total distance with its named diagnostic components, which dominate
     the total by the triangle inequality, and the Gaussian mass of each
-    cell's box in cell order (what channels.reverse_channel places)."""
+    cell's box in cell order (what channels.reverse_channel places).
+    classical and box_masses are what classical_l1 returns for the cells."""
 
     total: float
     classical: float
@@ -240,8 +236,10 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     limit: on each box, the integral of ||rho(x) Phi - B||_1 with rho the
     Gaussian density, Phi the limit's quantum state and B the box's height
     times its state.  The integrand depends on x only through t = rho(x), so
-    every term of a box is read from the densities of its one box rule, and
-    the box's pencil (B, Phi) takes one eigensolve (trace_norm_fn): at and
+    every term of a box is read from the densities of its one box rule: the
+    rules are built once per call, classical_l1 takes the classical term and
+    the box masses from them, and the quantum term reads the same rules.  The
+    box's pencil (B, Phi) takes one eigensolve (trace_norm_fn): at and
     above its top kink the integrand is the trace t Tr Phi - Tr B.  On boxes
     with one axis (d = 2) the quantum term takes one Hermitian eigensolve per
     quadrature point below the top kink and none above it, since a 1-D rule
@@ -265,10 +263,10 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     piece symmetric about its midpoint cannot pass on a vanishing one), so
     the curve's error integrated over the box is about a tenth of the
     tolerance the rule itself accepts."""
-    _check_disjoint(out.cells)
-    mean, cov = limit.mean, limit.cov
+    rules = [gs.box_rule(c.lo, c.hi, limit.mean, limit.cov) for c in out.cells]
+    classical, masses = classical_l1(out.cells, rules)
     Phi = limit.quantum
-    one_axis = len(mean) == 1
+    one_axis = len(limit.mean) == 1
     try:
         Phi_isqrt = _inverse_sqrt(Phi)
     except ResourceLimitError:
@@ -280,12 +278,8 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     if Phi_isqrt is not None:
         Phi_isqrt = turn(Phi_isqrt)
     total = 0.0
-    inside = 0.0
-    masses = []
-    classical = 0.0
     qsup = 0.0
-    for c in out.cells:
-        rule = gs.box_rule(c.lo, c.hi, mean, cov)
+    for c, rule in zip(out.cells, rules):
         state = turn(c.quantum)
         B = _height(c) * state
         f, kinks = trace_norm_fn(Phi, Phi_isqrt, B)
@@ -298,20 +292,14 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
             tol = CURVE_SHARE * gs.BOX_TOL / rule[0][1].sum()  # the weights sum to the volume
             integrand = chebyshev_curve(f, tmin, tmax, kinks, tol)
         total += gs.box_integral(integrand, rule)
-        l1, mass = _cell_classical(c, rule)
-        classical += l1
-        inside += mass
-        masses.append(mass)
         qsup = max(qsup, trace_distance(Phi, state / float(np.trace(state).real)))
-    outside = max(0.0, 1.0 - inside)
-    total += outside + out.neglected_mass
-    classical += outside
+    total += max(0.0, 1.0 - sum(masses)) + out.neglected_mass
     return DistanceReport(
         total=total,
         classical=classical,
         quantum_sup=qsup,
         atypical=out.neglected_mass,
-        box_masses=tuple(masses),
+        box_masses=masses,
     )
 
 

@@ -43,7 +43,7 @@ def test_sizes_float_differences(cs, monkeypatch, capsys, tmp_path):
     new = snapshot(tmp_path / "new", cs, record=moved, table="n,total\n8,0.5\n16,0.2500000001\n")
     code, lines = run(cs, monkeypatch, capsys, old, new)
     assert code == 0
-    assert len(lines) == len(cs.all_runs()) == 20
+    assert len(lines) == len(cs.all_runs()) == 21
     assert lines["converge.json"] == (
         "max abs diff 3e-14 at .rows[0].total (0.5 against 0.50000000000003)")
     assert lines["converge.csv"] == (

@@ -66,11 +66,16 @@ def make_cells(n, spec, u, alpha=0.6):
     return cells
 
 
+def box_rules(cells, mean, cov):
+    return [gs.box_rule(c.lo, c.hi, mean, cov) for c in cells]
+
+
 class TestClassicalL1:
     def test_disjoint_supports(self):
         cells = [ch.Cell(np.array([100.0]), np.array([101.0]), 1.0, None)]
         mean, cov = np.array([0.0]), np.array([[1.0]])
-        assert mt.classical_l1(cells, mean, cov) == pytest.approx(2.0, abs=1e-8)
+        l1, _ = mt.classical_l1(cells, box_rules(cells, mean, cov))
+        assert l1 == pytest.approx(2.0, abs=1e-8)
 
     def test_exact_discretization_small(self):
         # boxes whose masses are the exact Gaussian masses leave only the
@@ -82,7 +87,9 @@ class TestClassicalL1:
             lo, hi = np.array([a]), np.array([b])
             w = gs.box_integral(lambda t: t, gs.box_rule(lo, hi, mean, cov))
             cells.append(ch.Cell(lo, hi, w, None))
-        assert mt.classical_l1(cells, mean, cov) < 0.02
+        l1, masses = mt.classical_l1(cells, box_rules(cells, mean, cov))
+        assert l1 < 0.02
+        assert masses == tuple(c.weight for c in cells)
 
     def test_overlapping_boxes_rejected(self):
         cells = [
@@ -90,15 +97,29 @@ class TestClassicalL1:
             ch.Cell(np.array([0.5]), np.array([1.5]), 0.5, None),
         ]
         with pytest.raises(ValueError):
-            mt.classical_l1(cells, np.array([0.0]), np.array([[1.0]]))
+            mt.classical_l1(cells, box_rules(cells, np.array([0.0]), np.array([[1.0]])))
+
+    def test_one_rule_per_cell(self):
+        cells = [ch.Cell(np.array([0.0]), np.array([1.0]), 0.5, None)]
+        rules = box_rules(cells, np.array([0.0]), np.array([[1.0]]))
+        with pytest.raises(ValueError):
+            mt.classical_l1(cells, rules + rules)
 
     def test_decreasing_in_n(self):
         mean, cov = np.array([0.5]), md.covariance(SPEC2)
-        vals = [
-            mt.classical_l1(make_cells(n, SPEC2, (0.5,)), mean, cov)
-            for n in (25, 400)
-        ]
+        vals = []
+        for n in (25, 400):
+            cells = make_cells(n, SPEC2, (0.5,))
+            vals.append(mt.classical_l1(cells, box_rules(cells, mean, cov))[0])
         assert vals[1] < vals[0]
+
+    def test_verify_matches_converge(self):
+        # the lemma and the sweep read the classical term from one function,
+        # so the same cells give the same bits
+        config = ex.ExperimentConfig(zeta=(0j,), n_list=(25, 100, 400), fock_cutoff=2)
+        rows = ex.run_converge(config)["rows"]
+        expected = ex.run_verify("lclassical")["values"]["d2"]
+        assert [row["classical"] for row in rows] == expected
 
 
 @pytest.fixture(scope="module")
@@ -387,23 +408,27 @@ def per_node_cq_distance(out, limit) -> mt.DistanceReport:
     of the box rule, on boxes of any dimension."""
     Phi = limit.quantum
     total = 0.0
+    classical = 0.0
     inside = 0.0
     masses = []
     qsup = 0.0
     for c in out.cells:
-        B = c.weight / float(np.prod(c.hi - c.lo)) * c.quantum
+        height = c.weight / float(np.prod(c.hi - c.lo))
+        B = height * c.quantum
         rule = gs.box_rule(c.lo, c.hi, limit.mean, limit.cov)
 
         def integrand(dens):
             return np.array([mt.trace_distance(t * Phi, B) for t in dens])
 
         total += gs.box_integral(integrand, rule)
+        classical += gs.box_integral(lambda t: np.abs(height - t), rule)
         masses.append(gs.box_integral(lambda t: t, rule))
         inside += masses[-1]
         qsup = max(qsup, mt.trace_distance(Phi, c.quantum / np.trace(c.quantum).real))
+    outside = max(0.0, 1.0 - inside)
     return mt.DistanceReport(
-        total=total + max(0.0, 1.0 - inside) + out.neglected_mass,
-        classical=mt.classical_l1(out.cells, limit.mean, limit.cov),
+        total=total + outside + out.neglected_mass,
+        classical=classical + outside,
         quantum_sup=qsup,
         atypical=out.neglected_mass,
         box_masses=tuple(masses),
@@ -597,6 +622,17 @@ class TestSymmetry:
     def test_d2_phase_turn(self):
         config = ex.ExperimentConfig(n_list=(64, 128))
         self.assert_same_rows(config, tuple(z * complex(np.exp(0.7j)) for z in config.zeta))
+
+    def test_d2_zeta0_number_diagonal(self):
+        # at zeta = 0 no block is rotated and Phi is thermal, so at d = 2 every
+        # forward cell state and Phi are diagonal in the number basis, exactly
+        config = ex.ExperimentConfig(zeta=(0j,))
+        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
+        states = [c.quantum for c in ch.forward_channel(spec, 64, blocks).cells]
+        states.append(gs.limit_state(spec, theta, fock).quantum)
+        for A in states:
+            assert np.count_nonzero(A - np.diag(np.diagonal(A))) == 0
 
 
 class TestSnDistance:
