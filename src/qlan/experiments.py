@@ -1,5 +1,8 @@
 """Experiment drivers: convergence sweeps, lemma verifiers, and block
-decomposition dumps, with deterministic CSV/JSON serialization."""
+decomposition dumps, with deterministic CSV/JSON serialization.  Each lemma
+verifier checks functions that converge or decompose run: the prepared
+blocks, the pairing transfer, the forward channel, the block weights and
+the classical L1."""
 
 from __future__ import annotations
 
@@ -249,57 +252,52 @@ def _report(lemma: str, passed: bool, values: dict) -> dict:
 
 def _verify_dims() -> dict:
     """Completeness of the block decomposition: Sum_lam dim * multiplicity
-    = d^n as exact integers for d <= 4 and n <= 25, and dim counts
-    semistandard fillings."""
+    = d^n as exact integers for d <= 4 and n <= 25, with the multiplicities
+    decompose prints, and dim counts semistandard fillings for n <= 12."""
     checks = []
-    ok = True
     for d in (2, 3, 4):
         for n in range(1, 26):
-            s = sum(
-                tb.dim_irrep(lam, d) * tb.multiplicity(lam, n, d)
-                for lam in tb.enumerate_diagrams(n, d)
-            )
+            lams = tb.enumerate_diagrams(n, d)
+            s = sum(tb.dim_irrep(lam, d) * mult
+                    for lam, mult in zip(lams, tb.multiplicities(lams, n, d)))
             if s != d**n:
-                ok = False
                 checks.append({"d": d, "n": n, "sum": str(s), "expected": str(d**n)})
-    ssyt_ok = True
-    for d in (2, 3):
-        for n in range(1, 13):
-            for lam in tb.enumerate_diagrams(n, d):
-                count = len(tb.enumerate_m_vectors(lam, d, max_weight=n))
-                if count != tb.dim_irrep(lam, d):
-                    ssyt_ok = False
+    ssyt_ok = all(
+        len(tb.enumerate_m_vectors(lam, d, max_weight=n)) == tb.dim_irrep(lam, d)
+        for d in (2, 3, 4)
+        for n in range(1, 13)
+        for lam in tb.enumerate_diagrams(n, d)
+    )
     return _report(
         "dims",
-        ok and ssyt_ok,
+        not checks and ssyt_ok,
         {"identity_failures": checks, "semistandard_count_ok": ssyt_ok},
     )
 
 
 def _verify_formdet() -> dict:
-    """Determinant-product overlap against direct column antisymmetrization."""
+    """The production block bases and pairing transfer against the
+    normalized Young-symmetrizer images v_m of the canonical fillings on the
+    full tensor space, for every diagram of n <= 6 at d = 2, 3: the Gram
+    matrix against V*V and, at 20 Haar unitaries U, the orbit sums over the
+    norms (the determinant-product formula) against V* U^(x n) V."""
     rng = np.random.default_rng(20240601)
     worst = 0.0
     for n in range(1, 7):
         for d in (2, 3):
-            for lam in tb.enumerate_diagrams(n, d):
-                basis = [
-                    orc.canonical_tableau(lam, m, d)
-                    for m in tb.enumerate_m_vectors(lam, d, max_weight=n)
-                ]
+            lams = tb.enumerate_diagrams(n, d)
+            for lam, basis in zip(lams, sw.block_bases(lams, d, max_weight=n)):
+                cols = [orc.tableau_vector_index(orc.canonical_tableau(lam, m, d), d)
+                        for m in basis.mvectors.tolist()]
+                V = orc.young_symmetrizer_matrix(lam, n, d)[:, cols]
+                V = V / np.linalg.norm(V, axis=0)
+                worst = max(worst, np.abs(basis.gram - V.T @ V).max())
+                norms = np.outer(basis.norms, basis.norms)
                 for _ in range(20):
                     U = orc.haar_unitary(d, rng)
-                    Umat = gs.tensor_modes([U] * n)
-                    Q = orc.column_antisymmetrizer_matrix(lam, n, d)
-                    for ta in basis[:2]:
-                        for tc in basis[:2]:
-                            va = np.zeros(d**n)
-                            va[orc.tableau_vector_index(ta, d)] = 1.0
-                            vb = np.zeros(d**n)
-                            vb[orc.tableau_vector_index(tc, d)] = 1.0
-                            lhs = orc.minor_det_product(U, ta, tc)
-                            rhs = (Q @ va).conj() @ Umat @ vb
-                            worst = max(worst, abs(lhs - rhs))
+                    (W,) = sw.pairing_matrices([lam], d, U, [basis.mvectors])
+                    rhs = V.T @ gs.tensor_modes([U] * n) @ V
+                    worst = max(worst, np.abs(W / norms - rhs).max())
     return _report("formdet", worst <= 1e-10, {"max_abs_error": worst})
 
 
@@ -351,27 +349,26 @@ def _verify_nonorth() -> dict:
     )
 
 
-def _most_probable_diagram(spec: md.Spectrum, n: int) -> tb.Diagram:
-    cands = ch.typical_diagrams(n, spec, ALPHA)
-    vals = md.perturbed_spectrum(spec, (0.0,) * (spec.d - 1), n)
-    weights, _ = md.block_weights(cands, vals, n)
-    return cands[int(np.argmax(weights))]
+def _heaviest_block(
+    spec: md.Spectrum, theta: md.LocalParams, n: int
+) -> tuple[list[ch.BlockData], int]:
+    """The blocks prepare_blocks gives at theta, at the verifiers' window
+    and Fock cutoff, and the index of the heaviest."""
+    blocks = ch.prepare_blocks(spec, theta, n, gs.FockSpec(spec.d, FOCK_CUTOFF), ALPHA)
+    return blocks, int(np.argmax([bd.weight for bd in blocks]))
 
 
 def _verify_len0() -> dict:
-    """Unperturbed typical blocks approach the thermal equilibrium state: the
-    forward channel's cell of the most probable diagram against the limit's
-    quantum state at zeta = 0."""
+    """Typical blocks without rotation approach the thermal equilibrium
+    state: the forward channel's cell of the heaviest prepared block against
+    the limit's quantum state at zeta = 0."""
     spec = md.Spectrum((0.7, 0.3))
     theta = md.LocalParams((0.5,), (0j,))
-    fock = gs.FockSpec(2, FOCK_CUTOFF)
-    th = gs.limit_state(spec, theta, fock).quantum
+    th = gs.limit_state(spec, theta, gs.FockSpec(2, FOCK_CUTOFF)).quantum
     dists = {}
     for n in (25, 200):
-        blocks = ch.prepare_blocks(spec, theta, n, fock, ALPHA)
-        cells = ch.forward_channel(spec, n, blocks).cells
-        lam = _most_probable_diagram(spec, n)
-        phi = cells[[bd.lam for bd in blocks].index(lam)].quantum
+        blocks, heaviest = _heaviest_block(spec, theta, n)
+        phi = ch.forward_channel(spec, n, blocks).cells[heaviest].quantum
         phi = phi / float(np.trace(phi).real)
         dists[n] = mt.trace_distance(phi, th)
     passed = dists[200] < dists[25] and dists[200] < 0.15
@@ -379,18 +376,17 @@ def _verify_len0() -> dict:
 
 
 def _verify_ldisplacement() -> dict:
-    """Rotated lowest-weight vectors converge to the matching coherent state."""
+    """Rotated lowest-weight vectors of the heaviest prepared block converge
+    to the matching coherent state."""
     spec = md.Spectrum((0.7, 0.3))
     zeta = (0.5 + 0.3j,)
-    fock = gs.FockSpec(2, FOCK_CUTOFF)
-    target = gs.coherent_vector(zeta[0], fock.cutoff)
+    target = gs.coherent_vector(zeta[0], FOCK_CUTOFF)
     vals = []
     for n in (25, 100, 400):
-        lam = _most_probable_diagram(spec, n)
-        (basis,) = sw.block_bases([lam], 2, max_weight=fock.cutoff)
-        iso = ch.build_isometry(basis, fock)
-        (B,) = sw.block_unitaries([basis], md.rotation_unitary(spec, zeta, n))
-        psi = iso @ (B @ basis.lowest_weight)
+        blocks, heaviest = _heaviest_block(spec, md.LocalParams((0.0,), (0j,)), n)
+        bd = blocks[heaviest]
+        (B,) = sw.block_unitaries([bd.basis], md.rotation_unitary(spec, zeta, n))
+        psi = bd.isometry @ (B @ bd.basis.lowest_weight)
         vals.append(1.0 - abs(target.conj() @ psi) ** 2)
     passed = vals[0] > vals[1] > vals[2] and vals[2] < 0.1
     return _report("ldisplacement", passed, {"defects": vals})
@@ -398,9 +394,9 @@ def _verify_ldisplacement() -> dict:
 
 def _group_limit_defect(spec: md.Spectrum, zeta: complex, z: complex, n: int) -> float:
     """|| [rotate(zeta+z) - rotate(zeta) rotate(z)] applied to the lowest
-    weight vector ||_1 on the most probable block."""
-    lam = _most_probable_diagram(spec, n)
-    (basis,) = sw.block_bases([lam], 2, max_weight=FOCK_CUTOFF)
+    weight vector ||_1 on the heaviest prepared block."""
+    blocks, heaviest = _heaviest_block(spec, md.LocalParams((0.0,), (0j,)), n)
+    basis = blocks[heaviest].basis
     e0 = basis.lowest_weight
 
     def rotate(w):
@@ -457,31 +453,26 @@ def _verify_lclassical() -> dict:
 
 
 def _verify_lconcentration() -> dict:
-    """Mass outside the typical window is small; exact multinomial tails obey
-    the Hoeffding bound."""
+    """Concentration of the Schur-Weyl measure at theta = 0 and n = 400: the
+    forward channel neglects less than 5% of the mass, that mass is the
+    summed block weights of the diagrams typical_mask rejects, and the
+    weights of all diagrams sum to 1."""
     spec = md.Spectrum((0.7, 0.3))
+    theta = md.LocalParams((0.0,), (0j,))
     n = 400
-    weights, _ = md.block_weights(ch.typical_diagrams(n, spec, ALPHA),
-                                  md.perturbed_spectrum(spec, (0.0,), n), n)
-    typical_mass = sum(weights)
-    atypical = max(0.0, 1.0 - typical_mass)
-    hoeffding_ok = True
-    samples = []
-    for nn in (50, 100, 200):
-        p = 0.7
-        ks = np.arange(nn + 1)
-        pmf = np.array([md.multinomial_pmf((k, nn - k), (p, 1 - p)) for k in ks])
-        for t in (0.05, 0.1, 0.2):
-            tail = float(pmf[np.abs(ks - nn * p) >= t * nn].sum())
-            bound = 2.0 * math.exp(-2.0 * nn * t * t)
-            samples.append({"n": nn, "t": t, "tail": tail, "bound": bound})
-            if tail > bound + 1e-12:
-                hoeffding_ok = False
-    passed = atypical < 0.05 and hoeffding_ok
+    blocks = ch.prepare_blocks(spec, theta, n, gs.FockSpec(2, FOCK_CUTOFF), ALPHA)
+    neglected = ch.forward_channel(spec, n, blocks).neglected_mass
+    lams = tb.enumerate_diagrams(n, 2)
+    weights, _ = md.block_weights(lams, md.perturbed_spectrum(spec, theta.u, n), n)
+    weights = np.array(weights)
+    rejected = float(weights[~ch.typical_mask(lams, n, spec, ALPHA)].sum())
+    total = float(weights.sum())
+    passed = (neglected < 0.05 and abs(neglected - rejected) <= 1e-12
+              and abs(total - 1.0) <= 1e-12)
     return _report(
         "lconcentration",
         passed,
-        {"atypical_mass": atypical, "hoeffding": samples},
+        {"neglected_mass": neglected, "rejected_weight": rejected, "total_weight": total},
     )
 
 

@@ -209,10 +209,3 @@ def covariance(spec: Spectrum) -> np.ndarray:
     mu = np.array(spec.mu[: d - 1])
     return np.diag(mu) - np.outer(mu, mu)
 
-
-def multinomial_pmf(counts: tuple[int, ...], probs: tuple[float, ...]) -> float:
-    n = sum(counts)
-    coef = math.factorial(n)
-    for c in counts:
-        coef //= math.factorial(c)
-    return coef * math.prod(p**c for p, c in zip(probs, counts))

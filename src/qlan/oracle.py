@@ -1,8 +1,10 @@
 """Reference constructions the production path is checked against, read
-only by the tests and the `formdet` lemma verifier: tableaux (tuples of row
-tuples, entries in 1..d) and their orbits, orbit sums by explicit
-enumeration, explicit Young symmetrizers on the full tensor space, and
-direct forms of the model and of its Gaussian limit."""
+only by the tests and the `formdet` lemma verifier (which checks the block
+bases and the pairing transfer against the Young-symmetrizer images of
+the canonical fillings): tableaux (tuples of row tuples, entries in 1..d)
+and their orbits, orbit sums by explicit enumeration, explicit Young
+symmetrizers on the full tensor space, the hook formulas, and direct forms
+of the model and of its Gaussian limit."""
 
 from __future__ import annotations
 
@@ -379,7 +381,7 @@ def brute_force_blocks(
         B = Uleft[:, :rank]
         block = B.conj().T @ rho_n @ B
         raw_trace = float(np.trace(block).real)
-        weight = tb.multiplicity(lam, n, d) * raw_trace
+        weight = multiplicity_hooks(lam, n) * raw_trace
         spectrum = np.sort(np.linalg.eigvalsh(block / raw_trace))[::-1]
         out.append((lam, weight, spectrum))
     return out

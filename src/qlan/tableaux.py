@@ -105,14 +105,6 @@ def multiplicities(lams: list[Diagram], n: int, d: int) -> list[int]:
     return out
 
 
-def multiplicity(lam: Diagram, n: int, d: int) -> int:
-    """multiplicities of the one diagram lam."""
-    lam = check_diagram(lam, d)
-    if sum(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    return multiplicities([lam], n, d)[0]
-
-
 def m_vector_rows(
     lams: list[Diagram], d: int, max_weight: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,8 @@ import pytest
 from qlan import channels as ch
 from qlan import cli
 from qlan import experiments as ex
+from qlan import gaussian as gs
+from qlan import metrics as mt
 from qlan import models as md
 from qlan import oracle as orc
 from qlan import schur_weyl as sw
@@ -217,6 +219,50 @@ class TestRunners:
     def test_proportional_diagram(self):
         assert ex.proportional_diagram(13, (0.5, 0.3, 0.2)) == (7, 4, 2)
         assert ex.proportional_diagram(10, (0.5, 0.3, 0.2)) == (5, 3, 2)
+
+
+class TestVerifierFaults:
+    """Each retargeted lemma reads the production function it checks: a
+    fault seeded there makes it fail, or moves what it reads."""
+
+    def test_formdet_fails_under_perturbed_pairing(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        orig = sw.pairing_matrices
+
+        def perturbed(*args):
+            return [W * (1 + 1e-8 * rng.standard_normal(W.shape)) for W in orig(*args)]
+
+        monkeypatch.setattr(sw, "pairing_matrices", perturbed)
+        result = ex.run_verify("formdet")
+        assert not result["passed"]
+        assert result["values"]["max_abs_error"] > 1e-10
+
+    def test_lconcentration_fails_under_scaled_weights(self, monkeypatch):
+        orig = md.block_weights
+
+        def scaled(*args):
+            weights, log_s = orig(*args)
+            return [w * (1 + 1e-9) for w in weights], log_s
+
+        monkeypatch.setattr(md, "block_weights", scaled)
+        assert not ex.run_verify("lconcentration")["passed"]
+
+    def test_len0_reads_heaviest_prepared_block(self, monkeypatch):
+        seen = []
+        orig = mt.trace_distance
+        monkeypatch.setattr(mt, "trace_distance", lambda a, b: seen.append(a) or orig(a, b))
+        ex.run_verify("len0")
+        spec = md.Spectrum((0.7, 0.3))
+        theta = md.LocalParams((0.5,), (0j,))
+        fock = gs.FockSpec(2, ex.FOCK_CUTOFF)
+        heaviest = []
+        for n, phi in zip((25, 200), seen, strict=True):
+            bd = max(ch.prepare_blocks(spec, theta, n, fock, ex.ALPHA), key=lambda b: b.weight)
+            cell = bd.isometry @ bd.state.matrix @ bd.isometry.conj().T
+            np.testing.assert_array_equal(phi, cell / float(np.trace(cell).real))
+            heaviest.append(bd.lam)
+        # at u = 0 the heaviest blocks are (18, 7) and (141, 59)
+        assert heaviest == [(21, 4), (148, 52)]
 
 
 class TestSerialization:

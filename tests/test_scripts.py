@@ -1,6 +1,7 @@
 """Smoke tests for the timing scripts: each one's smallest size, one repeat,
-in a new Python process, as the scripts run their sizes themselves; and the
-commit their provenance line names."""
+in a new Python process, as the scripts run their sizes themselves; the
+commit their provenance line names; and the exit status and report of
+scripts/verify_all.py over stub lemmas."""
 
 import json
 import os
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qlan import experiments as ex
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +57,20 @@ def test_provenance_follows_imported_qlan(tmp_path):
     row = json.loads(done.stdout)
     assert row["git_sha"] is None
     assert row["git_dirty"] is None
+
+
+def _stub(lemma, passed):
+    return lambda: {"lemma": lemma, "passed": passed, "values": {"defect": 0.25}}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["all-pass", "one-fails"])
+def test_verify_all_status(failing, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import verify_all
+
+    monkeypatch.setattr(ex, "VERIFIERS", {"alpha": _stub("alpha", True),
+                                          "beta": _stub("beta", not failing)})
+    assert verify_all.main() == (1 if failing else 0)
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"{'alpha':16s} PASS", f"{'beta':16s} {'FAIL' if failing else 'PASS'}"]
+    assert out[2:] == (["  values: {'defect': 0.25}"] if failing else [])
