@@ -74,6 +74,11 @@ def _chebyshev_piece(f, a: float, b: float, tol: float, fa, fb):
         j = np.arange(N + 1)
         ts = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / N)
         ts[[0, N]] = b, a  # exact ends, shared with the neighbouring pieces
+        # f is called one point at a time: one stacked eigvalsh call per
+        # level gained nothing on d=3's 64x64 complex solves (converge-d3
+        # wall_ref 2.148 -> 2.178 over 6 pairs) and raised peak RSS by
+        # 0.7 MB (1.5 MB at n=16, fock_cutoff 4; BENCH_stacked_levels.json),
+        # unlike d=2's 31x31 real ones
         if vals is None:
             ends = (f(b) if fb is None else fb, f(a) if fa is None else fa)
             vals = np.array([ends[0], *map(f, ts[1:N]), ends[1]])
@@ -165,11 +170,14 @@ def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
     ascending, from one eigensolve.  f is convex, and analytic between its
     kinks.  At and above the top kink t Phi - B is positive semidefinite
     (Sylvester's inertia), so there f reads the linear region from its closed
-    form, the trace t Tr Phi - Tr B, with no solve; below it, f takes one.
-    A curve of f cut at the kinks (chebyshev_curve) reads its pieces above
-    the top kink from that closed form too.  Phi_isqrt is the inverse square
-    root of Phi, or None when Phi is not numerically positive definite: then
-    no kink is known and f solves at every t."""
+    form, the trace t Tr Phi - Tr B, with no solve.  f takes a density or an
+    array of them: a density below the top kink takes one solve, and the
+    entries of an array below it are solved together in one stacked
+    eigvalsh call, each matrix by the same arithmetic as alone.  A curve of
+    f cut at the kinks (chebyshev_curve) reads its pieces above the top kink
+    from that closed form too.  Phi_isqrt is the inverse square root of Phi,
+    or None when Phi is not numerically positive definite: then no kink is
+    known and f solves at every t."""
     if Phi_isqrt is None:
         kinks, top = np.empty(0), math.inf
     else:
@@ -178,7 +186,14 @@ def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
     slope, offset = float(np.trace(Phi).real), float(np.trace(B).real)
 
     def f(t):
-        return t * slope - offset if t >= top else _trace_norm(t * Phi - B)
+        if np.ndim(t) == 0:
+            return t * slope - offset if t >= top else _trace_norm(t * Phi - B)
+        out = t * slope - offset
+        below = t < top
+        if below.any():
+            A = t[below][:, None, None] * Phi - B
+            out[below] = np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)
+        return out
 
     return f, kinks
 
@@ -241,10 +256,12 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
     the box masses from them, and the quantum term reads the same rules.  The
     box's pencil (B, Phi) takes one eigensolve (trace_norm_fn): at and
     above its top kink the integrand is the trace t Tr Phi - Tr B.  On boxes
-    with one axis (d = 2) the quantum term takes one Hermitian eigensolve per
-    quadrature point below the top kink and none above it, since a 1-D rule
-    already samples t along a line; when Phi is not numerically positive
-    definite no kink is known, and every point is solved.  There Phi, its
+    with one axis (d = 2) the integrand is trace_norm_fn's f itself, since a
+    1-D rule already samples t along a line: each level of the box rule
+    takes at most one stacked eigvalsh call, which solves that level's
+    points below the top kink (one matrix each), and the points above it
+    take none; when Phi is not numerically positive definite no kink is
+    known, and every point is solved.  There Phi, its
     inverse square root and every box's state are first turned by the
     oscillator rotation that makes the limit's displacement real
     (_phase_turn): Phi is a displaced thermal state and the block states are
@@ -284,8 +301,7 @@ def cq_distance(out: ch.ClassicalQuantumState, limit: gs.LimitState) -> Distance
         B = _height(c) * state
         f, kinks = trace_norm_fn(Phi, Phi_isqrt, B)
         if one_axis:
-            def integrand(dens):
-                return np.array([f(t) for t in dens])
+            integrand = f
         else:
             tmin = min(dens.min() for dens, _ in rule)
             tmax = max(dens.max() for dens, _ in rule)

@@ -148,6 +148,23 @@ def eigvalsh_dtypes(monkeypatch, fn):
     return result, dtypes
 
 
+def eigvalsh_solves(monkeypatch, fn):
+    """fn()'s result and, per np.linalg.eigvalsh call during it, the number
+    of matrices it solves (the product of its argument's leading
+    dimensions)."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(A, *args, **kwargs):
+        solves.append(math.prod(np.shape(A)[:-2]))
+        return eigvalsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    result = fn()
+    monkeypatch.undo()
+    return result, solves
+
+
 class TestCqDistance:
     def test_total_bounded_by_components(self, small_run):
         rep = small_run
@@ -189,18 +206,9 @@ class TestCqDistance:
         limit = gs.limit_state(SPEC3, theta, fock)
         expected = per_node_cq_distance(out, limit)
 
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = mt.cq_distance(out, limit)
-        monkeypatch.undo()
+        rep, solves = eigvalsh_solves(monkeypatch, lambda: mt.cq_distance(out, limit))
         assert_reports_close(rep, expected, 1e-10)
-        assert len(calls) < 300  # one solve per node takes about 2,960
+        assert sum(solves) < 300  # one solve per node takes about 2,960
 
     def test_d3_curve_matches_tight_curve(self, monkeypatch):
         # the budgeted curve moves the distance far less than the box rule's
@@ -219,11 +227,7 @@ class TestCqDistance:
     def test_d2_reads_no_curve(self, monkeypatch):
         # one-axis boxes solve per point: the default config at n=64 builds
         # no trace-norm curve
-        config = ex.ExperimentConfig(n_list=(64,))
-        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
-        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
-        out = ch.forward_channel(spec, 64, blocks)
-        limit = gs.limit_state(spec, theta, fock)
+        out, limit = d2_run(n_list=(64,))
         calls = []
         chebyshev_curve = mt.chebyshev_curve
 
@@ -236,6 +240,35 @@ class TestCqDistance:
         assert calls == []
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_list": (64,)}, {"mu": (0.95, 0.05), "u": (0.0,), "n_list": (64,)}],
+    )
+    def test_d2_one_solve_call_per_box_level(self, kwargs, monkeypatch):
+        # a level's nodes below the top kink are solved in one stacked call
+        out, limit = d2_run(**kwargs)
+        calls, per_level = [], []
+        eigvalsh, box_integral = np.linalg.eigvalsh, gs.box_integral
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        def levels(fn, rule):
+            def level(dens):
+                before = len(calls)
+                vals = fn(dens)
+                per_level.append(len(calls) - before)
+                return vals
+
+            return box_integral(level, rule)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(gs, "box_integral", levels)
+        mt.cq_distance(out, limit)
+        monkeypatch.undo()
+        assert max(per_level) == 1
+
+    @pytest.mark.parametrize(
         "mu, u, bound",
         [
             ((0.7, 0.3), (0.5,), 400),  # one solve per node takes 608
@@ -243,25 +276,12 @@ class TestCqDistance:
         ],
     )
     def test_d2_matches_per_node_oracle(self, mu, u, bound, monkeypatch):
-        config = ex.ExperimentConfig(mu=mu, u=u, n_list=(64,))
-        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
-        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
-        out = ch.forward_channel(spec, 64, blocks)
-        limit = gs.limit_state(spec, theta, fock)
+        out, limit = d2_run(mu=mu, u=u, n_list=(64,))
         expected = per_node_cq_distance(out, limit)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = mt.cq_distance(out, limit)
-        monkeypatch.undo()
+        rep, solves = eigvalsh_solves(monkeypatch, lambda: mt.cq_distance(out, limit))
         assert_reports_close(rep, expected, 1e-12)
         if bound is not None:
-            assert len(calls) < bound
+            assert sum(solves) < bound
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -275,35 +295,19 @@ class TestCqDistance:
     def test_d2_solves_are_real(self, kwargs, monkeypatch):
         # the phase turn makes the limit and every block state real, so each
         # eigensolve of a one-axis call (kinks, integrand, quantum_sup) is real
-        config = ex.ExperimentConfig(**kwargs)
-        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
-        n = config.n_list[0]
-        blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
-        out = ch.forward_channel(spec, n, blocks)
-        limit = gs.limit_state(spec, theta, fock)
+        out, limit = d2_run(**kwargs)
         _rep, dtypes = eigvalsh_dtypes(monkeypatch, lambda: mt.cq_distance(out, limit))
         assert dtypes and all(dt == np.float64 for dt in dtypes)
 
     @pytest.mark.parametrize("zeta", [0.5 + 0.3j, -0.4 + 0.2j, -0.3 - 0.5j, 0.2 - 0.6j, 0j])
     def test_d2_zeta_phase_matches_per_node_oracle(self, zeta):
-        config = ex.ExperimentConfig(zeta=(zeta,), n_list=(64,))
-        spec, theta, fock = config.spectrum(), config.theta(), config.fock()
-        blocks = ch.prepare_blocks(spec, theta, 64, fock, config.alpha)
-        out = ch.forward_channel(spec, 64, blocks)
-        limit = gs.limit_state(spec, theta, fock)
+        out, limit = d2_run(zeta=(zeta,), n_list=(64,))
         assert_reports_close(mt.cq_distance(out, limit), per_node_cq_distance(out, limit), 1e-12)
 
     def test_d2_state_no_turn_makes_real(self, monkeypatch):
         # a random complex density is not real after any diagonal turn: its
         # solves stay complex and the distance is still the oracle's
-        rng = np.random.default_rng(17)
-        fock = gs.FockSpec(2, 10)
-        limit = gs.limit_state(SPEC2, md.LocalParams((0.5,), (0.5 + 0.3j,)), fock)
-        cells = [
-            ch.Cell(c.lo, c.hi, c.weight, random_density(fock.dim, rng))
-            for c in make_cells(64, SPEC2, (0.5,))
-        ]
-        out = ch.ClassicalQuantumState(tuple(cells), 0.01)
+        out, limit = complex_d2_run()
         expected = per_node_cq_distance(out, limit)
         rep, dtypes = eigvalsh_dtypes(monkeypatch, lambda: mt.cq_distance(out, limit))
         assert_reports_close(rep, expected, 1e-12)
@@ -445,6 +449,89 @@ def pencil_curve(Phi, isqrt, B, lo, hi, tol):
     # the curve cq_distance builds on a box with more than one axis
     f, kinks = mt.trace_norm_fn(Phi, isqrt, B)
     return mt.chebyshev_curve(f, lo, hi, kinks, tol)
+
+
+def d2_run(**kwargs):
+    """The channel output and the limit state of a one-axis converge unit."""
+    config = ex.ExperimentConfig(**kwargs)
+    spec, theta, fock = config.spectrum(), config.theta(), config.fock()
+    n = config.n_list[0]
+    blocks = ch.prepare_blocks(spec, theta, n, fock, config.alpha)
+    return ch.forward_channel(spec, n, blocks), gs.limit_state(spec, theta, fock)
+
+
+def complex_d2_run():
+    """A one-axis channel output of random complex densities, which no
+    diagonal turn makes real, and the default limit state at cutoff 10."""
+    rng = np.random.default_rng(17)
+    fock = gs.FockSpec(2, 10)
+    limit = gs.limit_state(SPEC2, md.LocalParams((0.5,), (0.5 + 0.3j,)), fock)
+    cells = [
+        ch.Cell(c.lo, c.hi, c.weight, random_density(fock.dim, rng))
+        for c in make_cells(64, SPEC2, (0.5,))
+    ]
+    return ch.ClassicalQuantumState(tuple(cells), 0.01), limit
+
+
+def d2_box_fns(out, limit):
+    """(f, kinks, rule) of each box of a one-axis cq_distance call, from Phi,
+    its inverse square root (None when Phi is not numerically positive
+    definite) and the box's state turned as cq_distance turns them."""
+    turn = mt._phase_turn(limit.quantum)
+    try:
+        isqrt = turn(mt._inverse_sqrt(limit.quantum))
+    except ResourceLimitError:
+        isqrt = None
+    Phi = turn(limit.quantum)
+    for c in out.cells:
+        f, kinks = mt.trace_norm_fn(Phi, isqrt, mt._height(c) * turn(c.quantum))
+        yield f, kinks, gs.box_rule(c.lo, c.hi, limit.mean, limit.cov)
+
+
+def assert_stacked_is_pointwise(f, ts):
+    # a stacked solve runs each matrix through the same arithmetic as a
+    # solve of its own, so the values agree to the bit
+    stacked = f(ts)
+    assert stacked.shape == ts.shape
+    assert np.array_equal(stacked, np.array([f(t) for t in ts]))
+
+
+class TestTraceNormFn:
+    def test_d2_box_levels(self):
+        out, limit = d2_run(n_list=(64,))
+        for f, _kinks, rule in d2_box_fns(out, limit):
+            for dens, _weights in rule:
+                assert_stacked_is_pointwise(f, dens)
+            assert_stacked_is_pointwise(f, np.concatenate([dens for dens, _ in rule]))
+
+    def test_at_and_above_top_kink(self, monkeypatch):
+        out, limit = d2_run(n_list=(64,))
+        f, kinks, _rule = next(d2_box_fns(out, limit))
+        top = kinks[-1]
+        ts = np.array([0.5 * top, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf), 2.0 * top])
+        assert_stacked_is_pointwise(f, ts)
+        # at and above the top kink f is the closed form, with no solve
+        _vals, dtypes = eigvalsh_dtypes(monkeypatch, lambda: f(ts[2:]))
+        assert dtypes == []
+        assert f(top) == f(ts[2:])[0]
+
+    def test_singular_limit_solves_every_node(self, monkeypatch):
+        # mu = (0.95, 0.05), u = 0: no kink is known, so every entry is solved
+        out, limit = d2_run(mu=(0.95, 0.05), u=(0.0,), n_list=(64,))
+        for f, kinks, rule in d2_box_fns(out, limit):
+            assert len(kinks) == 0
+            dens = np.concatenate([dens for dens, _ in rule])
+            assert_stacked_is_pointwise(f, dens)
+            _vals, solves = eigvalsh_solves(monkeypatch, lambda: f(dens))
+            assert solves == [len(dens)]
+
+    def test_state_left_complex(self, monkeypatch):
+        out, limit = complex_d2_run()
+        for f, _kinks, rule in d2_box_fns(out, limit):
+            dens = np.concatenate([dens for dens, _ in rule])
+            assert_stacked_is_pointwise(f, dens)
+            _vals, dtypes = eigvalsh_dtypes(monkeypatch, lambda: f(dens))
+            assert dtypes == [np.complex128]
 
 
 class TestTraceNormCurve:

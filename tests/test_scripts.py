@@ -20,8 +20,8 @@ ROW_KEYS = {
     "time_prepare_blocks.py": {"d", "n", "fock_cutoff", "blocks", "seconds"},
     "time_decompose.py": {"d", "n", "diagrams", "seconds", "median_s"},
     "time_cq_distance.py": {
-        "d", "n", "fock_cutoff", "boxes", "eigvalsh_calls", "real_solves",
-        "solves_per_box", "curve_pieces", "seconds", "median_s",
+        "d", "n", "fock_cutoff", "boxes", "solves", "real_solves",
+        "solves_per_box", "eigvalsh_calls", "curve_pieces", "seconds", "median_s",
     },
 }
 
