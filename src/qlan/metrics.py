@@ -170,14 +170,14 @@ def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
     ascending, from one eigensolve.  f is convex, and analytic between its
     kinks.  At and above the top kink t Phi - B is positive semidefinite
     (Sylvester's inertia), so there f reads the linear region from its closed
-    form, the trace t Tr Phi - Tr B, with no solve.  f takes a density or an
-    array of them: a density below the top kink takes one solve, and the
-    entries of an array below it are solved together in one stacked
-    eigvalsh call, each matrix by the same arithmetic as alone.  A curve of
-    f cut at the kinks (chebyshev_curve) reads its pieces above the top kink
-    from that closed form too.  Phi_isqrt is the inverse square root of Phi,
-    or None when Phi is not numerically positive definite: then no kink is
-    known and f solves at every t."""
+    form, the trace t Tr Phi - Tr B, with no solve.  f takes an array of
+    densities (0-d for one density) and returns one of the same shape: the
+    entries below the top kink are solved together in one stacked eigvalsh
+    call, each matrix by the same arithmetic as a solve of its own.  A curve
+    of f cut at the kinks (chebyshev_curve) reads its pieces above the top
+    kink from that closed form too.  Phi_isqrt is the inverse square root of
+    Phi, or None when Phi is not numerically positive definite: then no kink
+    is known and f solves at every t."""
     if Phi_isqrt is None:
         kinks, top = np.empty(0), math.inf
     else:
@@ -186,9 +186,8 @@ def trace_norm_fn(Phi: np.ndarray, Phi_isqrt: np.ndarray | None, B: np.ndarray):
     slope, offset = float(np.trace(Phi).real), float(np.trace(B).real)
 
     def f(t):
-        if np.ndim(t) == 0:
-            return t * slope - offset if t >= top else _trace_norm(t * Phi - B)
-        out = t * slope - offset
+        t = np.asarray(t, dtype=float)
+        out = np.array(t * slope - offset)
         below = t < top
         if below.any():
             A = t[below][:, None, None] * Phi - B

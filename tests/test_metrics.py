@@ -132,37 +132,25 @@ def small_run():
     return mt.cq_distance(out, limit)
 
 
-def eigvalsh_dtypes(monkeypatch, fn):
-    """fn()'s result and the dtype of every matrix np.linalg.eigvalsh
-    receives during it."""
-    dtypes = []
+def eigvalsh_args(fn):
+    """fn()'s result and the argument of each np.linalg.eigvalsh call during
+    it, in call order: a matrix, or a stack of them."""
+    args = []
     eigvalsh = np.linalg.eigvalsh
 
-    def recorded(A, *args, **kwargs):
-        dtypes.append(A.dtype)
-        return eigvalsh(A, *args, **kwargs)
+    def recorded(A, *rest, **kwargs):
+        args.append(A)
+        return eigvalsh(A, *rest, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    result = fn()
-    monkeypatch.undo()
-    return result, dtypes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", recorded)
+        return fn(), args
 
 
-def eigvalsh_solves(monkeypatch, fn):
-    """fn()'s result and, per np.linalg.eigvalsh call during it, the number
-    of matrices it solves (the product of its argument's leading
-    dimensions)."""
-    solves = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(A, *args, **kwargs):
-        solves.append(math.prod(np.shape(A)[:-2]))
-        return eigvalsh(A, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    result = fn()
-    monkeypatch.undo()
-    return result, solves
+def solves(args):
+    """The number of matrices each recorded eigvalsh call solves: the product
+    of its argument's leading dimensions."""
+    return [math.prod(A.shape[:-2]) for A in args]
 
 
 class TestCqDistance:
@@ -198,7 +186,7 @@ class TestCqDistance:
         assert rep.total < bound  # in-box density variation + window tail
         assert rep.total == pytest.approx(rep.classical, abs=1e-9)
 
-    def test_d3_curve_matches_per_node_oracle(self, monkeypatch):
+    def test_d3_curve_matches_per_node_oracle(self):
         theta = md.LocalParams((0.5, 0.0), (0.5 + 0.3j, 0.2 - 0.1j, 0.1 + 0.2j))
         fock = gs.FockSpec(3, 3)
         blocks = ch.prepare_blocks(SPEC3, theta, 8, fock, alpha=0.6)
@@ -206,9 +194,9 @@ class TestCqDistance:
         limit = gs.limit_state(SPEC3, theta, fock)
         expected = per_node_cq_distance(out, limit)
 
-        rep, solves = eigvalsh_solves(monkeypatch, lambda: mt.cq_distance(out, limit))
+        rep, args = eigvalsh_args(lambda: mt.cq_distance(out, limit))
         assert_reports_close(rep, expected, 1e-10)
-        assert sum(solves) < 300  # one solve per node takes about 2,960
+        assert sum(solves(args)) < 300  # one solve per node takes about 2,960
 
     def test_d3_curve_matches_tight_curve(self, monkeypatch):
         # the budgeted curve moves the distance far less than the box rule's
@@ -246,26 +234,19 @@ class TestCqDistance:
     def test_d2_one_solve_call_per_box_level(self, kwargs, monkeypatch):
         # a level's nodes below the top kink are solved in one stacked call
         out, limit = d2_run(**kwargs)
-        calls, per_level = [], []
-        eigvalsh, box_integral = np.linalg.eigvalsh, gs.box_integral
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
+        per_level = []
+        box_integral = gs.box_integral
 
         def levels(fn, rule):
             def level(dens):
-                before = len(calls)
-                vals = fn(dens)
-                per_level.append(len(calls) - before)
+                vals, args = eigvalsh_args(lambda: fn(dens))
+                per_level.append(len(args))
                 return vals
 
             return box_integral(level, rule)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         monkeypatch.setattr(gs, "box_integral", levels)
         mt.cq_distance(out, limit)
-        monkeypatch.undo()
         assert max(per_level) == 1
 
     @pytest.mark.parametrize(
@@ -275,13 +256,13 @@ class TestCqDistance:
             ((0.9, 0.1), (0.5,), None),  # cond(Phi) is about 4e28
         ],
     )
-    def test_d2_matches_per_node_oracle(self, mu, u, bound, monkeypatch):
+    def test_d2_matches_per_node_oracle(self, mu, u, bound):
         out, limit = d2_run(mu=mu, u=u, n_list=(64,))
         expected = per_node_cq_distance(out, limit)
-        rep, solves = eigvalsh_solves(monkeypatch, lambda: mt.cq_distance(out, limit))
+        rep, args = eigvalsh_args(lambda: mt.cq_distance(out, limit))
         assert_reports_close(rep, expected, 1e-12)
         if bound is not None:
-            assert sum(solves) < bound
+            assert sum(solves(args)) < bound
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -292,26 +273,26 @@ class TestCqDistance:
             {"mu": (0.95, 0.05), "u": (0.0,), "n_list": (64,)},  # every node solved
         ],
     )
-    def test_d2_solves_are_real(self, kwargs, monkeypatch):
+    def test_d2_solves_are_real(self, kwargs):
         # the phase turn makes the limit and every block state real, so each
         # eigensolve of a one-axis call (kinks, integrand, quantum_sup) is real
         out, limit = d2_run(**kwargs)
-        _rep, dtypes = eigvalsh_dtypes(monkeypatch, lambda: mt.cq_distance(out, limit))
-        assert dtypes and all(dt == np.float64 for dt in dtypes)
+        _rep, args = eigvalsh_args(lambda: mt.cq_distance(out, limit))
+        assert args and all(A.dtype == np.float64 for A in args)
 
     @pytest.mark.parametrize("zeta", [0.5 + 0.3j, -0.4 + 0.2j, -0.3 - 0.5j, 0.2 - 0.6j, 0j])
     def test_d2_zeta_phase_matches_per_node_oracle(self, zeta):
         out, limit = d2_run(zeta=(zeta,), n_list=(64,))
         assert_reports_close(mt.cq_distance(out, limit), per_node_cq_distance(out, limit), 1e-12)
 
-    def test_d2_state_no_turn_makes_real(self, monkeypatch):
+    def test_d2_state_no_turn_makes_real(self):
         # a random complex density is not real after any diagonal turn: its
         # solves stay complex and the distance is still the oracle's
         out, limit = complex_d2_run()
         expected = per_node_cq_distance(out, limit)
-        rep, dtypes = eigvalsh_dtypes(monkeypatch, lambda: mt.cq_distance(out, limit))
+        rep, args = eigvalsh_args(lambda: mt.cq_distance(out, limit))
         assert_reports_close(rep, expected, 1e-12)
-        assert np.complex128 in dtypes
+        assert np.complex128 in [A.dtype for A in args]
 
     def test_d2_singular_limit_runs(self, tmp_path):
         # at mu = (0.95, 0.05), u = 0 the cutoff-30 limit state is not
@@ -496,42 +477,43 @@ def assert_stacked_is_pointwise(f, ts):
     assert np.array_equal(stacked, np.array([f(t) for t in ts]))
 
 
-class TestTraceNormFn:
-    def test_d2_box_levels(self):
-        out, limit = d2_run(n_list=(64,))
-        for f, _kinks, rule in d2_box_fns(out, limit):
-            for dens, _weights in rule:
-                assert_stacked_is_pointwise(f, dens)
-            assert_stacked_is_pointwise(f, np.concatenate([dens for dens, _ in rule]))
+D2_RUNS = {
+    "default": lambda: d2_run(n_list=(64,)),
+    # no kink is known, so every entry is solved
+    "singular": lambda: d2_run(mu=(0.95, 0.05), u=(0.0,), n_list=(64,)),
+    "complex": complex_d2_run,
+}
 
-    def test_at_and_above_top_kink(self, monkeypatch):
+
+class TestTraceNormFn:
+    @pytest.mark.parametrize("run", list(D2_RUNS))
+    def test_box_rule_densities(self, run):
+        # each level of every box rule, and all its levels at once, in at
+        # most one eigvalsh call, real unless the turn leaves the state complex
+        out, limit = D2_RUNS[run]()
+        dtype = np.complex128 if run == "complex" else np.float64
+        for f, kinks, rule in d2_box_fns(out, limit):
+            levels = [dens for dens, _weights in rule]
+            for dens in [*levels, np.concatenate(levels)]:
+                assert_stacked_is_pointwise(f, dens)
+            _vals, args = eigvalsh_args(lambda: f(np.concatenate(levels)))
+            assert len(args) <= 1 and all(A.dtype == dtype for A in args)
+            if run == "singular":
+                assert len(kinks) == 0
+                assert solves(args) == [sum(map(len, levels))]
+            if run == "complex":
+                assert len(args) == 1
+
+    def test_at_and_above_top_kink(self):
         out, limit = d2_run(n_list=(64,))
         f, kinks, _rule = next(d2_box_fns(out, limit))
         top = kinks[-1]
         ts = np.array([0.5 * top, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf), 2.0 * top])
         assert_stacked_is_pointwise(f, ts)
         # at and above the top kink f is the closed form, with no solve
-        _vals, dtypes = eigvalsh_dtypes(monkeypatch, lambda: f(ts[2:]))
-        assert dtypes == []
+        _vals, args = eigvalsh_args(lambda: f(ts[2:]))
+        assert args == []
         assert f(top) == f(ts[2:])[0]
-
-    def test_singular_limit_solves_every_node(self, monkeypatch):
-        # mu = (0.95, 0.05), u = 0: no kink is known, so every entry is solved
-        out, limit = d2_run(mu=(0.95, 0.05), u=(0.0,), n_list=(64,))
-        for f, kinks, rule in d2_box_fns(out, limit):
-            assert len(kinks) == 0
-            dens = np.concatenate([dens for dens, _ in rule])
-            assert_stacked_is_pointwise(f, dens)
-            _vals, solves = eigvalsh_solves(monkeypatch, lambda: f(dens))
-            assert solves == [len(dens)]
-
-    def test_state_left_complex(self, monkeypatch):
-        out, limit = complex_d2_run()
-        for f, _kinks, rule in d2_box_fns(out, limit):
-            dens = np.concatenate([dens for dens, _ in rule])
-            assert_stacked_is_pointwise(f, dens)
-            _vals, dtypes = eigvalsh_dtypes(monkeypatch, lambda: f(dens))
-            assert dtypes == [np.complex128]
 
 
 class TestTraceNormCurve:
@@ -595,25 +577,18 @@ class TestTraceNormCurve:
         ts = np.linspace(0.0, 1.0, 1001)
         assert np.abs(curve(ts) - np.sin(40.0 * (ts - 0.5))).max() <= tol
 
-    def test_no_solve_above_top_kink(self, monkeypatch):
+    def test_no_solve_above_top_kink(self):
         rng = np.random.default_rng(11)
         Phi = random_density(10, rng)
         B = 0.6 * random_density(10, rng)
         isqrt, kinks = pencil_kinks(Phi, B)
         top = kinks.max()
         lo, hi = 0.5 * kinks.min(), 3.0 * top
-        solved = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(A, *args, **kwargs):
-            # t Phi - B has trace t Tr Phi - Tr B; the first call is the pencil's
-            solved.append((np.trace(A).real + np.trace(B).real) / np.trace(Phi).real)
-            return eigvalsh(A, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        curve = pencil_curve(Phi, isqrt, B, lo, hi, 1e-10)
-        monkeypatch.undo()
-        assert len(solved) > 1 and max(solved[1:]) < top
+        curve, args = eigvalsh_args(lambda: pencil_curve(Phi, isqrt, B, lo, hi, 1e-10))
+        # t Phi - B has trace t Tr Phi - Tr B; the first call is the pencil's
+        traces = np.concatenate([np.ravel(np.trace(A, axis1=-2, axis2=-1).real) for A in args[1:]])
+        solved = (traces + np.trace(B).real) / np.trace(Phi).real
+        assert len(solved) > 0 and solved.max() < top
         ts = np.linspace(top, hi, 101)
         linear = ts * np.trace(Phi).real - np.trace(B).real
         assert np.abs(curve(ts) - linear).max() <= 1e-12
