@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import experiments as ex
-from .errors import DimensionError, ResourceLimitError, TruncationError
+from .errors import ResourceLimitError, TruncationError
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             result = ex.run_decompose(_config(args))
         else:
             result = ex.run_verify(args.lemma)
-    except (ValueError, DimensionError, ResourceLimitError, TruncationError) as e:
+    except (ValueError, ResourceLimitError, TruncationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
 

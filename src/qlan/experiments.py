@@ -253,7 +253,9 @@ def _report(lemma: str, passed: bool, values: dict) -> dict:
 def _verify_dims() -> dict:
     """Completeness of the block decomposition: Sum_lam dim * multiplicity
     = d^n as exact integers for d <= 4 and n <= 25, with the multiplicities
-    decompose prints, and dim counts semistandard fillings for n <= 12."""
+    decompose prints, and dim counts semistandard fillings for n <= 12: the
+    rows that each diagram owns in the one m_vector_rows walk per (d, n)
+    that decompose makes."""
     checks = []
     for d in (2, 3, 4):
         for n in range(1, 26):
@@ -262,12 +264,12 @@ def _verify_dims() -> dict:
                     for lam, mult in zip(lams, tb.multiplicities(lams, n, d)))
             if s != d**n:
                 checks.append({"d": d, "n": n, "sum": str(s), "expected": str(d**n)})
-    ssyt_ok = all(
-        len(tb.enumerate_m_vectors(lam, d, max_weight=n)) == tb.dim_irrep(lam, d)
-        for d in (2, 3, 4)
-        for n in range(1, 13)
-        for lam in tb.enumerate_diagrams(n, d)
-    )
+    ssyt_ok = True
+    for d in (2, 3, 4):
+        for n in range(1, 13):
+            lams = tb.enumerate_diagrams(n, d)
+            counts = np.bincount(tb.m_vector_rows(lams, d)[0], minlength=len(lams))
+            ssyt_ok &= counts.tolist() == [tb.dim_irrep(lam, d) for lam in lams]
     return _report(
         "dims",
         not checks and ssyt_ok,
@@ -295,7 +297,7 @@ def _verify_formdet() -> dict:
                 norms = np.outer(basis.norms, basis.norms)
                 for _ in range(20):
                     U = orc.haar_unitary(d, rng)
-                    (W,) = sw.pairing_matrices([lam], d, U, [basis.mvectors])
+                    (W,) = sw.pairing_matrices([lam], U, [basis.mvectors])
                     rhs = V.T @ gs.tensor_modes([U] * n) @ V
                     worst = max(worst, np.abs(W / norms - rhs).max())
     return _report("formdet", worst <= 1e-10, {"max_abs_error": worst})
@@ -318,29 +320,31 @@ def proportional_diagram(n: int, mu: tuple[float, ...]) -> tb.Diagram:
 
 def _verify_nonorth() -> dict:
     """Selection rule (exact Gram zeros across weight classes) and decay of
-    the surviving same-weight off-diagonal overlaps."""
+    the surviving same-weight off-diagonal overlaps, on the Gram matrices of
+    sw.block_bases, the builder prepare_blocks calls."""
     rng = np.random.default_rng(7)
     d = 3
     exact_ok = True
     for _ in range(10):
         base = sorted(rng.integers(1, 12, size=3), reverse=True)
         lam = tuple(int(b) for b in base)
-        owner, ms = tb.m_vector_rows([lam], d, max_weight=min(6, lam[0]))
-        weights = tb.m_vector_weights([lam], d, owner, ms)
+        (basis,) = sw.block_bases([lam], d, max_weight=min(6, lam[0]))
+        owner = np.zeros(basis.size, dtype=np.intp)
+        weights = tb.m_vector_weights([lam], d, owner, basis.mvectors)
         cross = (weights[:, None] != weights[None, :]).any(axis=2)
-        if sw.gram_matrix(lam, d, ms)[cross].any():
+        if basis.gram[cross].any():
             exact_ok = False
     mu = (0.5, 0.3, 0.2)
     m_a = {(1, 2): 1, (2, 3): 1}
     m_b = {(1, 3): 1}
     pr = tb.pairs(3)
-    va = tuple(m_a.get(p, 0) for p in pr)
-    vb = tuple(m_b.get(p, 0) for p in pr)
+    va = [m_a.get(p, 0) for p in pr]
+    vb = [m_b.get(p, 0) for p in pr]
     vals = []
     for n in (13, 26, 52):
-        lam = proportional_diagram(n, mu)
-        G = sw.gram_matrix(lam, 3, [va, vb])
-        vals.append(abs(G[0, 1]))
+        (basis,) = sw.block_bases([proportional_diagram(n, mu)], 3, max_weight=2)
+        rows = basis.mvectors.tolist()
+        vals.append(abs(basis.gram[rows.index(va), rows.index(vb)]))
     decay_ok = vals[0] > vals[1] > vals[2] and vals[2] <= 0.5 * vals[0]
     return _report(
         "nonorth",

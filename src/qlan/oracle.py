@@ -1,10 +1,11 @@
 """Reference constructions the production path is checked against, read
 only by the tests and the `formdet` lemma verifier (which checks the block
 bases and the pairing transfer against the Young-symmetrizer images of
-the canonical fillings): tableaux (tuples of row tuples, entries in 1..d)
-and their orbits, orbit sums by explicit enumeration, explicit Young
-symmetrizers on the full tensor space, the hook formulas, and direct forms
-of the model and of its Gaussian limit."""
+the canonical fillings): one diagram's m-vectors as tuples, tableaux
+(tuples of row tuples, entries in 1..d) and their orbits, orbit sums by
+explicit enumeration, explicit Young symmetrizers on the full tensor space,
+the hook formulas, and direct forms of the model and of its Gaussian
+limit."""
 
 from __future__ import annotations
 
@@ -118,6 +119,15 @@ def fits(lam: tb.Diagram, m: tb.MVector, d: int) -> bool:
     if any(load > tb.row(lam, i) for i, load in enumerate(row_loads(m, d), 1)):
         return False
     return is_semistandard(canonical_tableau(lam, m, d))
+
+
+def enumerate_m_vectors(
+    lam: tb.Diagram, d: int, max_weight: int | None = None
+) -> list[tb.MVector]:
+    """The m-vectors of one diagram as sorted tuples: m_vector_rows of
+    [lam]."""
+    lam = tb.check_diagram(lam, d)
+    return [tuple(m) for m in tb.m_vector_rows([lam], d, max_weight)[1].tolist()]
 
 
 def orbit_size(lam: tb.Diagram, m: tb.MVector, d: int) -> int:
@@ -396,7 +406,7 @@ def schur_poly_enumerated(lam: tb.Diagram, vals: tuple[float, ...]) -> float:
     vals_v^(count of v), each filling's counts tallied on its tableau."""
     d = len(vals)
     total = 0.0
-    for m in tb.enumerate_m_vectors(lam, d):
+    for m in enumerate_m_vectors(lam, d):
         entries = [v for trow in canonical_tableau(lam, m, d) for v in trow]
         total += math.prod(x ** entries.count(v) for v, x in enumerate(vals, 1))
     return total

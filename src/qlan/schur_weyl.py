@@ -172,10 +172,12 @@ def _shift_map(caps: tuple[int, ...], wcap: int, v: tuple[int, ...]):
     return _frozen(np.flatnonzero(inside)), _frozen(_positions(caps, wcap, moved[inside]))
 
 
-def _class_terms(length: int, d: int, U: np.ndarray, bounds):
-    """v0 = det U[1..L, 1..L] and P for the columns of length L, as a list of
-    (source, destination, value) over the flat positions a * ns + b, ns the
-    size of the simplex of `bounds`: P S adds val * S[a, b] at [a + va, b + vb]."""
+def _class_terms(length: int, U: np.ndarray, bounds):
+    """v0 = det U[1..L, 1..L] and P for the columns of length L, d = len(U),
+    as a list of (source, destination, value) over the flat positions
+    a * ns + b, ns the size of the simplex of `bounds`: P S adds
+    val * S[a, b] at [a + va, b + vb]."""
+    d = len(U)
     npairs = len(tb.pairs(d))
     ns = len(_simplex(*bounds))
     v0 = complex(small_det([[U[i, j] for j in range(length)] for i in range(length)]))
@@ -202,7 +204,7 @@ def _class_terms(length: int, d: int, U: np.ndarray, bounds):
     return v0, terms
 
 
-def _step_class(S, length: int, d: int, U: np.ndarray, bounds, reads) -> list[np.ndarray]:
+def _step_class(S, length: int, U: np.ndarray, bounds, reads) -> list[np.ndarray]:
     """(v0 + P)^ncols S for the columns of length L on the simplex pair of
     `bounds`, for each (ncols, pos) of `reads` in increasing ncols: S steps
     to v0 S + P S once per column, and after ncols steps is read at the flat
@@ -211,7 +213,7 @@ def _step_class(S, length: int, d: int, U: np.ndarray, bounds, reads) -> list[np
     are distinct, so `np.add.at` adds exactly what `nxt[dst] += ...` would,
     without the gathered copy of nxt[dst].  Without terms (P = 0) each read
     is the one product v0^ncols S."""
-    v0, terms = _class_terms(length, d, U, bounds)
+    v0, terms = _class_terms(length, U, bounds)
     if not terms:
         return [np.multiply(v0**ncols, S if pos is None else S[pos]) for ncols, pos in reads]
     outs, steps = [], 0
@@ -254,14 +256,14 @@ def _check_size(what: str, bounds) -> None:
 
 def pairing_matrices(
     lams: list[tb.Diagram],
-    d: int,
     U: np.ndarray,
     mss: list[list[tb.MVector] | np.ndarray],
 ) -> list[np.ndarray]:
     """For every i, the matrix of orbit sums W(m, l; U) for m, l in mss[i]
-    (tuples, or the rows of an array) on the diagram lams[i]: the
-    coefficients of prod over L of (v0_L + P_L)^ncols described in the
-    module docstring, truncated to the exponents that mss[i] can reach.
+    (tuples, or the rows of an array) on the diagram lams[i], of at most
+    d = len(U) rows: the coefficients of prod over L of (v0_L + P_L)^ncols
+    described in the module docstring, truncated to the exponents that
+    mss[i] can reach.
 
     A diagram's first non-empty column class acts on the unit vector e0, so
     (v0 + P)^ncols e0 depends on U, the class length, the simplex and ncols
@@ -273,6 +275,7 @@ def pairing_matrices(
     classes step per diagram on its own simplex.  A diagram whose simplex
     pair, or a union whose pair, has more than MAX_TRANSFER_ENTRIES
     positions raises ResourceLimitError before any transfer runs."""
+    d = len(U)
     npairs = len(tb.pairs(d))
     lams = [tb.check_diagram(lam, d) for lam in lams]
     bounds, rows, classes, groups = [], [], [], {}
@@ -301,13 +304,13 @@ def pairing_matrices(
         e0[0] = 1.0
         members.sort(key=lambda i: classes[i][0][1])
         reads = [(classes[i][0][1], _restriction(union, bounds[i])) for i in members]
-        S.update(zip(members, _step_class(e0, length, d, U, union, reads)))
+        S.update(zip(members, _step_class(e0, length, U, union, reads)))
         del e0  # the remaining classes run without it
 
     out = []
     for i, (own, M) in enumerate(zip(bounds, rows)):
         for length, ncols in classes[i][1:]:
-            (S[i],) = _step_class(S[i], length, d, U, own, [(ncols, None)])
+            (S[i],) = _step_class(S[i], length, U, own, [(ncols, None)])
         pos = _positions(*own, M)
         out.append(S[i].reshape(-1, len(_simplex(*own)))[np.ix_(pos, pos)])
     return out
@@ -315,16 +318,6 @@ def pairing_matrices(
 
 # ---------------------------------------------------------------------------
 # block basis, Gram matrix, block operators
-
-
-def gram_matrix(
-    lam: tb.Diagram, d: int, basis: list[tb.MVector] | np.ndarray
-) -> np.ndarray:
-    """Overlap matrix of the normalized symmetrizer-image vectors; the
-    identity pairing makes entries across different total-multiplicity
-    classes exactly zero (the selection rule)."""
-    (W,) = pairing_matrices([lam], d, np.eye(d), [basis])
-    return _gram_and_norms(W)[0]
 
 
 def _gram_and_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +386,7 @@ def block_bases(lams: list[tb.Diagram], d: int, max_weight: int) -> list[BlockBa
     ms.flags.writeable = False
     mss = np.split(ms, np.searchsorted(owner, np.arange(1, len(lams))))
     out = []
-    for lam, ms, W in zip(lams, mss, pairing_matrices(lams, d, np.eye(d), mss)):
+    for lam, ms, W in zip(lams, mss, pairing_matrices(lams, np.eye(d), mss)):
         G, norms = _gram_and_norms(W)
         sqrt, inv_sqrt = orthonormalize(G)
         out.append(BlockBasis(lam, d, ms, G, inv_sqrt, sqrt, norms))
@@ -415,7 +408,7 @@ def block_unitaries(bases: list[BlockBasis], U: np.ndarray) -> list[np.ndarray]:
     <m| pi(U) |l> of the normalized vectors between two inverse square
     roots of the Gram matrix.  Columns lose norm where the true image leaks
     outside the truncated basis."""
-    Ws = pairing_matrices([b.lam for b in bases], len(U), U, [b.mvectors for b in bases])
+    Ws = pairing_matrices([b.lam for b in bases], U, [b.mvectors for b in bases])
     return [
         b.inv_sqrt_gram @ (W / np.outer(b.norms, b.norms)) @ b.inv_sqrt_gram
         for b, W in zip(bases, Ws)

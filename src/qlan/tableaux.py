@@ -2,9 +2,10 @@
 
 Diagrams are tuples of non-increasing positive integers (trailing zeros
 stripped).  Basis labels are "m-vectors": occupation counts m[i,j] of entry j
-in row i (1 <= i < j <= d), stored as flat tuples aligned with `pairs(d)`,
-or as the rows of one integer array for a list of diagrams (`m_vector_rows`).
-Tableaux themselves, their orbits and gamma counts live in `qlan.oracle`.
+in row i (1 <= i < j <= d), aligned with `pairs(d)`, stored as the rows of
+one integer array for a list of diagrams (`m_vector_rows`).  The flat-tuple
+form of one diagram's m-vectors (`enumerate_m_vectors`), tableaux
+themselves, their orbits and gamma counts live in `qlan.oracle`.
 """
 
 from __future__ import annotations
@@ -162,11 +163,3 @@ def m_vector_weights(
     weights += row_array(lams, d)[owner]
     return weights
 
-
-def enumerate_m_vectors(
-    lam: Diagram, d: int, max_weight: int | None = None
-) -> list[MVector]:
-    """The m-vectors of one diagram as sorted tuples: m_vector_rows of
-    [lam]."""
-    lam = check_diagram(lam, d)
-    return [tuple(m) for m in m_vector_rows([lam], d, max_weight)[1].tolist()]

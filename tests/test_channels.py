@@ -145,9 +145,9 @@ class TestPrepareBlocks:
         calls = []
         real = sw.pairing_matrices
 
-        def counting(lams, d, U, mss):
-            calls.append("identity" if np.array_equal(U, np.eye(d)) else "rotation")
-            return real(lams, d, U, mss)
+        def counting(lams, U, mss):
+            calls.append("identity" if np.array_equal(U, np.eye(len(U))) else "rotation")
+            return real(lams, U, mss)
 
         monkeypatch.setattr(sw, "pairing_matrices", counting)
         return calls

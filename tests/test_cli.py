@@ -1,6 +1,7 @@
 """Tests for the experiment configuration, runners, serialization, and the
 command-line interface (exit codes, output formats, determinism)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from qlan import models as md
 from qlan import oracle as orc
 from qlan import schur_weyl as sw
 from qlan import tableaux as tb
+from qlan.errors import DimensionError
 
 
 class TestConfig:
@@ -237,6 +239,42 @@ class TestVerifierFaults:
         assert not result["passed"]
         assert result["values"]["max_abs_error"] > 1e-10
 
+    def test_nonorth_fails_under_cross_class_gram_entry(self, monkeypatch):
+        orig = sw.block_bases
+
+        def leaky(*args, **kwargs):
+            out = []
+            for b in orig(*args, **kwargs):
+                if b.size > 1:
+                    # rows 0 and 1 are m = 0 and one brick: different weights
+                    G = b.gram.copy()
+                    G[0, 1] = 1e-12
+                    b = dataclasses.replace(b, gram=G)
+                out.append(b)
+            return out
+
+        monkeypatch.setattr(sw, "block_bases", leaky)
+        result = ex.run_verify("nonorth")
+        assert not result["passed"]
+        assert not result["values"]["selection_rule_exact"]
+
+    def test_dims_fails_under_misowned_rows(self, monkeypatch):
+        orig = tb.m_vector_rows
+
+        def misowned(lams, d, max_weight=None):
+            owner, ms = orig(lams, d, max_weight)
+            if len(lams) > 1:
+                # each later diagram's first row is credited to the one before
+                owner = owner.copy()
+                owner[np.searchsorted(owner, np.arange(1, len(lams)))] -= 1
+            return owner, ms
+
+        monkeypatch.setattr(tb, "m_vector_rows", misowned)
+        result = ex.run_verify("dims")
+        assert not result["passed"]
+        assert result["values"]["identity_failures"] == []
+        assert not result["values"]["semistandard_count_ok"]
+
     def test_lconcentration_fails_under_scaled_weights(self, monkeypatch):
         orig = md.block_weights
 
@@ -337,6 +375,18 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_dimension_error_exit_2(self, monkeypatch, capsys):
+        # DimensionError is a ValueError: the CLI reports it as one
+        def too_small(basis, fock):
+            raise DimensionError(f"no isometry for {basis.lam}")
+
+        monkeypatch.setattr(ch, "build_isometry", too_small)
+        rc = cli.main(["converge", "--n-list", "8", "--fock-cutoff", "15"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no isometry for (")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_non_finite_u_exit_2(self, capsys):
         rc = cli.main(["converge", "--u", "nan", "--n-list", "8"])
         assert rc == 2
@@ -416,7 +466,6 @@ class TestCli:
             raise AssertionError("no block may be enumerated before the bound holds")
 
         monkeypatch.setattr(tb, "m_vector_rows", never)
-        monkeypatch.setattr(tb, "enumerate_m_vectors", never)
         cases = [
             ([], 4096, "(4096,) has dimension 4097"),
             (["--d", "3", "--mu", "0.5,0.3,0.2", "--u", "0,0", "--zeta", "0,0,0"],

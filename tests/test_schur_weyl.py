@@ -59,7 +59,7 @@ def spin_oracle_error(n, U, cutoff=30):
 
 def overlaps(basis, U):
     """<m| pi(U) |l> of the normalized non-orthogonal vectors of the basis."""
-    (W,) = sw.pairing_matrices([basis.lam], basis.d, U, [basis.mvectors])
+    (W,) = sw.pairing_matrices([basis.lam], U, [basis.mvectors])
     return W / np.outer(basis.norms, basis.norms)
 
 
@@ -73,7 +73,7 @@ def past_elision_batch():
     141 x 141 entries: (diagrams, U, m-vector lists)."""
     lams = [(140, 60), (180, 40), (125, 75)]
     U = md.rotation_unitary(md.Spectrum((0.7, 0.3)), (0.5 + 0.3j,), 200)
-    return lams, U, [tb.enumerate_m_vectors(lam, 2, max_weight=140) for lam in lams]
+    return lams, U, [orc.enumerate_m_vectors(lam, 2, max_weight=140) for lam in lams]
 
 
 def stepped_reference(lam, d, U, ms):
@@ -86,7 +86,7 @@ def stepped_reference(lam, d, U, ms):
     S = np.zeros(ns**2, dtype=np.clongdouble)
     S[0] = 1
     for L in range(1, d + 1):
-        v0, terms = sw._class_terms(L, d, U, bounds)
+        v0, terms = sw._class_terms(L, U, bounds)
         for _ in range(tb.row(lam, L) - tb.row(lam, L + 1)):
             nxt = np.clongdouble(v0) * S
             for src, dst, val in terms:
@@ -99,8 +99,8 @@ def stepped_reference(lam, d, U, ms):
 class TestPairingEngine:
     @pytest.mark.parametrize("d,lam", SMALL_BLOCKS)
     def test_matches_direct_orbit_enumeration_identity(self, d, lam):
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=3)
-        (W,) = sw.pairing_matrices([lam], d, np.eye(d), [ms])
+        ms = orc.enumerate_m_vectors(lam, d, max_weight=3)
+        (W,) = sw.pairing_matrices([lam], np.eye(d), [ms])
         for i, m in enumerate(ms):
             for j, l in enumerate(ms):
                 direct = orc.symmetrizer_pairing(lam, d, m, l)
@@ -110,8 +110,8 @@ class TestPairingEngine:
     def test_matches_direct_orbit_enumeration_unitary(self, d, lam):
         rng = np.random.default_rng(hash((d, lam)) % 2**32)
         U = orc.haar_unitary(d, rng)
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
-        (W,) = sw.pairing_matrices([lam], d, U, [ms])
+        ms = orc.enumerate_m_vectors(lam, d, max_weight=2)
+        (W,) = sw.pairing_matrices([lam], U, [ms])
         for i, m in enumerate(ms):
             for j, l in enumerate(ms):
                 direct = orc.symmetrizer_pairing(lam, d, m, l, U)
@@ -120,9 +120,8 @@ class TestPairingEngine:
     def test_scales_to_large_n(self):
         # the class-convolution evaluation must not enumerate orbits
         lam = (260, 140)
-        ms = tb.enumerate_m_vectors(lam, 2, max_weight=8)
-        G = sw.gram_matrix(lam, 2, ms)
-        assert np.allclose(G, np.eye(len(ms)))
+        G = sw.block_bases([lam], 2, max_weight=8)[0].gram
+        assert np.allclose(G, np.eye(len(G)))
 
     def test_cached_maps_read_only(self):
         # every pairing with the same caps shares these arrays
@@ -159,11 +158,11 @@ class TestPairingEngine:
         # sharing the first class's steps over the union simplex changes
         # no bit of any pairing
         U = np.eye(d) if unitary == "identity" else orc.haar_unitary(d, np.random.default_rng(d))
-        mss = [tb.enumerate_m_vectors(lam, d, max_weight=max_weight) for lam in lams]
-        got = sw.pairing_matrices(lams, d, U, mss)
+        mss = [orc.enumerate_m_vectors(lam, d, max_weight=max_weight) for lam in lams]
+        got = sw.pairing_matrices(lams, U, mss)
         assert len(got) == len(lams)
         for lam, ms, W in zip(lams, mss, got):
-            assert np.array_equal(W, sw.pairing_matrices([lam], d, U, [ms])[0])
+            assert np.array_equal(W, sw.pairing_matrices([lam], U, [ms])[0])
 
     def test_batch_past_elision_size_matches_per_diagram_calls(self):
         # a union of 141 x 141 entries is past numpy's in-place size for
@@ -174,9 +173,9 @@ class TestPairingEngine:
         sizes = [len(ms) ** 2 for ms in mss]
         assert sizes == [81**2, 141**2, 51**2]
         assert sizes[1] >= 2**14 > sizes[0]
-        got = sw.pairing_matrices(lams, 2, U, mss)
+        got = sw.pairing_matrices(lams, U, mss)
         for lam, ms, W in zip(lams, mss, got):
-            assert np.array_equal(W, sw.pairing_matrices([lam], 2, U, [ms])[0])
+            assert np.array_equal(W, sw.pairing_matrices([lam], U, [ms])[0])
 
     def test_batch_past_elision_size_shares_first_class(self, monkeypatch):
         # the three diagrams start at the class of length 1, so it steps once
@@ -185,13 +184,13 @@ class TestPairingEngine:
         calls = []
         step_class = sw._step_class
 
-        def counted_step(S, length, d, U, bounds, reads):
+        def counted_step(S, length, U, bounds, reads):
             calls.append(("step", length, len(S), len(reads)))
-            return step_class(S, length, d, U, bounds, reads)
+            return step_class(S, length, U, bounds, reads)
 
         monkeypatch.setattr(sw, "_step_class", counted_step)
         lams, U, mss = past_elision_batch()
-        sw.pairing_matrices(lams, 2, U, mss)
+        sw.pairing_matrices(lams, U, mss)
         assert calls == [
             ("step", 1, 141**2, 3),
             *[("step", 2, len(ms) ** 2, 1) for ms in mss],
@@ -218,9 +217,9 @@ class TestPairingEngine:
         monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 40)
         monkeypatch.setattr(sw, "_step_class", never)
         lams = [(5, 2), (7, 1)]
-        mss = [tb.enumerate_m_vectors(lam, 2, max_weight=8) for lam in lams]
+        mss = [orc.enumerate_m_vectors(lam, 2, max_weight=8) for lam in lams]
         with pytest.raises(ResourceLimitError, match=r"\(7, 1\) needs 49 complex entries"):
-            sw.pairing_matrices(lams, 2, np.eye(2), mss)
+            sw.pairing_matrices(lams, np.eye(2), mss)
 
     def test_oversized_union_refused_before_any_class(self, monkeypatch):
         # at d=3, (3,) pairs on 10 x 10 positions and (4, 3) on 15 x 15, but
@@ -231,12 +230,12 @@ class TestPairingEngine:
         monkeypatch.setattr(sw, "MAX_TRANSFER_ENTRIES", 300)
         monkeypatch.setattr(sw, "_step_class", never)
         lams = [(3,), (4, 3)]
-        mss = [tb.enumerate_m_vectors(lam, 3, max_weight=3) for lam in lams]
+        mss = [orc.enumerate_m_vectors(lam, 3, max_weight=3) for lam in lams]
         with pytest.raises(
             ResourceLimitError,
             match=r"shared pairing transfer of \(3,\), \(4, 3\) needs 400 complex entries",
         ):
-            sw.pairing_matrices(lams, 3, np.eye(3), mss)
+            sw.pairing_matrices(lams, np.eye(3), mss)
 
     @pytest.mark.parametrize(
         "lam,positions,admitted",
@@ -251,10 +250,10 @@ class TestPairingEngine:
             raise Reached
 
         monkeypatch.setattr(sw, "_step_class", reached)
-        ms = tb.enumerate_m_vectors(lam, 3, max_weight=sum(lam))
+        ms = orc.enumerate_m_vectors(lam, 3, max_weight=sum(lam))
         expect = Reached if admitted else ResourceLimitError
         with pytest.raises(expect, match=None if admitted else f"{positions**2:,} complex"):
-            sw.pairing_matrices([lam], 3, np.eye(3), [ms])
+            sw.pairing_matrices([lam], np.eye(3), [ms])
 
     def test_class_without_modifiers_is_one_power(self):
         # the class of length d has no modifiers, so its 1,200 columns are
@@ -262,10 +261,10 @@ class TestPairingEngine:
         rng = np.random.default_rng(2)
         U = orc.haar_unitary(2, rng)
         bounds = ((10,), 10)
-        v0, terms = sw._class_terms(2, 2, U, bounds)
+        v0, terms = sw._class_terms(2, U, bounds)
         assert terms == []
         S = rng.standard_normal(11**2) + 1j * rng.standard_normal(11**2)
-        (got,) = sw._step_class(S, 2, 2, U, bounds, [(1200, None)])
+        (got,) = sw._step_class(S, 2, U, bounds, [(1200, None)])
         assert np.array_equal(got, np.multiply(v0**1200, S))
 
     @pytest.mark.skipif(
@@ -277,12 +276,12 @@ class TestPairingEngine:
         # binomial power (v0 + P)^180 they lose 1.5e-14 of the largest entry
         # at these draws, stepped at most 2e-15, a quarter of the bound
         lam, d = (300, 200, 20), 3
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=6)
+        ms = orc.enumerate_m_vectors(lam, d, max_weight=6)
         rng = np.random.default_rng(11)
         for _ in range(3):
             U = orc.haar_unitary(d, rng)
             ref = stepped_reference(lam, d, U, ms)
-            (W,) = sw.pairing_matrices([lam], d, U, [ms])
+            (W,) = sw.pairing_matrices([lam], U, [ms])
             assert np.abs(W - ref).max() < 8e-15 * np.abs(ref).max()
 
 
@@ -299,7 +298,7 @@ class TestMinorDetProduct:
             U = orc.haar_unitary(d, rng)
             Um = gs.tensor_modes([U] * n)
             Q = orc.column_antisymmetrizer_matrix(lam, n, d)
-            ms = tb.enumerate_m_vectors(lam, d, max_weight=n)
+            ms = orc.enumerate_m_vectors(lam, d, max_weight=n)
             for ma in ms[:3]:
                 for mb in ms[:3]:
                     ta = orc.canonical_tableau(lam, ma, d)
@@ -318,22 +317,20 @@ class TestGram:
     def test_selection_rule_exact_zero(self, d, lam):
         owner, ms = tb.m_vector_rows([lam], d, max_weight=3)
         weights = tb.m_vector_weights([lam], d, owner, ms)
-        G = sw.gram_matrix(lam, d, ms)
+        G = sw.block_bases([lam], d, max_weight=3)[0].gram
         cross = (weights[:, None] != weights[None, :]).any(axis=2)
         assert (G[cross] == 0.0).all()
 
     @pytest.mark.parametrize("d,lam", SMALL_BLOCKS)
     def test_positive_definite_unit_diagonal(self, d, lam):
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=3)
-        G = sw.gram_matrix(lam, d, ms)
+        G = sw.block_bases([lam], d, max_weight=3)[0].gram
         assert np.allclose(np.diag(G), 1.0)
         assert np.linalg.eigvalsh(G).min() > 0
 
     def test_two_rows_gram_is_identity(self):
         # with two rows there is a single mode and one m per weight class
-        ms = tb.enumerate_m_vectors((10, 4), 2, max_weight=6)
-        G = sw.gram_matrix((10, 4), 2, ms)
-        assert np.array_equal(G, np.eye(len(ms)))
+        G = sw.block_bases([(10, 4)], 2, max_weight=6)[0].gram
+        assert np.array_equal(G, np.eye(len(G)))
 
     def test_orthonormalize_rejects_singular(self):
         G = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -347,8 +344,7 @@ class TestGram:
         d = len(lam)
         if any(r <= 0 for r in lam):
             return
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=2)
-        G = sw.gram_matrix(lam, d, ms)
+        G = sw.block_bases([lam], d, max_weight=2)[0].gram
         assert np.array_equal(G, G.T)
 
 
@@ -421,7 +417,7 @@ class TestTensorOracle:
         U = orc.haar_unitary(d, rng)
         Um = gs.tensor_modes([U] * n)
         Y = orc.young_symmetrizer_matrix(lam, n, d)
-        ms = tb.enumerate_m_vectors(lam, d, max_weight=n)
+        ms = orc.enumerate_m_vectors(lam, d, max_weight=n)
         vecs = []
         for m in ms:
             t = orc.canonical_tableau(lam, m, d)

@@ -209,22 +209,22 @@ class TestDimensions:
         for n in range(1, 8):
             for d in (2, 3):
                 for lam in tb.enumerate_diagrams(n, d):
-                    assert len(tb.enumerate_m_vectors(lam, d)) == tb.dim_irrep(lam, d)
+                    assert len(orc.enumerate_m_vectors(lam, d)) == tb.dim_irrep(lam, d)
 
 
 class TestMVectors:
     def test_symmetric_row(self):
-        assert tb.enumerate_m_vectors((2,), 2) == [(0,), (1,), (2,)]
+        assert orc.enumerate_m_vectors((2,), 2) == [(0,), (1,), (2,)]
 
     def test_antisymmetric(self):
-        assert tb.enumerate_m_vectors((1, 1), 2) == [(0,)]
+        assert orc.enumerate_m_vectors((1, 1), 2) == [(0,)]
 
     def test_adjoint(self):
-        assert len(tb.enumerate_m_vectors((2, 1), 3)) == 8
+        assert len(orc.enumerate_m_vectors((2, 1), 3)) == 8
 
     def test_roundtrip(self):
         for lam, d in [((3, 2), 3), ((4, 2, 1), 3), ((2, 2, 1, 1), 4)]:
-            ms = tb.enumerate_m_vectors(lam, d)
+            ms = orc.enumerate_m_vectors(lam, d)
             tableaux = [orc.canonical_tableau(lam, m, d) for m in ms]
             assert all(orc.is_semistandard(t) for t in tableaux)
             assert len(set(tableaux)) == len(ms)
@@ -240,11 +240,11 @@ class TestMVectors:
             for n in range(1, 11):
                 for lam in tb.enumerate_diagrams(n, d):
                     fitting = semistandard(lam, d)
-                    ms = tb.enumerate_m_vectors(lam, d)
+                    ms = orc.enumerate_m_vectors(lam, d)
                     assert ms == fitting
                     assert len(ms) == tb.dim_irrep(lam, d)
                     for max_weight in (0, 1, 2, 3, 5):
-                        assert tb.enumerate_m_vectors(lam, d, max_weight) == [
+                        assert orc.enumerate_m_vectors(lam, d, max_weight) == [
                             m for m in fitting if sum(m) <= max_weight
                         ]
 
@@ -271,8 +271,8 @@ class TestMVectors:
                         np.testing.assert_array_equal(ms[owner == i], one)
 
     def test_max_weight_filter(self):
-        full = tb.enumerate_m_vectors((6, 2), 2)
-        cut = tb.enumerate_m_vectors((6, 2), 2, max_weight=2)
+        full = orc.enumerate_m_vectors((6, 2), 2)
+        cut = orc.enumerate_m_vectors((6, 2), 2, max_weight=2)
         assert cut == [m for m in full if sum(m) <= 2]
 
     def test_m_vector_weights(self):
@@ -306,7 +306,7 @@ class TestPredicates:
         assert not orc.is_admissible(((2, 2, 1), (2, 1)))
         assert orc.is_admissible(((2, 1), (1, 2)))
         # every semistandard tableau is admissible
-        for m in tb.enumerate_m_vectors((3, 2, 1), 3):
+        for m in orc.enumerate_m_vectors((3, 2, 1), 3):
             assert orc.is_admissible(orc.canonical_tableau((3, 2, 1), m, 3))
 
 
@@ -325,7 +325,7 @@ class TestOrbit:
 
     def test_size_formula(self):
         for lam, d in [((3, 2), 3), ((4, 1), 2)]:
-            for m in tb.enumerate_m_vectors(lam, d):
+            for m in orc.enumerate_m_vectors(lam, d):
                 got = len(list(orc.orbit(lam, m, d)))
                 assert got == orc.orbit_size(lam, m, d)
 
@@ -359,7 +359,7 @@ class TestGamma:
         assert orc.gamma(t) == 0
 
     def test_gamma_nonnegative(self):
-        for m in tb.enumerate_m_vectors((4, 2), 3):
+        for m in orc.enumerate_m_vectors((4, 2), 3):
             for t in orc.orbit((4, 2), m, 3, admissible_only=True):
                 assert orc.gamma(t) >= 0
 
